@@ -22,7 +22,7 @@ import json
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy import stats as _stats
@@ -30,7 +30,7 @@ from scipy import stats as _stats
 from .dominators import ClusterProcessConfig, run_cluster_process
 from .engine import EngineConfig, finish_times, simulate_batch
 from .errors import InvalidParameterError
-from .graphs import Graph, gen_grid, gen_line, gen_rgg, gen_ring
+from .graphs import Graph, make_graph
 from .policies import PolicySpec, build_policy, canonical_partition
 from .rng import CH_BOOTSTRAP, CH_DERIVE, stream, substream
 
@@ -178,18 +178,8 @@ class ScalingReport:
 
 
 def build_graph(plan: ExperimentPlan, n: int) -> Graph:
-    if plan.family == "ring":
-        return gen_ring(n)
-    if plan.family == "line":
-        return gen_line(n)
-    if plan.family == "grid":
-        return gen_grid(n, plan.dim)
-    if plan.family == "rgg":
-        r = plan.rgg_radius
-        if r is None:
-            r = math.sqrt(5.0 * math.log(n) / n)
-        return gen_rgg(n, r, derive_seed(plan.seed, (n << 2) | _P_GRAPH))
-    raise InvalidParameterError(f"unknown family {plan.family!r}")
+    seed = derive_seed(plan.seed, (n << 2) | _P_GRAPH)
+    return make_graph(plan.family, n, plan.dim, plan.rgg_radius, seed)
 
 
 def _resolve_cluster_cfg(plan: ExperimentPlan, n: int) -> ClusterProcessConfig:
@@ -216,21 +206,19 @@ def _resolve_cluster_cfg(plan: ExperimentPlan, n: int) -> ClusterProcessConfig:
     )
 
 
-def _sample_times(plan: ExperimentPlan, n: int) -> tuple[list[float], int]:
-    """Finish-time sample and the event count spent producing it."""
+def _sample_times(plan: ExperimentPlan, n: int) -> tuple[int, list[float], int]:
+    """Realized size, finish-time sample and the event count spent
+    producing it (a grid realizes side**d <= n nodes)."""
     if plan.process == "simulate":
         g = build_graph(plan, n)
-        spec = plan.policy
-        if spec.kind == "gsi" and spec.partition is None:
-            spec = replace(spec, partition=canonical_partition(g, spec.L))
-        handle = build_policy(spec, g)
+        handle = build_policy(plan.policy, g)
         cfg = EngineConfig(
             beta=plan.beta,
             initial_infected=plan.initial_infected,
             seed=derive_seed(plan.seed, (n << 2) | _P_ENGINE),
         )
         summaries = simulate_batch(g, handle, cfg, plan.replicates)
-        return finish_times(summaries), sum(s.events for s in summaries)
+        return g.n, finish_times(summaries), sum(s.events for s in summaries)
     cfg = _resolve_cluster_cfg(plan, n)
     events = 0
     times = []
@@ -239,7 +227,7 @@ def _sample_times(plan: ExperimentPlan, n: int) -> tuple[list[float], int]:
         if trace.hitting_time is not None:
             times.append(trace.hitting_time)
         events += trace.events
-    return times, events
+    return n, times, events
 
 
 def summarize(n: int, times, events: int) -> SweepRow:
@@ -270,12 +258,12 @@ def run_plan(plan: ExperimentPlan) -> ScalingReport:
     incomplete = False
     for n in plan.sizes:
         try:
-            times, events = _sample_times(plan, n)
+            size, times, events = _sample_times(plan, n)
         except KeyboardInterrupt:
             # flush what finished so far as a partial report
             incomplete = True
             break
-        rows.append(summarize(n, times, events))
+        rows.append(summarize(size, times, events))
         total_events += events
         if plan.event_budget is not None and total_events > plan.event_budget:
             incomplete = len(rows) < len(plan.sizes)
@@ -339,7 +327,7 @@ def concentration_probe(plan: ExperimentPlan, kappa: float) -> ConcentrationTabl
         l_min = plan.policy.L if plan.policy.kind in ("random_homogeneous", "gsi") else 1.0
         h = max(part.g / l_min, max(part.piece_diameters))
         threshold = kappa * h * math.log(n)
-        times, _ = _sample_times(plan, n)
+        _, times, _ = _sample_times(plan, n)
         arr = np.asarray(times)
         frac = float((arr >= threshold).mean()) if arr.size else 1.0
         rows.append(ConcentrationRow(n=n, threshold=threshold, exceed_fraction=frac))

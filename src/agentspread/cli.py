@@ -7,6 +7,9 @@ Flag grammar::
 Subcommands: gen, simulate, sweep, dominate, conductance, fpp. The
 ``gen`` and ``conductance`` subcommands also accept direct flags
 (--family, --n, ...); everything else is driven by a config file.
+``sim gen --family rgg`` without ``--r`` uses the critical radius, the
+default of config files (``r = critical``) and sweep plans; it used to
+fail without ``--r``.
 
 Config files are whitespace-insensitive key-value text with sections::
 
@@ -73,7 +76,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -197,18 +199,14 @@ def _build_graph(cfg: dict, seed: int) -> graphs.Graph:
     family = _require(cfg, "graph", "family")
     if family == "file":
         return graphs.read_graph(str(_require(cfg, "graph", "path")))
-    n = int(_require(cfg, "graph", "n"))
-    if family == "ring":
-        return graphs.gen_ring(n)
-    if family == "line":
-        return graphs.gen_line(n)
-    if family == "grid":
-        return graphs.gen_grid(n, int(_get(cfg, "graph", "d", 2)))
-    if family == "rgg":
-        r = _get(cfg, "graph", "r", "critical")
-        radius = math.sqrt(5.0 * math.log(n) / n) if r == "critical" else float(r)
-        return graphs.gen_rgg(n, radius, seed)
-    raise ConfigError(f"unknown graph family {family!r}")
+    r = _get(cfg, "graph", "r", "critical")
+    return graphs.make_graph(
+        str(family),
+        int(_require(cfg, "graph", "n")),
+        int(_get(cfg, "graph", "d", 2)),
+        None if r == "critical" else float(r),
+        seed,
+    )
 
 
 def _parse_links(raw) -> tuple[tuple[int, int], ...]:
@@ -270,18 +268,7 @@ def _echo(cfg: dict, args, outdir: str) -> None:
 
 
 def _cmd_gen(args) -> int:
-    if args.family == "ring":
-        g = graphs.gen_ring(args.n)
-    elif args.family == "line":
-        g = graphs.gen_line(args.n)
-    elif args.family == "grid":
-        g = graphs.gen_grid(args.n, args.d)
-    elif args.family == "rgg":
-        if args.r is None:
-            raise ConfigError("rgg needs --r RADIUS")
-        g = graphs.gen_rgg(args.n, args.r, args.seed)
-    else:
-        raise ConfigError(f"unknown family {args.family!r}")
+    g = graphs.make_graph(args.family, args.n, args.d, args.r, args.seed)
     graphs.write_graph(g, args.out)
     print(f"wrote {g.family} graph: n={g.n} edges={g.edge_count} -> {args.out}")
     return EXIT_OK
@@ -366,7 +353,7 @@ def _cmd_dominate(args) -> int:
             growth="line", target_count=g.n, seeding_rate=L, beta=beta, seed=args.seed
         )
         fast = dominators.sample_hitting_times(ccfg, replicates)
-        handle = policies.greedy_frontier_adversary(L)
+        handle = policies.GreedyFrontierAdversary(L)
         ecfg = engine.EngineConfig(beta=beta, seed=args.seed)
         real = engine.finish_times(engine.simulate_batch(g, handle, ecfg, replicates))
         verdict = analytics.dominance_report(fast, real, seed=args.seed)
@@ -394,11 +381,9 @@ def _cmd_dominate(args) -> int:
 
 def _cmd_conductance(args) -> int:
     if args.config is not None:
-        cfg = _load(args.config, args.set or [])
-        g = _build_graph(cfg, args.seed)
+        g = _build_graph(_load(args.config, args.set or []), args.seed)
     elif args.family is not None and args.n is not None:
-        cfg = {"graph": {"family": args.family, "n": args.n, "d": args.d}}
-        g = _build_graph(cfg, args.seed)
+        g = graphs.make_graph(args.family, args.n, args.d, seed=args.seed)
     else:
         raise ConfigError("conductance needs --config or --family/--n")
     if g.n <= graphs.CONDUCTANCE_EXACT_LIMIT:
@@ -479,7 +464,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True, choices=["ring", "line", "grid", "rgg"])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, default=2, help="grid dimension")
-    p.add_argument("--r", type=float, help="rgg coverage radius")
+    p.add_argument("--r", type=float, help="rgg coverage radius (default: critical)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output graph file")
 

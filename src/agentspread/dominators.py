@@ -22,10 +22,10 @@ from collections import deque
 from dataclasses import dataclass, replace
 
 from .engine import EngineConfig, finish_times, simulate_batch
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, positive
 from .graphs import Graph, Partition
 from .policies import PolicySpec, build_policy
-from .rng import CH_PROCESS, ExpSampler, UniformSampler, substream
+from .rng import CH_PROCESS, BufferedSampler, substream
 
 _PATH_POINTS = 4096  # count-path export cap per run
 
@@ -70,11 +70,10 @@ def two_phase_process(
     """
     if mode not in ("homogeneous", "sequential"):
         raise InvalidParameterError(f"unknown two-phase mode {mode!r}")
-    if L <= 0:
-        raise InvalidParameterError(f"L must be positive, got {L}")
+    positive("L", L)
     rng = substream(seed, replicate, CH_PROCESS)
-    exp = ExpSampler(rng)
-    uni = UniformSampler(rng)
+    exp = BufferedSampler(rng.standard_exponential)
+    uni = BufferedSampler(rng.random)
     n = g.n
 
     seeds = []
@@ -179,10 +178,9 @@ def conductance_chain(piece_size: int, psi: float, seed: int, replicate: int = 0
     """Absorption time of the conductance-driven birth chain from 1 to size."""
     if piece_size < 2:
         raise InvalidParameterError(f"piece_size must be >= 2, got {piece_size}")
-    if psi <= 0:
-        raise InvalidParameterError(f"psi must be positive, got {psi}")
+    positive("psi", psi)
     rng = substream(seed, replicate, CH_PROCESS)
-    exp = ExpSampler(rng)
+    exp = BufferedSampler(rng.standard_exponential)
     return sum(exp.draw() / rate for rate in _chain_rates(piece_size, psi))
 
 
@@ -222,14 +220,14 @@ class ClusterProcessConfig:
     def __post_init__(self):
         if self.growth not in ("line", "fpp", "diagonal"):
             raise InvalidParameterError(f"unknown growth kind {self.growth!r}")
-        if self.seeding_rate <= 0:
-            raise InvalidParameterError("seeding_rate must be positive")
+        positive("seeding_rate", self.seeding_rate)
+        positive("beta", self.beta)
         if self.target_count < 1:
             raise InvalidParameterError("target_count must be >= 1")
         if self.growth == "fpp" and self.dim not in (1, 2, 3):
             raise InvalidParameterError(f"fpp dim must be 1, 2 or 3, got {self.dim}")
-        if self.growth == "diagonal" and self.mu_eff <= 0:
-            raise InvalidParameterError("mu_eff must be positive")
+        if self.growth == "diagonal":
+            positive("mu_eff", self.mu_eff)
         if self.occupancy < 1:
             raise InvalidParameterError("occupancy must be >= 1")
 
@@ -269,8 +267,8 @@ def line_clusters(cfg: ClusterProcessConfig, replicate: int = 0) -> ClusterTrace
     if cfg.growth != "line":
         raise InvalidParameterError("cfg.growth must be 'line'")
     rng = substream(cfg.seed, replicate, CH_PROCESS)
-    exp = ExpSampler(rng)
-    uni = UniformSampler(rng)
+    exp = BufferedSampler(rng.standard_exponential)
+    uni = BufferedSampler(rng.random)
     lam = cfg.seeding_rate
     two_beta = 2.0 * cfg.beta
     target = cfg.target_count
@@ -354,7 +352,7 @@ class _LatticeCluster:
             self.edges[i] = last
             self.pos[last] = i
 
-    def grow(self, uni: UniformSampler) -> int:
+    def grow(self, uni: BufferedSampler) -> int:
         """Fire one uniformly chosen boundary edge; return the new site."""
         edges = self.edges
         _, dst = edges[int(uni.draw() * len(edges))]
@@ -383,8 +381,8 @@ def _lattice_cluster_process(
     points_per_site: int,
 ) -> ClusterTrace:
     rng = substream(cfg.seed, replicate, CH_PROCESS)
-    exp = ExpSampler(rng)
-    uni = UniformSampler(rng)
+    exp = BufferedSampler(rng.standard_exponential)
+    uni = BufferedSampler(rng.random)
     lam = cfg.seeding_rate
     target = cfg.target_count
     max_time = cfg.max_time
@@ -532,8 +530,8 @@ def shape_estimate(
     radii = [[0.0] * len(times) for _ in range(replicates)]
     for k in range(replicates):
         rng = substream(seed, k, CH_PROCESS)
-        exp = ExpSampler(rng)
-        uni = UniformSampler(rng)
+        exp = BufferedSampler(rng.standard_exponential)
+        uni = BufferedSampler(rng.random)
         cluster = _LatticeCluster(deltas, d)
         t = 0.0
         idx = 0
@@ -596,8 +594,7 @@ def bound_calculator(
         ("psi", psi),
         ("l_min", l_min),
     ):
-        if v <= 0:
-            raise InvalidParameterError(f"{name} must be positive, got {v}")
+        positive(name, v)
     h = max(g_count / l_min, d_diam)
     k = max(g_count / l_min, math.log(s_size) / psi)
     return h, k

@@ -21,9 +21,9 @@ import math
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
-from .errors import InvalidParameterError, NonTerminationError, PolicyContractError
+from .errors import InvalidParameterError, NonTerminationError, PolicyContractError, positive
 from .graphs import Graph
-from .rng import CH_ENGINE, ExpSampler, UniformSampler, reseed, stream, substream
+from .rng import CH_ENGINE, BufferedSampler, reseed, stream, substream
 
 _INTRINSIC = 0
 _EXTERNAL = 1
@@ -73,8 +73,9 @@ class EngineConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.beta <= 0:
-            raise InvalidParameterError(f"beta must be positive, got {self.beta}")
+        positive("beta", self.beta)
+        if self.max_time is not None and not self.max_time >= 0:
+            raise InvalidParameterError(f"max_time must be nonnegative, got {self.max_time}")
 
 
 @dataclass
@@ -110,8 +111,8 @@ def _run(g: Graph, policy, cfg: EngineConfig, replicate: int, keep_events: bool,
 
     if rng is None:
         rng = substream(cfg.seed, replicate, CH_ENGINE)
-    exp = ExpSampler(rng)
-    uni = UniformSampler(rng)
+    exp = BufferedSampler(rng.standard_exponential)
+    uni = BufferedSampler(rng.random)
 
     state = InfectionState(n)
     policy.reset(g, state, replicate)

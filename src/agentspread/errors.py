@@ -2,9 +2,19 @@
 
 from __future__ import annotations
 
+import math
+
 
 class InvalidParameterError(ValueError):
     """A parameter is outside its documented range."""
+
+
+def positive(name: str, value):
+    """Return ``value`` if it is a finite positive real; otherwise raise
+    InvalidParameterError naming the parameter (NaN and inf included)."""
+    if not 0 < value < math.inf:
+        raise InvalidParameterError(f"{name} must be finite and positive, got {value}")
+    return value
 
 
 class InvalidFamilyError(ValueError):

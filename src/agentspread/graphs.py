@@ -29,6 +29,7 @@ from .errors import (
     InvalidParameterError,
     PartitionDegenerateError,
     SizeLimitError,
+    positive,
 )
 from .rng import CH_GRAPH, substream
 
@@ -239,6 +240,24 @@ def gen_custom(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(n=n, adjacency=_build_adjacency(n, edges), family="custom")
 
 
+def make_graph(family: str, n: int, d: int = 2, r: float | None = None, seed: int = 0) -> Graph:
+    """Build a graph of a named family: ring, line, grid (dimension d) or
+    rgg (radius r, points drawn from seed).
+
+    An RGG without a radius gets the critical radius sqrt(5 ln n / n).
+    A grid realizes side**d <= n nodes, so read the size off ``.n``.
+    """
+    if family == "ring":
+        return gen_ring(n)
+    if family == "line":
+        return gen_line(n)
+    if family == "grid":
+        return gen_grid(n, d)
+    if family == "rgg":
+        return gen_rgg(n, math.sqrt(5.0 * math.log(n) / n) if r is None else r, seed)
+    raise InvalidParameterError(f"unknown graph family {family!r}")
+
+
 # ---------------------------------------------------------------------------
 # BFS, diameter, connectivity
 # ---------------------------------------------------------------------------
@@ -361,8 +380,7 @@ def partition_grid(g: Graph, l_min: float = 1.0, strict: bool = False) -> Partit
     """
     if g.family != "grid":
         raise InvalidFamilyError(f"sub-grid partition needs grid, got {g.family}")
-    if l_min <= 0:
-        raise InvalidParameterError("l_min must be positive")
+    positive("l_min", l_min)
     d = g.dim
     assert d is not None
     n = g.n
@@ -425,8 +443,7 @@ def partition_rgg(g: Graph, l_min: float = 1.0) -> Partition:
     """
     if g.family != "rgg":
         raise InvalidFamilyError(f"chunk partition needs rgg, got {g.family}")
-    if l_min <= 0:
-        raise InvalidParameterError("l_min must be positive")
+    positive("l_min", l_min)
     r = g.radius
     assert r is not None and g.coords is not None
     n = g.n

@@ -11,18 +11,27 @@ Rate conventions follow the homogeneous reading: an infected node may
 still carry external rate (it is simply wasted), so randomized policies
 remain state-oblivious, while targeted policies place rate on healthy
 nodes only.
+
+Handles are the seven classes below (``NullPolicy``, ``RandomHomogeneous``,
+``GsiPolicy``, ``StaticLinks``, ``DynamicLinks``, ``MobileAgents``,
+``GreedyFrontierAdversary``), constructed directly or from a declarative
+``PolicySpec`` by ``build_policy``, the one map from a kind name to a
+class. Rates and budgets must be finite and positive (a rewiring rate
+may also be zero); anything else raises ``InvalidParameterError`` at
+construction.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 
 from .engine import InfectionState
-from .errors import InvalidParameterError
-from .graphs import Graph, Partition
-from .rng import CH_POLICY, UniformSampler, substream
+from .errors import InvalidParameterError, positive
+from .graphs import Graph, Partition, partition_grid, partition_rgg, partition_ring
+from .rng import CH_POLICY, BufferedSampler, substream
 
 
 class Policy:
@@ -44,7 +53,7 @@ class Policy:
     def healthy_rate(self, state: InfectionState) -> float:
         return sum(self.rate_of(v, state) for v in state.healthy)
 
-    def sample_target(self, state: InfectionState, uni: UniformSampler) -> int:
+    def sample_target(self, state: InfectionState, uni: BufferedSampler) -> int:
         total = self.healthy_rate(state)
         x = uni.draw() * total
         acc = 0.0
@@ -87,9 +96,7 @@ class RandomHomogeneous(Policy):
     kind = "random_homogeneous"
 
     def __init__(self, L: float):
-        if L <= 0:
-            raise InvalidParameterError(f"L must be positive, got {L}")
-        self.L = L
+        self.L = positive("L", L)
         self.l_min = L
         self.l_max = L
         self._per_node = 0.0
@@ -122,10 +129,8 @@ class GsiPolicy(Policy):
     kind = "gsi"
 
     def __init__(self, partition: Partition, L: float):
-        if L <= 0:
-            raise InvalidParameterError(f"L must be positive, got {L}")
         self.partition = partition
-        self.L = L
+        self.L = positive("L", L)
         self.l_min = L
         self.l_max = L
         self._n = sum(partition.piece_sizes)
@@ -228,9 +233,7 @@ class StaticLinks(_LinkRates):
     kind = "static_links"
 
     def __init__(self, links, beta_link: float):
-        if beta_link <= 0:
-            raise InvalidParameterError(f"beta_link must be positive, got {beta_link}")
-        self.beta_link = beta_link
+        self.beta_link = positive("beta_link", beta_link)
         self._given = [(int(a), int(b)) for a, b in links]
         self.l_min = 0.0
         self.l_max = beta_link * len(self._given)
@@ -255,10 +258,11 @@ class DynamicLinks(_LinkRates):
     def __init__(self, count: int, beta_link: float, rewire_rate: float, seed: int):
         if count < 1:
             raise InvalidParameterError(f"count must be >= 1, got {count}")
-        if beta_link <= 0:
-            raise InvalidParameterError(f"beta_link must be positive, got {beta_link}")
-        if rewire_rate < 0:
-            raise InvalidParameterError("rewire_rate must be nonnegative")
+        positive("beta_link", beta_link)
+        if not 0 <= rewire_rate < math.inf:
+            raise InvalidParameterError(
+                f"rewire_rate must be finite and nonnegative, got {rewire_rate}"
+            )
         self.count = count
         self.beta_link = beta_link
         self.rewire_rate = rewire_rate
@@ -307,8 +311,7 @@ class MobileAgents(Policy):
     ):
         if agents < 1:
             raise InvalidParameterError(f"agents must be >= 1, got {agents}")
-        if rate_per_agent <= 0:
-            raise InvalidParameterError("rate_per_agent must be positive")
+        positive("rate_per_agent", rate_per_agent)
         if mobility != "uniform_jump":
             raise InvalidParameterError(f"unknown mobility kind {mobility!r}")
         self.agents = agents
@@ -361,9 +364,7 @@ class GreedyFrontierAdversary(Policy):
     kind = "greedy_frontier_adversary"
 
     def __init__(self, L: float):
-        if L <= 0:
-            raise InvalidParameterError(f"L must be positive, got {L}")
-        self.L = L
+        self.L = positive("L", L)
         self.l_min = L
         self.l_max = L
 
@@ -439,71 +440,40 @@ class PolicySpec:
     partition: Partition | None = field(default=None, compare=False)
 
 
-def null_policy() -> NullPolicy:
-    return NullPolicy()
-
-
-def random_homogeneous(L: float) -> RandomHomogeneous:
-    return RandomHomogeneous(L)
-
-
-def gsi(partition: Partition, L: float) -> GsiPolicy:
-    return GsiPolicy(partition, L)
-
-
-def static_links(links, beta_link: float) -> StaticLinks:
-    return StaticLinks(links, beta_link)
-
-
-def dynamic_links(count: int, beta_link: float, rewire_rate: float, seed: int) -> DynamicLinks:
-    return DynamicLinks(count, beta_link, rewire_rate, seed)
-
-
-def mobile_agents(
-    agents: int, rate_per_agent: float, mobility: str = "uniform_jump", seed: int = 0
-) -> MobileAgents:
-    return MobileAgents(agents, rate_per_agent, mobility, seed)
-
-
-def greedy_frontier_adversary(L: float) -> GreedyFrontierAdversary:
-    return GreedyFrontierAdversary(L)
-
-
 def build_policy(spec: PolicySpec, graph: Graph | None = None) -> Policy:
-    """Instantiate a handle from a spec; gsi takes the family's canonical
-    partition when none is given."""
+    """Instantiate a handle from a spec: the one map from a kind name to a
+    policy class. gsi takes the family's canonical partition when none is
+    given."""
     kind = spec.kind
     if kind == "null":
-        return null_policy()
+        return NullPolicy()
     if kind == "random_homogeneous":
-        return random_homogeneous(spec.L)
+        return RandomHomogeneous(spec.L)
     if kind == "gsi":
         part = spec.partition
         if part is None:
             if graph is None:
                 raise InvalidParameterError("gsi needs a partition or a graph")
             part = canonical_partition(graph, spec.L)
-        return gsi(part, spec.L)
+        return GsiPolicy(part, spec.L)
     if kind == "static_links":
-        return static_links(spec.links, spec.beta_link)
+        return StaticLinks(spec.links, spec.beta_link)
     if kind == "dynamic_links":
-        return dynamic_links(spec.count, spec.beta_link, spec.rewire_rate, spec.seed)
+        return DynamicLinks(spec.count, spec.beta_link, spec.rewire_rate, spec.seed)
     if kind == "mobile_agents":
-        return mobile_agents(spec.agents, spec.rate_per_agent, spec.mobility, spec.seed)
+        return MobileAgents(spec.agents, spec.rate_per_agent, spec.mobility, spec.seed)
     if kind == "greedy_frontier_adversary":
-        return greedy_frontier_adversary(spec.L)
+        return GreedyFrontierAdversary(spec.L)
     raise InvalidParameterError(f"unknown policy kind {kind!r}")
 
 
 def canonical_partition(graph: Graph, l_min: float = 1.0) -> Partition:
     """The family's standard partition: sqrt(n) segments on rings/lines,
     (n/l_min)^(1/(d+1))-sided sub-grids, tile chunks on RGGs."""
-    from . import graphs as _g
-
     if graph.family in ("ring", "line"):
-        return _g.partition_ring(graph)
+        return partition_ring(graph)
     if graph.family == "grid":
-        return _g.partition_grid(graph, l_min=l_min)
+        return partition_grid(graph, l_min=l_min)
     if graph.family == "rgg":
-        return _g.partition_rgg(graph, l_min=l_min)
+        return partition_rgg(graph, l_min=l_min)
     raise InvalidParameterError(f"no canonical partition for family {graph.family}")

@@ -59,21 +59,22 @@ def reseed(gen: np.random.Generator, seed: int, index: int) -> np.random.Generat
     return gen
 
 
-class ExpSampler:
-    """Buffered standard-exponential draws from one Generator.
+class BufferedSampler:
+    """Buffered draws from one numpy fill method, such as
+    ``rng.standard_exponential`` (scale by ``1/rate`` at the call site) or
+    ``rng.random`` for uniform(0,1).
 
     Values come off the stream in blocks (starting small and doubling, so
     short runs stay cheap); the value sequence does not depend on the
-    block partitioning, only on the stream address. Scale by ``1/rate``
-    at the call site.
+    block partitioning, only on the stream address.
     """
 
-    __slots__ = ("_rng", "_block", "_buf", "_i")
+    __slots__ = ("_fill", "_block", "_buf", "_i")
 
-    def __init__(self, rng: np.random.Generator, block: int = 64):
-        self._rng = rng
+    def __init__(self, fill, block: int = 64):
+        self._fill = fill
         self._block = block
-        self._buf = rng.standard_exponential(block).tolist()
+        self._buf = fill(block).tolist()
         self._i = 0
 
     def draw(self) -> float:
@@ -82,30 +83,7 @@ class ExpSampler:
         if i == len(buf):
             if len(buf) < 4096:
                 self._block = len(buf) * 2
-            self._buf = buf = self._rng.standard_exponential(self._block).tolist()
-            i = 0
-        self._i = i + 1
-        return buf[i]
-
-
-class UniformSampler:
-    """Buffered uniform(0,1) draws, same contract as ExpSampler."""
-
-    __slots__ = ("_rng", "_block", "_buf", "_i")
-
-    def __init__(self, rng: np.random.Generator, block: int = 64):
-        self._rng = rng
-        self._block = block
-        self._buf = rng.random(block).tolist()
-        self._i = 0
-
-    def draw(self) -> float:
-        i = self._i
-        buf = self._buf
-        if i == len(buf):
-            if len(buf) < 4096:
-                self._block = len(buf) * 2
-            self._buf = buf = self._rng.random(self._block).tolist()
+            self._buf = buf = self._fill(self._block).tolist()
             i = 0
         self._i = i + 1
         return buf[i]

@@ -55,8 +55,8 @@ def test_c01_engine_matches_ctmc_oracle():
             adj = adjacency_of(edges, n)
             g = a.gen_custom(n, edges)
             for policy, ext in (
-                (a.null_policy(), None),
-                (a.random_homogeneous(1.0), [1.0 / n] * n),
+                (a.NullPolicy(), None),
+                (a.RandomHomogeneous(1.0), [1.0 / n] * n),
             ):
                 want = ctmc_expected_finish(adj, external=ext)
                 got = batch_mean(g, policy, seed=11_000 + 97 * instances, replicates=reps)
@@ -79,12 +79,12 @@ def test_c02_path_and_star_closed_forms():
     reps = 100_000
     errs = {}
     g = a.gen_line(5)  # path(k+1) with k=4
-    m = batch_mean(g, a.null_policy(), seed=12_000, replicates=reps)
+    m = batch_mean(g, a.NullPolicy(), seed=12_000, replicates=reps)
     errs["path(5)"] = abs(m - 4.0) / 4.0
     for j, m_leaves in enumerate((2, 4, 8)):
         star = a.gen_custom(m_leaves + 1, [(0, i) for i in range(1, m_leaves + 1)])
         want = sum(1.0 / i for i in range(1, m_leaves + 1))
-        got = batch_mean(star, a.null_policy(), seed=12_100 + j, replicates=reps)
+        got = batch_mean(star, a.NullPolicy(), seed=12_100 + j, replicates=reps)
         errs[f"star(m={m_leaves})"] = abs(got - want) / want
     worst = max(errs.values())
     report("C2", worst <= 0.01, f"worst closed-form error {worst:.2%} <= 1% over {sorted(errs)}")
@@ -224,7 +224,7 @@ def test_c07_dominance_suite():
         part = a.partition_ring(g)
 
         real = finish_times(
-            simulate_batch(g, a.random_homogeneous(1.0), EngineConfig(seed=401), reps)
+            simulate_batch(g, a.RandomHomogeneous(1.0), EngineConfig(seed=401), reps)
         )
         upper = [
             tp.finish_time
@@ -233,7 +233,7 @@ def test_c07_dominance_suite():
         verdicts[f"random<=two_phase_hom n={n}"] = dominance_report(real, upper, seed=403)
 
         real = finish_times(
-            simulate_batch(g, a.gsi(part, 1.0), EngineConfig(seed=404), reps)
+            simulate_batch(g, a.GsiPolicy(part, 1.0), EngineConfig(seed=404), reps)
         )
         upper = [
             tp.finish_time
@@ -246,7 +246,7 @@ def test_c07_dominance_suite():
             reps,
         )
         real = finish_times(
-            simulate_batch(g, a.greedy_frontier_adversary(1.0), EngineConfig(seed=202), reps)
+            simulate_batch(g, a.GreedyFrontierAdversary(1.0), EngineConfig(seed=202), reps)
         )
         verdicts[f"line_clusters<=adversary n={n}"] = dominance_report(fast, real, seed=303)
 
@@ -325,7 +325,7 @@ def test_c10_rgg_pipeline():
             except PartitionDegenerateError:
                 degenerate += 1
         if seed < 50:
-            tr = simulate(g, a.random_homogeneous(1.0), EngineConfig(seed=seed))
+            tr = simulate(g, a.RandomHomogeneous(1.0), EngineConfig(seed=seed))
             assert tr.finish_time is not None
             finish.append(tr.finish_time)
     mean_t = sum(finish) / len(finish)
@@ -351,12 +351,12 @@ def test_c11_static_link_equivalence():
     g = a.gen_custom(6, base_edges)
     via_policy = finish_times(
         simulate_batch(
-            g, a.static_links([extra], beta_link=1.0), EngineConfig(seed=16_000), 10_000
+            g, a.StaticLinks([extra], beta_link=1.0), EngineConfig(seed=16_000), 10_000
         )
     )
     g_aug = a.gen_custom(6, base_edges + [extra])
     via_edge = finish_times(
-        simulate_batch(g_aug, a.null_policy(), EngineConfig(seed=16_001), 10_000)
+        simulate_batch(g_aug, a.NullPolicy(), EngineConfig(seed=16_001), 10_000)
     )
     _, p = stats.ks_2samp(via_policy, via_edge)
     report("C11", p > 0.01, f"two-sample KS p = {p:.3f} > 0.01 at 10^4 replicates")

@@ -137,6 +137,21 @@ def test_run_plan_writes_bundle_when_output_dir_set(tmp_path):
         assert (tmp_path / "bundle" / name).exists()
 
 
+def test_run_plan_grid_rows_carry_realized_size():
+    # Non-square sizes floor the grid side: rows must name the nodes simulated.
+    plan = ExperimentPlan(
+        sizes=(1000, 2000, 5000),
+        family="grid",
+        dim=2,
+        policy=PolicySpec(kind="random_homogeneous", L=1.0),
+        replicates=4,
+        seed=9,
+    )
+    report = run_plan(plan)
+    assert [r.n for r in report.rows] == [961, 1936, 4900]
+    assert all(r.events == r.n * plan.replicates for r in report.rows)
+
+
 def test_run_plan_cluster_process():
     plan = ExperimentPlan(
         sizes=(50, 100, 200),

@@ -1,6 +1,7 @@
 """End-to-end CLI behaviour: artifacts, determinism, exit codes."""
 
 import json
+import math
 
 from agentspread import graphs
 from agentspread.cli import main
@@ -44,6 +45,19 @@ def test_gen_rgg_roundtrip(tmp_path):
     assert code == 0
     g = graphs.read_graph(str(out))
     assert g.n == 40 and g.family == "rgg" and g.coords is not None
+
+
+def test_gen_rgg_defaults_to_critical_radius(tmp_path):
+    out = tmp_path / "r.txt"
+    assert main(["gen", "--family", "rgg", "--n", "40", "--seed", "3", "--out", str(out)]) == 0
+    g = graphs.read_graph(str(out))
+    assert g.n == 40 and g.radius == math.sqrt(5.0 * math.log(40) / 40)
+
+
+def test_simulate_non_finite_rate_exit_2(tmp_path):
+    cfg = _write(tmp_path / "c.cfg", RING_SWEEP)
+    out = str(tmp_path / "o")
+    assert main(["simulate", "--config", cfg, "--set", "policy.L=nan", "--out", out]) == 2
 
 
 def test_sweep_byte_identical(tmp_path):

@@ -34,25 +34,25 @@ def batch_mean(g, policy, seed, replicates, beta=1.0):
 
 def test_two_node_mean():
     g = graphs.gen_custom(2, [(0, 1)])
-    m = batch_mean(g, policies.null_policy(), seed=1, replicates=20000)
+    m = batch_mean(g, policies.NullPolicy(), seed=1, replicates=20000)
     assert m == pytest.approx(1.0, rel=0.03)
 
 
 def test_path3_mean():
     g = graphs.gen_line(3)
-    m = batch_mean(g, policies.null_policy(), seed=2, replicates=20000)
+    m = batch_mean(g, policies.NullPolicy(), seed=2, replicates=20000)
     assert m == pytest.approx(2.0, rel=0.03)
 
 
 def test_star_mean_is_harmonic():
     g = graphs.gen_custom(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
-    m = batch_mean(g, policies.null_policy(), seed=3, replicates=20000)
+    m = batch_mean(g, policies.NullPolicy(), seed=3, replicates=20000)
     assert m == pytest.approx(25 / 12, rel=0.03)
 
 
 def test_beta_scales_time():
     g = graphs.gen_line(3)
-    m = batch_mean(g, policies.null_policy(), seed=4, replicates=20000, beta=2.0)
+    m = batch_mean(g, policies.NullPolicy(), seed=4, replicates=20000, beta=2.0)
     assert m == pytest.approx(1.0, rel=0.03)
 
 
@@ -72,8 +72,8 @@ def test_engine_matches_ctmc(edges, n):
     g = graphs.gen_custom(n, edges)
     adj = [list(a) for a in g.adjacency]
     for policy, ext in [
-        (policies.null_policy(), None),
-        (policies.random_homogeneous(1.0), [1.0 / n] * n),
+        (policies.NullPolicy(), None),
+        (policies.RandomHomogeneous(1.0), [1.0 / n] * n),
     ]:
         want = ctmc_expected_finish(adj, external=ext)
         got = batch_mean(g, policy, seed=11, replicates=30000)
@@ -107,7 +107,7 @@ def test_engine_distribution_matches_percolation_oracle():
 
 def test_trace_monotone_one_infection_per_event():
     g = graphs.gen_ring(32)
-    trace = engine.simulate(g, policies.random_homogeneous(1.0), EngineConfig(seed=5))
+    trace = engine.simulate(g, policies.RandomHomogeneous(1.0), EngineConfig(seed=5))
     assert len(trace.events) == 32
     times = [t for t, _, _ in trace.events]
     assert times == sorted(times)
@@ -120,26 +120,26 @@ def test_trace_monotone_one_infection_per_event():
 def test_batch_deterministic():
     g = graphs.gen_ring(16)
     cfg = EngineConfig(seed=9)
-    a = engine.simulate_batch(g, policies.random_homogeneous(1.0), cfg, 50)
-    b = engine.simulate_batch(g, policies.random_homogeneous(1.0), cfg, 50)
+    a = engine.simulate_batch(g, policies.RandomHomogeneous(1.0), cfg, 50)
+    b = engine.simulate_batch(g, policies.RandomHomogeneous(1.0), cfg, 50)
     assert a == b
 
 
 def test_single_run_is_batch_stream_zero():
     g = graphs.gen_ring(16)
     cfg = EngineConfig(seed=9)
-    t = engine.simulate(g, policies.random_homogeneous(1.0), cfg)
-    b = engine.simulate_batch(g, policies.random_homogeneous(1.0), cfg, 1)
+    t = engine.simulate(g, policies.RandomHomogeneous(1.0), cfg)
+    b = engine.simulate_batch(g, policies.RandomHomogeneous(1.0), cfg, 1)
     assert b[0].finish_time == t.finish_time
     assert b[0].events == len(t.events)
 
 
 def test_batch_self_consistency():
     g = graphs.gen_ring(64)
-    m1 = batch_mean(g, policies.random_homogeneous(1.0), seed=100, replicates=200)
+    m1 = batch_mean(g, policies.RandomHomogeneous(1.0), seed=100, replicates=200)
     cfg = EngineConfig(seed=200)
     other = finish_times(
-        engine.simulate_batch(g, policies.random_homogeneous(1.0), cfg, 200)
+        engine.simulate_batch(g, policies.RandomHomogeneous(1.0), cfg, 200)
     )
     se = np.std(other, ddof=1) / math.sqrt(len(other))
     assert abs(m1 - np.mean(other)) <= 3 * se
@@ -153,19 +153,19 @@ def test_batch_self_consistency():
 def test_disconnected_null_policy_guard():
     g = graphs.gen_custom(4, [(0, 1), (2, 3)])
     with pytest.raises(NonTerminationError):
-        engine.simulate(g, policies.null_policy(), EngineConfig(seed=1))
+        engine.simulate(g, policies.NullPolicy(), EngineConfig(seed=1))
 
 
 def test_disconnected_with_cutoff_returns_partial():
     g = graphs.gen_custom(4, [(0, 1), (2, 3)])
-    trace = engine.simulate(g, policies.null_policy(), EngineConfig(seed=1, max_time=5.0))
+    trace = engine.simulate(g, policies.NullPolicy(), EngineConfig(seed=1, max_time=5.0))
     assert trace.finish_time is None
     assert all(t <= 5.0 for t, _, _ in trace.events)
 
 
 def test_disconnected_external_rates_finish():
     g = graphs.gen_custom(4, [(0, 1), (2, 3)])
-    trace = engine.simulate(g, policies.random_homogeneous(1.0), EngineConfig(seed=1))
+    trace = engine.simulate(g, policies.RandomHomogeneous(1.0), EngineConfig(seed=1))
     assert trace.finish_time is not None
 
 
@@ -184,13 +184,13 @@ def test_envelope_violation_aborts():
 def test_bad_initial_infected():
     g = graphs.gen_ring(8)
     with pytest.raises(InvalidParameterError):
-        engine.simulate(g, policies.null_policy(), EngineConfig(seed=1, initial_infected=8))
+        engine.simulate(g, policies.NullPolicy(), EngineConfig(seed=1, initial_infected=8))
 
 
 def test_bad_replicates():
     g = graphs.gen_ring(8)
     with pytest.raises(InvalidParameterError):
-        engine.simulate_batch(g, policies.null_policy(), EngineConfig(seed=1), 0)
+        engine.simulate_batch(g, policies.NullPolicy(), EngineConfig(seed=1), 0)
 
 
 def test_bad_beta():
@@ -226,8 +226,8 @@ def test_pointwise_rate_coupling_monotone():
 
 def test_coupled_engine_runs_extra_rate_not_slower_on_average():
     g = graphs.gen_ring(24)
-    low = batch_mean(g, policies.random_homogeneous(0.5), seed=41, replicates=3000)
-    high = batch_mean(g, policies.random_homogeneous(2.0), seed=41, replicates=3000)
+    low = batch_mean(g, policies.RandomHomogeneous(0.5), seed=41, replicates=3000)
+    high = batch_mean(g, policies.RandomHomogeneous(2.0), seed=41, replicates=3000)
     assert high < low
 
 
@@ -238,7 +238,7 @@ def test_coupled_engine_runs_extra_rate_not_slower_on_average():
 
 def test_trace_csv(tmp_path):
     g = graphs.gen_ring(8)
-    trace = engine.simulate(g, policies.null_policy(), EngineConfig(seed=2))
+    trace = engine.simulate(g, policies.NullPolicy(), EngineConfig(seed=2))
     path = tmp_path / "trace.csv"
     engine.write_trace_csv(trace, str(path))
     lines = path.read_text().splitlines()
@@ -249,7 +249,7 @@ def test_trace_csv(tmp_path):
 
 def test_batch_csv(tmp_path):
     g = graphs.gen_ring(8)
-    s = engine.simulate_batch(g, policies.null_policy(), EngineConfig(seed=2), 5)
+    s = engine.simulate_batch(g, policies.NullPolicy(), EngineConfig(seed=2), 5)
     path = tmp_path / "batch.csv"
     engine.write_batch_csv(s, str(path))
     lines = path.read_text().splitlines()

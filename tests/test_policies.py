@@ -1,8 +1,12 @@
 """Policy rate contracts, envelopes, and policy-specific behaviours."""
 
-import pytest
+import math
 
-from agentspread import engine, graphs, policies
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from agentspread import dominators, engine, graphs, policies
 from agentspread.engine import EngineConfig, InfectionState, mean_finish_time
 from agentspread.errors import InvalidParameterError
 
@@ -24,7 +28,7 @@ def fresh_state(g, policy, seed_node=0, replicate=0):
 
 def test_null_policy_rates():
     g = graphs.gen_ring(6)
-    p = policies.null_policy()
+    p = policies.NullPolicy()
     state = fresh_state(g, p)
     assert all(p.rate_of(v, state) == 0.0 for v in range(6))
     assert (p.l_min, p.l_max) == (0.0, 0.0)
@@ -32,7 +36,7 @@ def test_null_policy_rates():
 
 def test_homogeneous_per_node_rate():
     g = graphs.gen_ring(4)
-    p = policies.random_homogeneous(1.0)
+    p = policies.RandomHomogeneous(1.0)
     state = fresh_state(g, p)
     assert all(p.rate_of(v, state) == pytest.approx(0.25) for v in range(4))
     assert p.total_rate(state) == pytest.approx(1.0)
@@ -41,7 +45,7 @@ def test_homogeneous_per_node_rate():
 def test_homogeneous_healthy_aggregate():
     # A fully healthy s-node subgraph receives aggregate rate L*s/n.
     g = graphs.gen_ring(16)
-    p = policies.random_homogeneous(2.0)
+    p = policies.RandomHomogeneous(2.0)
     state = fresh_state(g, p)
     piece = range(4, 8)
     agg = sum(p.rate_of(v, state) for v in piece)
@@ -50,7 +54,7 @@ def test_homogeneous_healthy_aggregate():
 
 def test_homogeneous_rejects_bad_l():
     with pytest.raises(InvalidParameterError):
-        policies.random_homogeneous(0.0)
+        policies.RandomHomogeneous(0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -61,7 +65,7 @@ def test_homogeneous_rejects_bad_l():
 def test_gsi_initial_support_in_empty_piece():
     g = graphs.gen_ring(16)
     part = graphs.partition_ring(g)
-    p = policies.gsi(part, 1.0)
+    p = policies.GsiPolicy(part, 1.0)
     state = fresh_state(g, p)  # node 0 infected, piece 0
     target = p.sample_target(state, _unit_sampler())
     assert target == 4  # lowest-id healthy node of the lowest-index empty piece
@@ -82,7 +86,7 @@ def test_gsi_support_set_property_replay():
     # minimizing the infected count among pieces with healthy nodes left.
     g = graphs.gen_ring(64)
     part = graphs.partition_ring(g)
-    trace = engine.simulate(g, policies.gsi(part, 1.0), EngineConfig(seed=13))
+    trace = engine.simulate(g, policies.GsiPolicy(part, 1.0), EngineConfig(seed=13))
     piece_of = part.piece_of(g.n)
     counts = [0] * part.g
     healthy = list(part.piece_sizes)
@@ -97,7 +101,7 @@ def test_gsi_support_set_property_replay():
 
 def test_gsi_partition_mismatch():
     part = graphs.partition_ring(graphs.gen_ring(16))
-    p = policies.gsi(part, 1.0)
+    p = policies.GsiPolicy(part, 1.0)
     with pytest.raises(InvalidParameterError):
         p.reset(graphs.gen_ring(32), InfectionState(32), 0)
 
@@ -109,7 +113,7 @@ def test_gsi_partition_mismatch():
 
 def test_static_link_rates():
     g = graphs.gen_line(6)
-    p = policies.static_links([(0, 4)], beta_link=0.7)
+    p = policies.StaticLinks([(0, 4)], beta_link=0.7)
     state = fresh_state(g, p)  # node 0 infected
     assert p.rate_of(4, state) == pytest.approx(0.7)
     assert sum(p.rate_of(v, state) for v in range(6)) == pytest.approx(0.7)
@@ -117,7 +121,7 @@ def test_static_link_rates():
 
 def test_static_link_dead_when_both_infected():
     g = graphs.gen_line(6)
-    p = policies.static_links([(0, 1)], beta_link=1.0)
+    p = policies.StaticLinks([(0, 1)], beta_link=1.0)
     state = fresh_state(g, p)
     state.infect(1, 0.5)
     p.on_infect(1, state)
@@ -128,7 +132,7 @@ def test_static_links_mean_matches_extra_edge_ctmc():
     # Simulating the link policy equals SI on the graph with the edge added.
     base = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]
     g = graphs.gen_line(6)
-    p = policies.static_links([(0, 5)], beta_link=1.0)
+    p = policies.StaticLinks([(0, 5)], beta_link=1.0)
     got = mean_finish_time(
         engine.simulate_batch(g, p, EngineConfig(seed=23), 30000)
     )
@@ -139,22 +143,22 @@ def test_static_links_mean_matches_extra_edge_ctmc():
 
 def test_dynamic_zero_rewire_bit_identical_to_static():
     g = graphs.gen_ring(24)
-    dyn = policies.dynamic_links(count=3, beta_link=1.0, rewire_rate=0.0, seed=5)
+    dyn = policies.DynamicLinks(count=3, beta_link=1.0, rewire_rate=0.0, seed=5)
     cfg = EngineConfig(seed=14)
     t_dyn = engine.simulate(g, dyn, cfg)
-    stat = policies.static_links(dyn.links, beta_link=1.0)
+    stat = policies.StaticLinks(dyn.links, beta_link=1.0)
     t_stat = engine.simulate(g, stat, cfg)
     assert t_dyn.events == t_stat.events
 
 
 def test_dynamic_envelope_declared():
-    p = policies.dynamic_links(count=5, beta_link=1.0, rewire_rate=0.2, seed=1)
+    p = policies.DynamicLinks(count=5, beta_link=1.0, rewire_rate=0.2, seed=1)
     assert p.l_max == 5.0
 
 
 def test_dynamic_rewire_changes_links():
     g = graphs.gen_ring(12)
-    p = policies.dynamic_links(count=2, beta_link=1.0, rewire_rate=1.0, seed=3)
+    p = policies.DynamicLinks(count=2, beta_link=1.0, rewire_rate=1.0, seed=3)
     state = fresh_state(g, p)
     before = p.links
     assert p.internal_rate(state) == pytest.approx(2.0)
@@ -173,14 +177,14 @@ def test_mobile_two_node_closed_form():
     # only the edge clock runs (E=1), on the healthy node both race
     # (E=1/2); grand mean 0.75.
     g = graphs.gen_custom(2, [(0, 1)])
-    p = policies.mobile_agents(1, 1.0, seed=6)
+    p = policies.MobileAgents(1, 1.0, seed=6)
     m = mean_finish_time(engine.simulate_batch(g, p, EngineConfig(seed=15), 30000))
     assert m == pytest.approx(0.75, rel=0.03)
 
 
 def test_mobile_envelope_and_jump():
     g = graphs.gen_ring(10)
-    p = policies.mobile_agents(3, 0.5, seed=9)
+    p = policies.MobileAgents(3, 0.5, seed=9)
     assert p.l_max == pytest.approx(1.5)
     state = fresh_state(g, p)
     assert p.total_rate(state) <= 1.5 + 1e-12
@@ -194,7 +198,7 @@ def test_mobile_envelope_and_jump():
 
 def test_mobile_rejects_unknown_mobility():
     with pytest.raises(InvalidParameterError):
-        policies.mobile_agents(1, 1.0, mobility="teleport_swarm")
+        policies.MobileAgents(1, 1.0, mobility="teleport_swarm")
 
 
 def test_dynamic_links_grid_scaling_cube_root():
@@ -205,7 +209,7 @@ def test_dynamic_links_grid_scaling_cube_root():
     ns = (256, 1024, 4096)
     for i, n in enumerate(ns):
         g = graphs.gen_grid(n, 2)
-        p = policies.dynamic_links(count=4, beta_link=1.0, rewire_rate=0.5, seed=31)
+        p = policies.DynamicLinks(count=4, beta_link=1.0, rewire_rate=0.5, seed=31)
         means.append(
             mean_finish_time(engine.simulate_batch(g, p, EngineConfig(seed=600 + i), 60))
         )
@@ -218,12 +222,12 @@ def test_mobile_agent_within_2x_of_random():
     g = graphs.gen_ring(1024)
     m_mob = mean_finish_time(
         engine.simulate_batch(
-            g, policies.mobile_agents(1, 1.0, seed=32), EngineConfig(seed=601), 100
+            g, policies.MobileAgents(1, 1.0, seed=32), EngineConfig(seed=601), 100
         )
     )
     m_rand = mean_finish_time(
         engine.simulate_batch(
-            g, policies.random_homogeneous(1.0), EngineConfig(seed=602), 100
+            g, policies.RandomHomogeneous(1.0), EngineConfig(seed=602), 100
         )
     )
     assert 0.5 <= m_mob / m_rand <= 2.0
@@ -236,7 +240,7 @@ def test_mobile_agent_within_2x_of_random():
 
 def test_adversary_targets_antipode():
     g = graphs.gen_ring(16)
-    p = policies.greedy_frontier_adversary(1.0)
+    p = policies.GreedyFrontierAdversary(1.0)
     state = fresh_state(g, p)
     assert p.sample_target(state, _unit_sampler()) == 8
 
@@ -245,7 +249,7 @@ def test_adversary_reaches_disconnected_components():
     # Unreachable healthy nodes count as farthest, so the budget lands
     # there and the run still finishes.
     g = graphs.gen_custom(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
-    p = policies.greedy_frontier_adversary(1.0)
+    p = policies.GreedyFrontierAdversary(1.0)
     state = fresh_state(g, p)
     assert p.sample_target(state, _unit_sampler()) in (3, 4, 5)
     trace = engine.simulate(g, p, EngineConfig(seed=27))
@@ -254,7 +258,7 @@ def test_adversary_reaches_disconnected_components():
 
 def test_adversary_max_distance_replay():
     g = graphs.gen_ring(24)
-    p = policies.greedy_frontier_adversary(1.0)
+    p = policies.GreedyFrontierAdversary(1.0)
     trace = engine.simulate(g, p, EngineConfig(seed=19))
     infected = set()
     for _, node, cause in trace.events:
@@ -288,12 +292,12 @@ def _multi_source_distances(g, sources):
 @pytest.mark.parametrize(
     "make",
     [
-        lambda part: policies.random_homogeneous(1.0),
-        lambda part: policies.gsi(part, 1.0),
-        lambda part: policies.static_links([(0, 9), (3, 12)], 0.5),
-        lambda part: policies.dynamic_links(2, 0.5, 0.5, seed=2),
-        lambda part: policies.mobile_agents(2, 0.5, seed=2),
-        lambda part: policies.greedy_frontier_adversary(1.0),
+        lambda part: policies.RandomHomogeneous(1.0),
+        lambda part: policies.GsiPolicy(part, 1.0),
+        lambda part: policies.StaticLinks([(0, 9), (3, 12)], 0.5),
+        lambda part: policies.DynamicLinks(2, 0.5, 0.5, seed=2),
+        lambda part: policies.MobileAgents(2, 0.5, seed=2),
+        lambda part: policies.GreedyFrontierAdversary(1.0),
     ],
 )
 def test_rate_sum_within_envelope_along_run(make):
@@ -312,7 +316,7 @@ def test_rate_sum_within_envelope_along_run(make):
 def test_min_envelope_while_healthy():
     g = graphs.gen_ring(16)
     part = graphs.partition_ring(g)
-    for policy in (policies.random_homogeneous(1.0), policies.gsi(part, 1.0)):
+    for policy in (policies.RandomHomogeneous(1.0), policies.GsiPolicy(part, 1.0)):
         state = fresh_state(g, policy)
         healthy_sum = sum(policy.rate_of(v, state) for v in state.healthy)
         assert healthy_sum >= policy.l_min * (len(state.healthy) / g.n) - 1e-12
@@ -342,3 +346,104 @@ def test_build_policy_all_kinds():
 def test_build_policy_unknown_kind():
     with pytest.raises(InvalidParameterError):
         policies.build_policy(policies.PolicySpec(kind="oracle"), graphs.gen_ring(8))
+
+
+# ---------------------------------------------------------------------------
+# Parameter validation
+# ---------------------------------------------------------------------------
+
+
+NON_FINITE = pytest.mark.parametrize(
+    "value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"]
+)
+
+# One construction per validated rate parameter, each taking the bad value.
+RATE_PARAMETERS = {
+    "L": lambda v: policies.build_policy(policies.PolicySpec(kind="random_homogeneous", L=v)),
+    "L-gsi": lambda v: policies.build_policy(
+        policies.PolicySpec(kind="gsi", L=v), graphs.gen_ring(16)
+    ),
+    "L-adversary": lambda v: policies.GreedyFrontierAdversary(v),
+    "beta": lambda v: EngineConfig(beta=v),
+    "beta-clusters": lambda v: dominators.ClusterProcessConfig(
+        growth="line", target_count=8, beta=v
+    ),
+    "beta_link": lambda v: policies.StaticLinks([(0, 1)], beta_link=v),
+    "beta_link-dynamic": lambda v: policies.DynamicLinks(2, v, 0.0, seed=1),
+    "rate_per_agent": lambda v: policies.MobileAgents(1, v),
+    "seeding_rate": lambda v: dominators.ClusterProcessConfig(
+        growth="line", target_count=8, seeding_rate=v
+    ),
+    "psi": lambda v: dominators.conductance_chain(4, v, seed=0),
+    "rewire_rate": lambda v: policies.DynamicLinks(2, 1.0, abs(v), seed=1),
+}
+
+
+@NON_FINITE
+@pytest.mark.parametrize("param", sorted(RATE_PARAMETERS))
+def test_non_finite_rate_rejected(param, value):
+    with pytest.raises(InvalidParameterError, match=param.split("-")[0]):
+        RATE_PARAMETERS[param](value)
+
+
+@pytest.mark.parametrize("max_time", [math.nan, -1.0])
+def test_engine_rejects_bad_max_time(max_time):
+    with pytest.raises(InvalidParameterError, match="max_time"):
+        EngineConfig(max_time=max_time)
+
+
+# ---------------------------------------------------------------------------
+# Run invariants for every kind, built through build_policy
+# ---------------------------------------------------------------------------
+
+
+KINDS = (
+    "null",
+    "random_homogeneous",
+    "gsi",
+    "static_links",
+    "dynamic_links",
+    "mobile_agents",
+    "greedy_frontier_adversary",
+)
+MIN_SIZE = {"ring": 3, "line": 2, "grid": 4}
+
+
+@st.composite
+def runs(draw):
+    family = draw(st.sampled_from(sorted(MIN_SIZE)))
+    g = graphs.make_graph(family, draw(st.integers(MIN_SIZE[family], 12)))
+    node = st.integers(0, g.n - 1)
+    rate = st.floats(0.1, 4.0)
+    spec = policies.PolicySpec(
+        kind=draw(st.sampled_from(KINDS)),
+        L=draw(rate),
+        links=tuple(draw(st.lists(st.tuples(node, node), min_size=1, max_size=3))),
+        beta_link=draw(rate),
+        count=draw(st.integers(1, 3)),
+        rewire_rate=draw(st.sampled_from([0.0, 0.5, 2.0])),
+        agents=draw(st.integers(1, 3)),
+        rate_per_agent=draw(rate),
+        seed=draw(st.integers(0, 2**32)),
+    )
+    cfg = EngineConfig(
+        beta=draw(st.floats(0.2, 3.0)),
+        initial_infected=draw(node),
+        seed=draw(st.integers(0, 2**63)),
+    )
+    return g, spec, cfg
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(runs())
+def test_every_kind_infects_each_node_once_in_time_order(run):
+    g, spec, cfg = run
+    handle = policies.build_policy(spec, g)
+    trace = engine.simulate(g, handle, cfg)
+    times = [t for t, _, _ in trace.events]
+    assert sorted(v for _, v, _ in trace.events) == list(range(g.n))
+    assert all(a <= b for a, b in zip(times, times[1:]))
+    assert trace.events[0] == (0.0, cfg.initial_infected, "seed")
+    assert [c for _, _, c in trace.events].count("seed") == 1
+    assert trace.finish_time == times[-1]
+    assert engine.simulate_batch(g, handle, cfg, 1)[0].finish_time == trace.finish_time
