@@ -206,19 +206,23 @@ def _resolve_cluster_cfg(plan: ExperimentPlan, n: int) -> ClusterProcessConfig:
     )
 
 
+def _engine_times(plan: ExperimentPlan, n: int, g: Graph) -> tuple[int, list[float], int]:
+    """Engine replicates on the graph built for requested size n."""
+    handle = build_policy(plan.policy, g)
+    cfg = EngineConfig(
+        beta=plan.beta,
+        initial_infected=plan.initial_infected,
+        seed=derive_seed(plan.seed, (n << 2) | _P_ENGINE),
+    )
+    summaries = simulate_batch(g, handle, cfg, plan.replicates)
+    return g.n, finish_times(summaries), sum(s.events for s in summaries)
+
+
 def _sample_times(plan: ExperimentPlan, n: int) -> tuple[int, list[float], int]:
     """Realized size, finish-time sample and the event count spent
     producing it (a grid realizes side**d <= n nodes)."""
     if plan.process == "simulate":
-        g = build_graph(plan, n)
-        handle = build_policy(plan.policy, g)
-        cfg = EngineConfig(
-            beta=plan.beta,
-            initial_infected=plan.initial_infected,
-            seed=derive_seed(plan.seed, (n << 2) | _P_ENGINE),
-        )
-        summaries = simulate_batch(g, handle, cfg, plan.replicates)
-        return g.n, finish_times(summaries), sum(s.events for s in summaries)
+        return _engine_times(plan, n, build_graph(plan, n))
     cfg = _resolve_cluster_cfg(plan, n)
     events = 0
     times = []
@@ -327,7 +331,7 @@ def concentration_probe(plan: ExperimentPlan, kappa: float) -> ConcentrationTabl
         l_min = plan.policy.L if plan.policy.kind in ("random_homogeneous", "gsi") else 1.0
         h = max(part.g / l_min, max(part.piece_diameters))
         threshold = kappa * h * math.log(n)
-        _, times, _ = _sample_times(plan, n)
+        _, times, _ = _engine_times(plan, n, g)
         arr = np.asarray(times)
         frac = float((arr >= threshold).mean()) if arr.size else 1.0
         rows.append(ConcentrationRow(n=n, threshold=threshold, exceed_fraction=frac))

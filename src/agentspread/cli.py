@@ -63,7 +63,9 @@ Config files are whitespace-insensitive key-value text with sections::
     occupancy = 1
     replicates = 100
 
-Values are integers, reals, comma lists, or bare strings. ``--set
+Values are integers, reals, comma lists, or bare strings. An empty
+value reads as an absent key, and a value of the wrong type is a
+configuration error naming its ``[section] key``. ``--set
 section.key=value`` overrides keys already present in the file. Every
 output directory receives a ``resolved.cfg`` echoing the fully resolved
 configuration (master seed included), sufficient to reproduce the run.
@@ -179,15 +181,30 @@ def _load(path: str | None, overrides: list[str]) -> dict:
     return cfg
 
 
-def _get(cfg: dict, section: str, key: str, default=None):
-    return cfg.get(section, {}).get(key, default)
+_REQUIRED = object()
 
 
-def _require(cfg: dict, section: str, key: str):
-    value = _get(cfg, section, key)
+def _get(cfg: dict, section: str, key: str, kind, default=_REQUIRED):
+    """Read ``[section] key`` converted by ``kind``; an empty value counts
+    as absent, and an absent key without a default is an error."""
+    value = cfg.get(section, {}).get(key)
     if value is None:
-        raise ConfigError(f"missing [{section}] {key}")
-    return value
+        if default is _REQUIRED:
+            raise ConfigError(f"missing [{section}] {key}")
+        return default
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"[{section}] {key}: cannot read {value!r} ({e})") from e
+
+
+def _int_list(value) -> tuple[int, ...]:
+    return tuple(int(x) for x in (value if isinstance(value, list) else [value]))
+
+
+def _or_name(kind, name: str):
+    """Converter that keeps the word ``name`` and converts other values by ``kind``."""
+    return lambda value: value if value == name else kind(value)
 
 
 # ---------------------------------------------------------------------------
@@ -195,26 +212,28 @@ def _require(cfg: dict, section: str, key: str):
 # ---------------------------------------------------------------------------
 
 
+def _radius(cfg: dict) -> float | None:
+    """``[graph] r``: None (critical radius) when absent, empty or "critical"."""
+    r = _get(cfg, "graph", "r", _or_name(float, "critical"), "critical")
+    return None if r == "critical" else r
+
+
 def _build_graph(cfg: dict, seed: int) -> graphs.Graph:
-    family = _require(cfg, "graph", "family")
+    family = _get(cfg, "graph", "family", str)
     if family == "file":
-        return graphs.read_graph(str(_require(cfg, "graph", "path")))
-    r = _get(cfg, "graph", "r", "critical")
+        return graphs.read_graph(_get(cfg, "graph", "path", str))
     return graphs.make_graph(
-        str(family),
-        int(_require(cfg, "graph", "n")),
-        int(_get(cfg, "graph", "d", 2)),
-        None if r == "critical" else float(r),
+        family,
+        _get(cfg, "graph", "n", int),
+        _get(cfg, "graph", "d", int, 2),
+        _radius(cfg),
         seed,
     )
 
 
 def _parse_links(raw) -> tuple[tuple[int, int], ...]:
-    if raw is None:
-        return ()
-    items = raw if isinstance(raw, list) else [raw]
     links = []
-    for item in items:
+    for item in raw if isinstance(raw, list) else [raw]:
         text = str(item).strip()
         if "-" not in text:
             raise ConfigError(f"link must look like 'u-v', got {text!r}")
@@ -224,27 +243,25 @@ def _parse_links(raw) -> tuple[tuple[int, int], ...]:
 
 
 def _policy_spec(cfg: dict, master_seed: int) -> policies.PolicySpec:
-    kind = str(_get(cfg, "policy", "kind", "null"))
     return policies.PolicySpec(
-        kind=kind,
-        L=float(_get(cfg, "policy", "L", 1.0)),
-        links=_parse_links(_get(cfg, "policy", "links")),
-        beta_link=float(_get(cfg, "policy", "beta_link", 1.0)),
-        count=int(_get(cfg, "policy", "count", 1)),
-        rewire_rate=float(_get(cfg, "policy", "rewire_rate", 0.0)),
-        agents=int(_get(cfg, "policy", "agents", 1)),
-        rate_per_agent=float(_get(cfg, "policy", "rate_per_agent", 1.0)),
-        mobility=str(_get(cfg, "policy", "mobility", "uniform_jump")),
-        seed=int(_get(cfg, "policy", "seed", master_seed)),
+        kind=_get(cfg, "policy", "kind", str, "null"),
+        L=_get(cfg, "policy", "L", float, 1.0),
+        links=_get(cfg, "policy", "links", _parse_links, ()),
+        beta_link=_get(cfg, "policy", "beta_link", float, 1.0),
+        count=_get(cfg, "policy", "count", int, 1),
+        rewire_rate=_get(cfg, "policy", "rewire_rate", float, 0.0),
+        agents=_get(cfg, "policy", "agents", int, 1),
+        rate_per_agent=_get(cfg, "policy", "rate_per_agent", float, 1.0),
+        mobility=_get(cfg, "policy", "mobility", str, "uniform_jump"),
+        seed=_get(cfg, "policy", "seed", int, master_seed),
     )
 
 
 def _engine_config(cfg: dict, seed: int) -> engine.EngineConfig:
-    max_time = _get(cfg, "engine", "max_time")
     return engine.EngineConfig(
-        beta=float(_get(cfg, "engine", "beta", 1.0)),
-        initial_infected=int(_get(cfg, "engine", "initial_infected", 0)),
-        max_time=None if max_time is None else float(max_time),
+        beta=_get(cfg, "engine", "beta", float, 1.0),
+        initial_infected=_get(cfg, "engine", "initial_infected", int, 0),
+        max_time=_get(cfg, "engine", "max_time", float, None),
         seed=seed,
     )
 
@@ -281,7 +298,7 @@ def _cmd_simulate(args) -> int:
     spec = _policy_spec(cfg, args.seed)
     handle = policies.build_policy(spec, g)
     ecfg = _engine_config(cfg, args.seed)
-    replicates = int(_get(cfg, "simulate", "replicates", 1))
+    replicates = _get(cfg, "simulate", "replicates", int, 1)
     summaries = engine.simulate_batch(g, handle, ecfg, replicates)
     engine.write_batch_csv(summaries, os.path.join(outdir, "batch.csv"))
     trace = engine.simulate(g, handle, ecfg)
@@ -296,24 +313,22 @@ def _cmd_simulate(args) -> int:
 
 
 def _plan_from_config(cfg: dict, args, outdir: str | None = None) -> analytics.ExperimentPlan:
-    sizes = _require(cfg, "sweep", "sizes")
-    if not isinstance(sizes, list):
-        sizes = [sizes]
-    budget = _get(cfg, "sweep", "event_budget")
     return analytics.ExperimentPlan(
-        sizes=tuple(int(x) for x in sizes),
-        family=str(_get(cfg, "graph", "family", "ring")),
+        sizes=_get(cfg, "sweep", "sizes", _int_list),
+        family=_get(cfg, "graph", "family", str, "ring"),
         policy=_policy_spec(cfg, args.seed),
-        replicates=int(_get(cfg, "sweep", "replicates", 200)),
-        beta=float(_get(cfg, "engine", "beta", 1.0)),
+        replicates=_get(cfg, "sweep", "replicates", int, 200),
+        beta=_get(cfg, "engine", "beta", float, 1.0),
         seed=args.seed,
-        log_correction=str(_get(cfg, "sweep", "log_correction", "none")),
-        process=str(_get(cfg, "sweep", "process", "simulate")),
-        dim=int(_get(cfg, "graph", "d", 2)),
-        seeding_rate=float(_get(cfg, "sweep", "seeding_rate", 1.0)),
-        mu_eff=_get(cfg, "sweep", "mu_eff", 1.0),
-        occupancy=_get(cfg, "sweep", "occupancy", 1),
-        event_budget=None if budget is None else int(budget),
+        log_correction=_get(cfg, "sweep", "log_correction", str, "none"),
+        process=_get(cfg, "sweep", "process", str, "simulate"),
+        dim=_get(cfg, "graph", "d", int, 2),
+        rgg_radius=_radius(cfg),
+        seeding_rate=_get(cfg, "sweep", "seeding_rate", float, 1.0),
+        mu_eff=_get(cfg, "sweep", "mu_eff", _or_name(float, "log2n"), 1.0),
+        occupancy=_get(cfg, "sweep", "occupancy", _or_name(int, "logn"), 1),
+        initial_infected=_get(cfg, "engine", "initial_infected", int, 0),
+        event_budget=_get(cfg, "sweep", "event_budget", int, None),
         output_dir=outdir,
     )
 
@@ -336,11 +351,11 @@ def _cmd_sweep(args) -> int:
 def _cmd_dominate(args) -> int:
     cfg = _load(args.config, args.set or [])
     outdir = _ensure_outdir(args.out)
-    mode = str(_get(cfg, "dominate", "mode", "homogeneous"))
-    replicates = int(_get(cfg, "dominate", "replicates", 1000))
+    mode = _get(cfg, "dominate", "mode", str, "homogeneous")
+    replicates = _get(cfg, "dominate", "replicates", int, 1000)
     g = _build_graph(cfg, args.seed)
-    L = float(_get(cfg, "policy", "L", 1.0))
-    beta = float(_get(cfg, "engine", "beta", 1.0))
+    L = _get(cfg, "policy", "L", float, 1.0)
+    beta = _get(cfg, "engine", "beta", float, 1.0)
     if mode in ("homogeneous", "sequential"):
         part = policies.canonical_partition(g, L)
         kind = "random_homogeneous" if mode == "homogeneous" else "gsi"
@@ -411,18 +426,18 @@ def _cmd_conductance(args) -> int:
 def _cmd_fpp(args) -> int:
     cfg = _load(args.config, args.set or [])
     outdir = _ensure_outdir(args.out)
-    growth = str(_require(cfg, "clusters", "growth"))
+    growth = _get(cfg, "clusters", "growth", str)
     ccfg = dominators.ClusterProcessConfig(
         growth=growth,
-        target_count=int(_require(cfg, "clusters", "target")),
-        seeding_rate=float(_get(cfg, "clusters", "seeding_rate", 1.0)),
-        beta=float(_get(cfg, "clusters", "beta", 1.0)),
-        dim=int(_get(cfg, "clusters", "dim", 2)),
-        mu_eff=float(_get(cfg, "clusters", "mu_eff", 1.0)),
-        occupancy=int(_get(cfg, "clusters", "occupancy", 1)),
+        target_count=_get(cfg, "clusters", "target", int),
+        seeding_rate=_get(cfg, "clusters", "seeding_rate", float, 1.0),
+        beta=_get(cfg, "clusters", "beta", float, 1.0),
+        dim=_get(cfg, "clusters", "dim", int, 2),
+        mu_eff=_get(cfg, "clusters", "mu_eff", float, 1.0),
+        occupancy=_get(cfg, "clusters", "occupancy", int, 1),
         seed=args.seed,
     )
-    replicates = int(_get(cfg, "clusters", "replicates", 100))
+    replicates = _get(cfg, "clusters", "replicates", int, 100)
     with open(os.path.join(outdir, "hitting.csv"), "w") as fh:
         fh.write("replicate,hitting_time,events\n")
         for k in range(replicates):

@@ -3,16 +3,19 @@
 The dynamics are competing exponential clocks: every boundary edge from
 an infected to a healthy node fires at the intrinsic rate beta, and every
 healthy node i additionally fires at the policy-supplied external rate
-L_i. Scheduling uses a next-reaction priority queue of tentative firing
-times; because all clocks are exponential, the aggregate external clock
-is regenerated at each event without changing the sampled law, which is
-also what makes it exact to poll policies only at event instants (all
-supported policies depend on time only through the infection state).
+L_i. Scheduling is next-reaction style: the edge clocks wait in a
+priority queue of tentative (time, node) firings, while the aggregate
+external clock (rate sum of L_i over healthy nodes) and the policy's
+internal clock are two scalar firing times, redrawn after every
+infection and internal transition. Because all clocks are exponential,
+redrawing them does not change the sampled law, which is also what
+makes it exact to poll policies only at event instants (all supported
+policies depend on time only through the infection state). A clock
+whose rate is zero, or whose draw lands past ``max_time``, is infinite.
 
-Tie-breaking for simultaneous heap times is by (node, kind) with the
-conventions that the pending external event carries virtual node -1 and a
-policy-internal transition carries virtual node -2; this is documented
-purely for bit-level reproducibility, exact ties have measure zero.
+Simultaneous firings are resolved internal clock first, then the
+external clock, then edge clocks by node id; this is documented purely
+for bit-level reproducibility, exact ties have measure zero.
 """
 
 from __future__ import annotations
@@ -24,10 +27,6 @@ from heapq import heappop, heappush
 from .errors import InvalidParameterError, NonTerminationError, PolicyContractError, positive
 from .graphs import Graph
 from .rng import CH_ENGINE, BufferedSampler, reseed, stream, substream
-
-_INTRINSIC = 0
-_EXTERNAL = 1
-_INTERNAL = 2
 
 _ENVELOPE_SLACK = 1e-9
 
@@ -99,18 +98,16 @@ class RunSummary:
     seed_stream: int
 
 
-def _run(g: Graph, policy, cfg: EngineConfig, replicate: int, keep_events: bool, rng=None):
+def _run(g: Graph, policy, cfg: EngineConfig, replicate: int, keep_events: bool, rng):
     n = g.n
     adj = g.adjacency
     beta = cfg.beta
-    max_time = cfg.max_time
+    max_time = math.inf if cfg.max_time is None else cfg.max_time
     if not (0 <= cfg.initial_infected < n):
         raise InvalidParameterError(
             f"initial_infected {cfg.initial_infected} out of range for n={n}"
         )
 
-    if rng is None:
-        rng = substream(cfg.seed, replicate, CH_ENGINE)
     exp = BufferedSampler(rng.standard_exponential)
     uni = BufferedSampler(rng.random)
 
@@ -118,111 +115,86 @@ def _run(g: Graph, policy, cfg: EngineConfig, replicate: int, keep_events: bool,
     policy.reset(g, state, replicate)
 
     events: list[tuple[float, int, str]] = []
-    heap: list[tuple[float, int, int, int]] = []
+    heap: list[tuple[float, int]] = []
     infected = state.infected
 
     l_max = policy.l_max
 
-    def check_envelope() -> None:
+    def push_edges(u: int, now: float) -> None:
+        for v in adj[u]:
+            if not infected[v]:
+                tv = now + exp.draw() / beta
+                if tv <= max_time:
+                    heappush(heap, (tv, v))
+
+    def clock(now: float, rate: float, what: str) -> float:
+        if rate < 0.0:
+            raise PolicyContractError(f"negative {what} {rate}")
+        if rate > 0.0:
+            t = now + exp.draw() / rate
+            if t <= max_time:
+                return t
+        return math.inf
+
+    def redraw(now: float) -> None:
+        nonlocal t_ext, t_int
         if l_max is not None:
             total = policy.total_rate(state)
             if total > l_max * (1.0 + _ENVELOPE_SLACK) + 1e-12:
                 raise PolicyContractError(
                     f"policy rate sum {total} exceeds declared L_max {l_max}"
                 )
+        t_ext = math.inf
+        if state.infected_count < n:
+            t_ext = clock(now, policy.healthy_rate(state), "external rate sum")
+        t_int = clock(now, policy.internal_rate(state), "internal rate")
 
-    def push_edges(u: int, now: float) -> None:
-        for v in adj[u]:
-            if not infected[v]:
-                tv = now + exp.draw() / beta
-                if max_time is None or tv <= max_time:
-                    heappush(heap, (tv, v, _INTRINSIC, 0))
-
-    ext_gen = 0
-    int_gen = 0
-
-    def refresh_external(now: float) -> None:
-        nonlocal ext_gen
-        ext_gen += 1
-        if state.infected_count >= n:
-            return
-        rate = policy.healthy_rate(state)
-        if rate < 0.0:
-            raise PolicyContractError(f"negative external rate sum {rate}")
-        if rate > 0.0:
-            te = now + exp.draw() / rate
-            if max_time is None or te <= max_time:
-                heappush(heap, (te, -1, _EXTERNAL, ext_gen))
-
-    def refresh_internal(now: float) -> None:
-        nonlocal int_gen
-        int_gen += 1
-        rate = policy.internal_rate(state)
-        if rate < 0.0:
-            raise PolicyContractError(f"negative internal rate {rate}")
-        if rate > 0.0:
-            ti = now + exp.draw() / rate
-            if max_time is None or ti <= max_time:
-                heappush(heap, (ti, -2, _INTERNAL, int_gen))
-
+    t_ext = t_int = math.inf
     seed_node = cfg.initial_infected
     state.infect(seed_node, 0.0)
     if keep_events:
         events.append((0.0, seed_node, "seed"))
     policy.on_infect(seed_node, state)
     push_edges(seed_node, 0.0)
-    check_envelope()
-    refresh_external(0.0)
-    refresh_internal(0.0)
+    redraw(0.0)
 
     budget = int(n * n * (1.0 + 1.0 / beta)) + 64
-    pops = 0
-    finish: float | None = None
+    fired = 0
 
     while state.infected_count < n:
-        if not heap:
-            if max_time is not None:
+        t = min(t_int, t_ext, heap[0][0] if heap else math.inf)
+        if t == math.inf:
+            if cfg.max_time is not None:
                 break
             raise NonTerminationError(
                 "no pending events while nodes remain healthy "
                 "(disconnected graph with zero external rates?)"
             )
-        tv, node, kind, gen = heappop(heap)
-        pops += 1
-        if pops > budget:
+        fired += 1
+        if fired > budget:
             raise NonTerminationError(
-                f"event budget {budget} exhausted at t={tv} with "
+                f"event budget {budget} exhausted at t={t} with "
                 f"{state.infected_count}/{n} infected"
             )
-        if kind == _INTRINSIC:
-            if infected[node]:
-                continue
-            cause = "intrinsic"
-        elif kind == _EXTERNAL:
-            if gen != ext_gen:
-                continue
-            node = policy.sample_target(state, uni)
-            cause = "external"
-        else:
-            if gen != int_gen:
-                continue
+        if t == t_int:
             policy.apply_internal(state)
-            check_envelope()
-            refresh_external(tv)
-            refresh_internal(tv)
-            continue
+        else:
+            if t == t_ext:
+                node = policy.sample_target(state, uni)
+                cause = "external"
+            else:
+                node = heappop(heap)[1]
+                if infected[node]:
+                    continue
+                cause = "intrinsic"
+            state.infect(node, t)
+            if keep_events:
+                events.append((t, node, cause))
+            policy.on_infect(node, state)
+            push_edges(node, t)
+        redraw(t)
 
-        state.infect(node, tv)
-        if keep_events:
-            events.append((tv, node, cause))
-        policy.on_infect(node, state)
-        push_edges(node, tv)
-        check_envelope()
-        refresh_external(tv)
-        refresh_internal(tv)
-
-    if state.infected_count == n:
-        finish = state.clock
+    finish = state.clock if state.infected_count == n else None
     return state, events, finish
 
 
@@ -233,7 +205,8 @@ def simulate(g: Graph, policy, cfg: EngineConfig, replicate: int = 0) -> Trace:
     stream addressed by (cfg.seed, k); ``simulate`` is replicate 0 of
     ``simulate_batch`` by construction.
     """
-    _, events, finish = _run(g, policy, cfg, replicate, keep_events=True)
+    rng = substream(cfg.seed, replicate, CH_ENGINE)
+    _, events, finish = _run(g, policy, cfg, replicate, keep_events=True, rng=rng)
     return Trace(n=g.n, events=events, finish_time=finish)
 
 

@@ -18,6 +18,7 @@ from agentspread.analytics import (
     write_report_json,
 )
 from agentspread.errors import InvalidParameterError
+from agentspread.graphs import make_graph
 from agentspread.policies import PolicySpec
 
 
@@ -219,6 +220,25 @@ def test_concentration_decays_at_moderate_kappa():
     fractions = [r.exceed_fraction for r in tab.rows]
     assert fractions[-1] < fractions[0]
     assert tab.decaying
+
+
+def test_concentration_builds_each_graph_once(monkeypatch):
+    built = []
+
+    def counting_make_graph(family, n, *args):
+        built.append(n)
+        return make_graph(family, n, *args)
+
+    monkeypatch.setattr(analytics, "make_graph", counting_make_graph)
+    plan = ExperimentPlan(
+        sizes=(16, 25, 36),
+        family="ring",
+        policy=PolicySpec(kind="random_homogeneous", L=1.0),
+        replicates=5,
+        seed=9,
+    )
+    concentration_probe(plan, 0.35)
+    assert built == [16, 25, 36]
 
 
 # ---------------------------------------------------------------------------

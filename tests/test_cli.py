@@ -60,6 +60,48 @@ def test_simulate_non_finite_rate_exit_2(tmp_path):
     assert main(["simulate", "--config", cfg, "--set", "policy.L=nan", "--out", out]) == 2
 
 
+def test_simulate_wrong_type_exit_2(tmp_path, capsys):
+    cfg = _write(tmp_path / "c.cfg", RING_SWEEP)
+    out = str(tmp_path / "o")
+    assert main(["simulate", "--config", cfg, "--set", "policy.L=abc", "--out", out]) == 2
+    assert "[policy] L" in capsys.readouterr().err
+
+
+RGG_SIMULATE = """
+[graph]
+family = rgg
+n = 40
+r = {r}
+
+[policy]
+kind = random_homogeneous
+L = 1.0
+"""
+
+
+def test_simulate_empty_radius_is_critical(tmp_path):
+    traces = []
+    for name, r in (("empty", ""), ("critical", "critical")):
+        cfg = _write(tmp_path / f"{name}.cfg", RGG_SIMULATE.format(r=r))
+        out = tmp_path / name
+        assert main(["simulate", "--config", cfg, "--seed", "3", "--out", str(out)]) == 0
+        traces.append((out / "trace.csv").read_bytes())
+    assert traces[0] == traces[1]
+
+
+def test_sweep_uses_radius_and_initial_infected(tmp_path):
+    cfg = _write(
+        tmp_path / "c.cfg",
+        RGG_SIMULATE.format(r="0.9")
+        + "\n[engine]\ninitial_infected = 5\n\n[sweep]\nsizes = 16, 24, 32\nreplicates = 5\n",
+    )
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", cfg, "--seed", "1", "--out", str(out)]) == 0
+    plan = json.loads((out / "report.json").read_text())["plan"]
+    assert plan["rgg_radius"] == 0.9
+    assert plan["initial_infected"] == 5
+
+
 def test_sweep_byte_identical(tmp_path):
     cfg = _write(tmp_path / "c.cfg", RING_SWEEP)
     out1, out2 = tmp_path / "o1", tmp_path / "o2"

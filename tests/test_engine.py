@@ -181,6 +181,22 @@ def test_envelope_violation_aborts():
         engine.simulate(g, Lying(), EngineConfig(seed=1))
 
 
+def test_event_budget_exhausted():
+    class Restless(policies.Policy):
+        def rate_of(self, node, state):
+            return 0.0
+
+        def internal_rate(self, state):
+            return 1.0
+
+        def apply_internal(self, state):
+            pass
+
+    g = graphs.gen_custom(4, [(0, 1), (2, 3)])
+    with pytest.raises(NonTerminationError, match="event budget"):
+        engine.simulate(g, Restless(), EngineConfig(seed=1))
+
+
 def test_bad_initial_infected():
     g = graphs.gen_ring(8)
     with pytest.raises(InvalidParameterError):

@@ -1,5 +1,6 @@
 """Policy rate contracts, envelopes, and policy-specific behaviours."""
 
+import dataclasses
 import math
 
 import pytest
@@ -447,3 +448,9 @@ def test_every_kind_infects_each_node_once_in_time_order(run):
     assert [c for _, _, c in trace.events].count("seed") == 1
     assert trace.finish_time == times[-1]
     assert engine.simulate_batch(g, handle, cfg, 1)[0].finish_time == trace.finish_time
+    # a cutoff at an event time or between the last two keeps exactly the
+    # events up to it, and a finish time only if every node fell by then
+    for cut in (times[len(times) // 2], (times[-2] + times[-1]) / 2):
+        cut_trace = engine.simulate(g, handle, dataclasses.replace(cfg, max_time=cut))
+        assert cut_trace.events == [e for e in trace.events if e[0] <= cut]
+        assert cut_trace.finish_time == (trace.finish_time if times[-1] <= cut else None)
