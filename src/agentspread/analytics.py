@@ -1,4 +1,4 @@
-"""Monte Carlo orchestration, scaling regressions, and dominance verdicts.
+"""Monte Carlo orchestration, scaling regressions, and dominance checks.
 
 An experiment plan sweeps one process (engine simulation or a cluster
 process) over a list of sizes, summarizes finish times per size, and fits
@@ -11,6 +11,9 @@ the mean under random spreading on a d-dimensional lattice, which by
 space-time coverage is (n ln n)^(1/(d+1)); dividing by ln n therefore
 leaves a slope below 1/(d+1) at any finite n.
 
+A dominance check runs a policy against the process that bounds it, as
+paired by the one table of ``sim dominate`` modes.
+
 All sub-seeds derive from the plan's master seed through the counter-based
 stream splitter, so identical plans produce bit-identical reports (wall
 clock metadata aside).
@@ -22,16 +25,17 @@ import json
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy import stats as _stats
 
-from .dominators import ClusterProcessConfig, run_cluster_process
+from .dominators import ClusterProcessConfig, line_clusters, run_cluster_process, two_phase_batch
 from .engine import EngineConfig, finish_times, simulate_batch
 from .errors import InvalidParameterError
-from .graphs import Graph, make_graph
-from .policies import PolicySpec, build_policy, canonical_partition
+from .graphs import Graph, Partition, canonical_partition, make_graph
+from .policies import PolicySpec, build_policy
 from .rng import CH_BOOTSTRAP, CH_DERIVE, stream, substream
 
 DECILES = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
@@ -97,6 +101,14 @@ def exponent_fit(points) -> ExponentFit:
 # ---------------------------------------------------------------------------
 
 
+# ExperimentPlan.process of each cluster process -> its ClusterProcessConfig.growth
+_CLUSTER_GROWTH = {
+    "line_clusters": "line",
+    "fpp_clusters": "fpp",
+    "diagonal_grid_clusters": "diagonal",
+}
+
+
 @dataclass(frozen=True)
 class ExperimentPlan:
     """One sweep: a process, a size list, replication, and fit options."""
@@ -126,12 +138,7 @@ class ExperimentPlan:
             raise InvalidParameterError("size sweep needs >= 3 points for regression")
         if self.log_correction not in ("none", "divide_by_log_n"):
             raise InvalidParameterError(f"unknown log_correction {self.log_correction!r}")
-        if self.process not in (
-            "simulate",
-            "line_clusters",
-            "fpp_clusters",
-            "diagonal_grid_clusters",
-        ):
+        if self.process != "simulate" and self.process not in _CLUSTER_GROWTH:
             raise InvalidParameterError(f"unknown process {self.process!r}")
         object.__setattr__(self, "sizes", sizes)
 
@@ -183,11 +190,6 @@ def build_graph(plan: ExperimentPlan, n: int) -> Graph:
 
 
 def _resolve_cluster_cfg(plan: ExperimentPlan, n: int) -> ClusterProcessConfig:
-    growth = {
-        "line_clusters": "line",
-        "fpp_clusters": "fpp",
-        "diagonal_grid_clusters": "diagonal",
-    }[plan.process]
     mu = plan.mu_eff
     if mu == "log2n":
         mu = math.log(n) ** 2
@@ -195,7 +197,7 @@ def _resolve_cluster_cfg(plan: ExperimentPlan, n: int) -> ClusterProcessConfig:
     if occ == "logn":
         occ = max(1, math.ceil(math.log(n)))
     return ClusterProcessConfig(
-        growth=growth,
+        growth=_CLUSTER_GROWTH[plan.process],
         target_count=n,
         seeding_rate=plan.seeding_rate,
         beta=plan.beta,
@@ -319,19 +321,22 @@ def concentration_probe(plan: ExperimentPlan, kappa: float) -> ConcentrationTabl
     """Fraction of runs with T >= kappa * h(n) * ln n for each size.
 
     h(n) comes from the family's canonical partition: the larger of the
-    piece count over the budget and the worst piece diameter.
+    piece count over the budget and the worst piece diameter. A gsi
+    policy without a partition of its own runs on that same partition.
     """
     if plan.process != "simulate":
         raise InvalidParameterError("concentration probe needs an engine sweep")
+    spec = plan.policy
     rows = []
     fractions = []
     for n in plan.sizes:
         g = build_graph(plan, n)
-        part = canonical_partition(g, max(plan.policy.L, 1e-12))
-        l_min = plan.policy.L if plan.policy.kind in ("random_homogeneous", "gsi") else 1.0
+        part = canonical_partition(g, max(spec.L, 1e-12))
+        l_min = spec.L if spec.kind in ("random_homogeneous", "gsi") else 1.0
         h = max(part.g / l_min, max(part.piece_diameters))
         threshold = kappa * h * math.log(n)
-        _, times, _ = _engine_times(plan, n, g)
+        policy = spec if spec.partition is not None else replace(spec, partition=part)
+        _, times, _ = _engine_times(replace(plan, policy=policy), n, g)
         arr = np.asarray(times)
         frac = float((arr >= threshold).mean()) if arr.size else 1.0
         rows.append(ConcentrationRow(n=n, threshold=threshold, exceed_fraction=frac))
@@ -402,6 +407,64 @@ def dominance_report(
         upper95=tuple(map(float, upper)),
         violations=violations,
     )
+
+
+def _two_phase(g, partition, L, mode, seed, replicates, beta) -> list[float]:
+    return [tp.finish_time for tp in two_phase_batch(g, partition, L, mode, seed, replicates, beta)]
+
+
+def _line_hits(g, partition, L, mode, seed, replicates, beta) -> list[float]:
+    cfg = ClusterProcessConfig("line", g.n, seeding_rate=L, beta=beta, seed=seed)
+    return [line_clusters(cfg, k).hitting_time for k in range(replicates)]
+
+
+class _Pairing(NamedTuple):
+    kind: str  # the policy, built by build_policy
+    bound: Callable[..., list[float]]  # finish times of the bounding process
+    upper: bool  # an upper bound runs on a partition and is sample b, a lower one sample a
+    label: str  # "a <=st b"
+
+
+# ``sim dominate`` mode -> its pairing
+_DOMINANCE_MODES = {
+    "homogeneous": _Pairing(
+        "random_homogeneous", _two_phase, True, "random_homogeneous <=st two_phase[homogeneous]"
+    ),
+    "sequential": _Pairing("gsi", _two_phase, True, "gsi <=st two_phase[sequential]"),
+    "line_vs_adversary": _Pairing(
+        "greedy_frontier_adversary",
+        _line_hits,
+        False,
+        "line_clusters <=st greedy_frontier_adversary",
+    ),
+}
+
+
+def dominance_check(
+    g: Graph,
+    mode: str,
+    L: float,
+    replicates: int,
+    seed: int,
+    beta: float = 1.0,
+    partition: Partition | None = None,
+) -> tuple[str, DominanceVerdict]:
+    """Matched batches of a policy and the process that bounds it, for one
+    ``sim dominate`` mode: ``homogeneous``, ``sequential`` (two-phase upper
+    bounds, on ``partition``, by default the canonical one) or
+    ``line_vs_adversary`` (line clusters below the greedy adversary).
+    Returns the pairing's label ``a <=st b`` and the decile verdict.
+    """
+    pairing = _DOMINANCE_MODES.get(mode)
+    if pairing is None:
+        raise InvalidParameterError(f"unknown dominate mode {mode!r}")
+    if pairing.upper and partition is None:
+        partition = canonical_partition(g, L)
+    handle = build_policy(PolicySpec(kind=pairing.kind, L=L, partition=partition), g)
+    real = finish_times(simulate_batch(g, handle, EngineConfig(beta=beta, seed=seed), replicates))
+    bound = pairing.bound(g, partition, L, mode, seed, replicates, beta)
+    a, b = (real, bound) if pairing.upper else (bound, real)
+    return pairing.label, dominance_report(a, b, seed=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,7 @@ Subcommands: gen, simulate, sweep, dominate, conductance, fpp. The
 ``gen`` and ``conductance`` subcommands also accept direct flags
 (--family, --n, ...); everything else is driven by a config file.
 ``sim gen --family rgg`` without ``--r`` uses the critical radius, the
-default of config files (``r = critical``) and sweep plans; it used to
-fail without ``--r``.
+default of config files (``r = critical``) and sweep plans.
 
 Config files are whitespace-insensitive key-value text with sections::
 
@@ -77,6 +76,7 @@ Exit codes: 0 success, 2 configuration/usage error, 3 runtime guard
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -351,38 +351,19 @@ def _cmd_sweep(args) -> int:
 def _cmd_dominate(args) -> int:
     cfg = _load(args.config, args.set or [])
     outdir = _ensure_outdir(args.out)
-    mode = _get(cfg, "dominate", "mode", str, "homogeneous")
     replicates = _get(cfg, "dominate", "replicates", int, 1000)
-    g = _build_graph(cfg, args.seed)
-    L = _get(cfg, "policy", "L", float, 1.0)
-    beta = _get(cfg, "engine", "beta", float, 1.0)
-    if mode in ("homogeneous", "sequential"):
-        part = policies.canonical_partition(g, L)
-        kind = "random_homogeneous" if mode == "homogeneous" else "gsi"
-        verdict = dominators.dominance_check(
-            g, part, policies.PolicySpec(kind=kind, L=L), L, replicates, args.seed, beta=beta
-        )
-        label = f"{kind} <=st two_phase[{mode}]"
-    elif mode == "line_vs_adversary":
-        ccfg = dominators.ClusterProcessConfig(
-            growth="line", target_count=g.n, seeding_rate=L, beta=beta, seed=args.seed
-        )
-        fast = dominators.sample_hitting_times(ccfg, replicates)
-        handle = policies.GreedyFrontierAdversary(L)
-        ecfg = engine.EngineConfig(beta=beta, seed=args.seed)
-        real = engine.finish_times(engine.simulate_batch(g, handle, ecfg, replicates))
-        verdict = analytics.dominance_report(fast, real, seed=args.seed)
-        label = "line_clusters <=st greedy_frontier_adversary"
-    else:
-        raise ConfigError(f"unknown dominate mode {mode!r}")
+    label, verdict = analytics.dominance_check(
+        _build_graph(cfg, args.seed),
+        _get(cfg, "dominate", "mode", str, "homogeneous"),
+        _get(cfg, "policy", "L", float, 1.0),
+        replicates,
+        args.seed,
+        beta=_get(cfg, "engine", "beta", float, 1.0),
+    )
     payload = {
         "comparison": label,
         "verdict": verdict.verdict,
-        "deciles_a": list(verdict.deciles_a),
-        "deciles_b": list(verdict.deciles_b),
-        "diffs": list(verdict.diffs),
-        "upper95": list(verdict.upper95),
-        "violations": list(verdict.violations),
+        **dataclasses.asdict(verdict),  # deciles_a, deciles_b, diffs, upper95, violations
         "replicates": replicates,
         "master_seed": args.seed,
     }

@@ -7,7 +7,9 @@ birth chain driven by conductance. Lower side: cluster-growth processes
 in which new clusters arrive as a Poisson stream and grow without ever
 interfering (a frontier pair on the line, SI growth on an exclusive
 infinite lattice, and a diagonal-grid tile process), which are
-stochastically faster than any policy with the same budget.
+stochastically faster than any policy with the same budget. The
+processes run without the engine or the policies;
+``analytics.dominance_check`` pairs each with the policy it bounds.
 
 Lattice clusters allocate sites lazily in hash-indexed windows, so there
 is no truncation boundary. Cluster sites are packed into integers (21
@@ -19,12 +21,10 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .engine import EngineConfig, finish_times, simulate_batch
 from .errors import InvalidParameterError, positive
 from .graphs import Graph, Partition
-from .policies import PolicySpec, build_policy
 from .rng import CH_PROCESS, BufferedSampler, substream
 
 _PATH_POINTS = 4096  # count-path export cap per run
@@ -123,43 +123,6 @@ def two_phase_batch(
         two_phase_process(g, partition, L, mode, seed, replicate=k, beta=beta)
         for k in range(replicates)
     ]
-
-
-def dominance_check(
-    g: Graph,
-    partition: Partition,
-    policy: PolicySpec,
-    L: float,
-    replicates: int,
-    seed: int,
-    beta: float = 1.0,
-):
-    """Matched batches of the real process vs the two-phase process.
-
-    The pairing is fixed: the homogeneous two-phase mode bounds the
-    random-homogeneous policy, the sequential mode bounds the greedy
-    subgraph policy. Returns the decile-ordering verdict for
-    T_real <= T_two_phase.
-    """
-    from .analytics import dominance_report  # local import breaks the module cycle
-
-    if policy.kind == "random_homogeneous":
-        mode = "homogeneous"
-    elif policy.kind == "gsi":
-        mode = "sequential"
-    else:
-        raise InvalidParameterError(
-            f"dominance_check pairs random_homogeneous or gsi, got {policy.kind!r}"
-        )
-    spec = replace(policy, L=L, partition=partition)
-    handle = build_policy(spec, g)
-    cfg = EngineConfig(beta=beta, seed=seed)
-    real = finish_times(simulate_batch(g, handle, cfg, replicates))
-    upper = [
-        tp.finish_time
-        for tp in two_phase_batch(g, partition, L, mode, seed, replicates, beta=beta)
-    ]
-    return dominance_report(real, upper, seed=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -258,8 +258,20 @@ def make_graph(family: str, n: int, d: int = 2, r: float | None = None, seed: in
     raise InvalidParameterError(f"unknown graph family {family!r}")
 
 
+def canonical_partition(graph: Graph, l_min: float = 1.0) -> Partition:
+    """The family's standard partition: sqrt(n) segments on rings/lines,
+    (n/l_min)^(1/(d+1))-sided sub-grids, tile chunks on RGGs."""
+    if graph.family in ("ring", "line"):
+        return partition_ring(graph)
+    if graph.family == "grid":
+        return partition_grid(graph, l_min=l_min)
+    if graph.family == "rgg":
+        return partition_rgg(graph, l_min=l_min)
+    raise InvalidParameterError(f"no canonical partition for family {graph.family}")
+
+
 # ---------------------------------------------------------------------------
-# BFS, diameter, connectivity
+# BFS and diameter
 # ---------------------------------------------------------------------------
 
 
@@ -328,10 +340,6 @@ def diameter(g: Graph, piece: Iterable[int] | None = None) -> int:
         if ecc > best:
             best = ecc
     return best
-
-
-def is_connected(g: Graph) -> bool:
-    return len(bfs_distances(g, 0)) == g.n
 
 
 # ---------------------------------------------------------------------------

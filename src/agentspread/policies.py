@@ -30,7 +30,7 @@ from heapq import heapify, heappop, heappush
 
 from .engine import InfectionState
 from .errors import InvalidParameterError, positive
-from .graphs import Graph, Partition, partition_grid, partition_rgg, partition_ring
+from .graphs import Graph, Partition, canonical_partition
 from .rng import CH_POLICY, BufferedSampler, substream
 
 
@@ -118,7 +118,31 @@ class RandomHomogeneous(Policy):
         return healthy[int(uni.draw() * len(healthy))]
 
 
-class GsiPolicy(Policy):
+class _TargetedBudget(Policy):
+    """Shared rate logic for policies that put the whole budget L on the
+    one healthy node a subclass's ``_target(state)`` returns, until every
+    node is infected."""
+
+    def __init__(self, L: float):
+        self.L = positive("L", L)
+        self.l_min = L
+        self.l_max = L
+
+    def rate_of(self, node, state):
+        if state.infected_count >= state.n:
+            return 0.0
+        return self.L if node == self._target(state) else 0.0
+
+    def total_rate(self, state):
+        return self.L if state.infected_count < state.n else 0.0
+
+    healthy_rate = total_rate
+
+    def sample_target(self, state, uni):
+        return self._target(state)
+
+
+class GsiPolicy(_TargetedBudget):
     """Greedy subgraph infection: the whole budget sits on one healthy node
     of a piece with the fewest infected nodes.
 
@@ -129,10 +153,8 @@ class GsiPolicy(Policy):
     kind = "gsi"
 
     def __init__(self, partition: Partition, L: float):
+        super().__init__(L)
         self.partition = partition
-        self.L = positive("L", L)
-        self.l_min = L
-        self.l_max = L
         self._n = sum(partition.piece_sizes)
         self._piece_of = partition.piece_of(self._n)
 
@@ -146,7 +168,7 @@ class GsiPolicy(Policy):
         self._heap = [(0, i) for i in range(g)]
         heapify(self._heap)
 
-    def _support(self, state) -> int:
+    def _target(self, state) -> int:
         heap = self._heap
         counts = self._counts
         while heap:
@@ -162,19 +184,6 @@ class GsiPolicy(Policy):
             self._ptr[piece] = ptr
             return nodes[ptr]
         return -1
-
-    def rate_of(self, node, state):
-        if state.infected_count >= state.n:
-            return 0.0
-        return self.L if node == self._support(state) else 0.0
-
-    def total_rate(self, state):
-        return self.L if state.infected_count < state.n else 0.0
-
-    healthy_rate = total_rate
-
-    def sample_target(self, state, uni):
-        return self._support(state)
 
     def on_infect(self, node, state):
         piece = self._piece_of[node]
@@ -351,7 +360,7 @@ class MobileAgents(Policy):
                 self._pos[i] = healthy[int(self._rng.integers(len(healthy)))]
 
 
-class GreedyFrontierAdversary(Policy):
+class GreedyFrontierAdversary(_TargetedBudget):
     """Heuristic adversary: the whole budget targets a healthy node at
     maximum hop distance from the infected set.
 
@@ -362,11 +371,6 @@ class GreedyFrontierAdversary(Policy):
     """
 
     kind = "greedy_frontier_adversary"
-
-    def __init__(self, L: float):
-        self.L = positive("L", L)
-        self.l_min = L
-        self.l_max = L
 
     def reset(self, graph, state, replicate):
         self._adj = graph.adjacency
@@ -388,19 +392,6 @@ class GreedyFrontierAdversary(Policy):
                 continue
             return v
         return -1
-
-    def rate_of(self, node, state):
-        if state.infected_count >= state.n:
-            return 0.0
-        return self.L if node == self._target(state) else 0.0
-
-    def total_rate(self, state):
-        return self.L if state.infected_count < state.n else 0.0
-
-    healthy_rate = total_rate
-
-    def sample_target(self, state, uni):
-        return self._target(state)
 
     def on_infect(self, node, state):
         dist = self._dist
@@ -465,15 +456,3 @@ def build_policy(spec: PolicySpec, graph: Graph | None = None) -> Policy:
     if kind == "greedy_frontier_adversary":
         return GreedyFrontierAdversary(spec.L)
     raise InvalidParameterError(f"unknown policy kind {kind!r}")
-
-
-def canonical_partition(graph: Graph, l_min: float = 1.0) -> Partition:
-    """The family's standard partition: sqrt(n) segments on rings/lines,
-    (n/l_min)^(1/(d+1))-sided sub-grids, tile chunks on RGGs."""
-    if graph.family in ("ring", "line"):
-        return partition_ring(graph)
-    if graph.family == "grid":
-        return partition_grid(graph, l_min=l_min)
-    if graph.family == "rgg":
-        return partition_rgg(graph, l_min=l_min)
-    raise InvalidParameterError(f"no canonical partition for family {graph.family}")

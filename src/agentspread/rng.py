@@ -64,9 +64,11 @@ class BufferedSampler:
     ``rng.standard_exponential`` (scale by ``1/rate`` at the call site) or
     ``rng.random`` for uniform(0,1).
 
-    Values come off the stream in blocks (starting small and doubling, so
-    short runs stay cheap); the value sequence does not depend on the
-    block partitioning, only on the stream address.
+    Values come off the stream in blocks of ``block`` doubling to 4096, so
+    short runs stay cheap. Samplers sharing one Generator, as the engine
+    and the bounding processes build them, take turns on it block by
+    block, so their values depend on the block sizes (a lone sampler's do
+    not): the first block is pinned at 64, as changing it changes them all.
     """
 
     __slots__ = ("_fill", "_block", "_buf", "_i")

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from agentspread import analytics
+from agentspread import analytics, graphs
 from agentspread.analytics import (
     ExperimentPlan,
     concentration_probe,
@@ -18,7 +18,7 @@ from agentspread.analytics import (
     write_report_json,
 )
 from agentspread.errors import InvalidParameterError
-from agentspread.graphs import make_graph
+from agentspread.graphs import make_graph, partition_ring
 from agentspread.policies import PolicySpec
 
 
@@ -234,6 +234,25 @@ def test_concentration_builds_each_graph_once(monkeypatch):
         sizes=(16, 25, 36),
         family="ring",
         policy=PolicySpec(kind="random_homogeneous", L=1.0),
+        replicates=5,
+        seed=9,
+    )
+    concentration_probe(plan, 0.35)
+    assert built == [16, 25, 36]
+
+
+def test_concentration_gsi_builds_each_partition_once(monkeypatch):
+    built = []
+
+    def counting_partition_ring(g, *args):
+        built.append(g.n)
+        return partition_ring(g, *args)
+
+    monkeypatch.setattr(graphs, "partition_ring", counting_partition_ring)
+    plan = ExperimentPlan(
+        sizes=(16, 25, 36),
+        family="ring",
+        policy=PolicySpec(kind="gsi", L=1.0),
         replicates=5,
         seed=9,
     )

@@ -3,7 +3,9 @@
 import json
 import math
 
-from agentspread import graphs
+import pytest
+
+from agentspread import analytics, graphs
 from agentspread.cli import main
 
 
@@ -185,6 +187,40 @@ replicates = 150
     verdict = json.loads((out / "verdict.json").read_text())
     assert verdict["verdict"] == "consistent-with-dominance"
     assert len(verdict["deciles_a"]) == 9
+
+
+DOMINATE = """
+[graph]
+family = ring
+n = 48
+
+[policy]
+L = 1.0
+
+[dominate]
+mode = homogeneous
+replicates = 120
+"""
+
+
+@pytest.mark.parametrize("mode", ["homogeneous", "sequential", "line_vs_adversary"])
+def test_dominate_matches_library_call(tmp_path, mode):
+    cfg = _write(tmp_path / "d.cfg", DOMINATE)
+    out = tmp_path / "o"
+    argv = ["dominate", "--config", cfg, "--seed", "5", "--out", str(out)]
+    assert main(argv + ["--set", f"dominate.mode={mode}"]) == 0
+    written = json.loads((out / "verdict.json").read_text())
+    label, verdict = analytics.dominance_check(graphs.gen_ring(48), mode, 1.0, 120, seed=5)
+    assert written["comparison"] == label
+    assert written["verdict"] == verdict.verdict
+    assert written["deciles_a"] == list(verdict.deciles_a)
+    assert written["deciles_b"] == list(verdict.deciles_b)
+
+
+def test_dominate_unknown_mode_exits_2(tmp_path):
+    cfg = _write(tmp_path / "d.cfg", DOMINATE)
+    argv = ["dominate", "--config", cfg, "--out", str(tmp_path / "o")]
+    assert main(argv + ["--set", "dominate.mode=parallel"]) == 2
 
 
 def test_conductance_direct(tmp_path, capsys):

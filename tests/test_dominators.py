@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from agentspread import dominators, graphs, policies
+from agentspread import analytics, graphs
 from agentspread.dominators import (
     ClusterProcessConfig,
     bound_calculator,
@@ -66,19 +66,15 @@ def test_two_phase_rejects_unknown_mode():
 def test_dominance_check_random_policy_consistent():
     g = graphs.gen_ring(128)
     part = graphs.partition_ring(g)
-    verdict = dominators.dominance_check(
-        g, part, policies.PolicySpec(kind="random_homogeneous", L=1.0), 1.0, 300, seed=6
-    )
+    _, verdict = analytics.dominance_check(g, "homogeneous", 1.0, 300, seed=6, partition=part)
     assert verdict.consistent
 
 
-def test_dominance_check_rejects_unpaired_policy():
+def test_dominance_check_rejects_unknown_mode():
     g = graphs.gen_ring(16)
     part = graphs.partition_ring(g)
     with pytest.raises(InvalidParameterError):
-        dominators.dominance_check(
-            g, part, policies.PolicySpec(kind="null"), 1.0, 100, seed=1
-        )
+        analytics.dominance_check(g, "null", 1.0, 100, seed=1, partition=part)
 
 
 # ---------------------------------------------------------------------------
