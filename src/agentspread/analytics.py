@@ -29,9 +29,14 @@ from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy import stats as _stats
+from scipy.special import stdtrit
 
-from .dominators import ClusterProcessConfig, line_clusters, run_cluster_process, two_phase_batch
+from .dominators import (
+    ClusterProcessConfig,
+    run_cluster_process,
+    sample_hitting_times,
+    two_phase_batch,
+)
 from .engine import EngineConfig, finish_times, simulate_batch
 from .errors import InvalidParameterError
 from .graphs import Graph, Partition, canonical_partition, make_graph
@@ -85,7 +90,7 @@ def exponent_fit(points) -> ExponentFit:
     df = m - 2
     s2 = float((resid**2).sum() / df)
     se = math.sqrt(s2 / sxx)
-    tcrit = float(_stats.t.ppf(0.975, df))
+    tcrit = float(stdtrit(df, 0.975))
     return ExponentFit(
         slope=slope,
         intercept=intercept,
@@ -230,8 +235,7 @@ def _sample_times(plan: ExperimentPlan, n: int) -> tuple[int, list[float], int]:
     times = []
     for k in range(plan.replicates):
         trace = run_cluster_process(cfg, k)
-        if trace.hitting_time is not None:
-            times.append(trace.hitting_time)
+        times.append(trace.hitting_time)
         events += trace.events
     return n, times, events
 
@@ -269,6 +273,11 @@ def run_plan(plan: ExperimentPlan) -> ScalingReport:
             # flush what finished so far as a partial report
             incomplete = True
             break
+        if rows and size <= rows[-1].n:
+            raise InvalidParameterError(
+                f"size {n} realizes {size} nodes, no more than the size before it "
+                f"({rows[-1].n}); realized sizes must be strictly increasing"
+            )
         rows.append(summarize(size, times, events))
         total_events += events
         if plan.event_budget is not None and total_events > plan.event_budget:
@@ -415,7 +424,7 @@ def _two_phase(g, partition, L, mode, seed, replicates, beta) -> list[float]:
 
 def _line_hits(g, partition, L, mode, seed, replicates, beta) -> list[float]:
     cfg = ClusterProcessConfig("line", g.n, seeding_rate=L, beta=beta, seed=seed)
-    return [line_clusters(cfg, k).hitting_time for k in range(replicates)]
+    return sample_hitting_times(cfg, replicates)
 
 
 class _Pairing(NamedTuple):

@@ -3,13 +3,15 @@
 Upper side: the two-phase process (seed every partition piece by external
 contact only, then spread along each piece's BFS tree only), which is
 stochastically slower than the policies it models, and the per-piece
-birth chain driven by conductance. Lower side: cluster-growth processes
+birth chain driven by conductance. Lower side: one cluster-growth process
 in which new clusters arrive as a Poisson stream and grow without ever
-interfering (a frontier pair on the line, SI growth on an exclusive
-infinite lattice, and a diagonal-grid tile process), which are
-stochastically faster than any policy with the same budget. The
-processes run without the engine or the policies;
-``analytics.dominance_check`` pairs each with the policy it bounds.
+interfering, which is stochastically faster than any policy with the
+same budget. One arrival loop runs it, and one table of growths gives
+each its edge rate, its lattice and the points a site is worth: a
+frontier pair on the line, SI growth on an exclusive infinite lattice,
+and a diagonal-grid tile process. The processes run without the engine
+or the policies; ``analytics.dominance_check`` pairs each with the
+policy it bounds.
 
 Lattice clusters allocate sites lazily in hash-indexed windows, so there
 is no truncation boundary. Cluster sites are packed into integers (21
@@ -22,6 +24,7 @@ import math
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvalidParameterError, positive
 from .graphs import Graph, Partition
@@ -71,6 +74,7 @@ def two_phase_process(
     if mode not in ("homogeneous", "sequential"):
         raise InvalidParameterError(f"unknown two-phase mode {mode!r}")
     positive("L", L)
+    positive("beta", beta)
     rng = substream(seed, replicate, CH_PROCESS)
     exp = BufferedSampler(rng.standard_exponential)
     uni = BufferedSampler(rng.random)
@@ -181,7 +185,7 @@ class ClusterProcessConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.growth not in ("line", "fpp", "diagonal"):
+        if self.growth not in _GROWTH:
             raise InvalidParameterError(f"unknown growth kind {self.growth!r}")
         positive("seeding_rate", self.seeding_rate)
         positive("beta", self.beta)
@@ -193,6 +197,8 @@ class ClusterProcessConfig:
             positive("mu_eff", self.mu_eff)
         if self.occupancy < 1:
             raise InvalidParameterError("occupancy must be >= 1")
+        if self.max_time is not None and not self.max_time >= 0:
+            raise InvalidParameterError(f"max_time must be nonnegative, got {self.max_time}")
 
 
 @dataclass
@@ -220,66 +226,19 @@ def _downsample(path: list[tuple[float, int]]) -> list[tuple[float, int]]:
     return out
 
 
-def line_clusters(cfg: ClusterProcessConfig, replicate: int = 0) -> ClusterTrace:
-    """Line cluster process: Poisson cluster arrivals, growth at 2*beta each.
-
-    The count is the number of growth points added across clusters (the
-    accounting whose mean curve is exactly beta*t^2 + 2*beta*t at unit
-    seeding rate); cluster seeds themselves are not counted.
-    """
-    if cfg.growth != "line":
-        raise InvalidParameterError("cfg.growth must be 'line'")
-    rng = substream(cfg.seed, replicate, CH_PROCESS)
-    exp = BufferedSampler(rng.standard_exponential)
-    uni = BufferedSampler(rng.random)
-    lam = cfg.seeding_rate
-    two_beta = 2.0 * cfg.beta
-    target = cfg.target_count
-    max_time = cfg.max_time
-
-    t = 0.0
-    count = 0
-    clusters = 1
-    births = [0.0]
-    path = [(0.0, 0)]
-    events = 0
-    while count < target:
-        rate = lam + two_beta * clusters
-        t += exp.draw() / rate
-        if max_time is not None and t > max_time:
-            t = max_time
-            break
-        events += 1
-        if uni.draw() * rate < lam:
-            clusters += 1
-            births.append(t)
-        else:
-            count += 1
-            path.append((t, count))
-    hitting = t if count >= target else None
-    return ClusterTrace(
-        cluster_birth_times=births,
-        total_count_path=_downsample(path),
-        hitting_time=hitting,
-        events=events,
-    )
-
-
 # Site packing: 21 bits per axis, offset-binary so coordinates may be negative.
 _BITS = 21
 _HALF = 1 << 20
 _MASK = (1 << _BITS) - 1
 
 
-def _deltas(dim: int, diagonal: bool) -> list[int]:
-    if diagonal:
-        out = []
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                if dx or dy:
-                    out.append(dx + (dy << _BITS))
-        return out
+def _deltas(dim: int) -> list[int]:
+    """Offsets of a packed site's 2*dim axis neighbours."""
     return [s << (_BITS * a) for a in range(dim) for s in (1, -1)]
+
+
+# Offsets of a packed planar site's 8 axis and diagonal neighbours.
+_DIAGONAL = [dx + (dy << _BITS) for dx in (-1, 0, 1) for dy in (-1, 0, 1) if dx or dy]
 
 
 def _origin(dim: int) -> int:
@@ -305,9 +264,6 @@ class _LatticeCluster:
         self.pos = {e: i for i, e in enumerate(self.edges)}
         self.max_radius = 0
 
-    def boundary(self) -> int:
-        return len(self.edges)
-
     def _remove(self, e: tuple[int, int]) -> None:
         i = self.pos.pop(e)
         last = self.edges.pop()
@@ -316,7 +272,8 @@ class _LatticeCluster:
             self.pos[last] = i
 
     def grow(self, uni: BufferedSampler) -> int:
-        """Fire one uniformly chosen boundary edge; return the new site."""
+        """Fire one uniformly chosen boundary edge; return the new number
+        of boundary edges."""
         edges = self.edges
         _, dst = edges[int(uni.draw() * len(edges))]
         infected = self.infected
@@ -332,59 +289,85 @@ class _LatticeCluster:
         r = _linf_radius(dst, self.dim)
         if r > self.max_radius:
             self.max_radius = r
-        return dst
+        return len(edges)
 
 
-def _lattice_cluster_process(
-    cfg: ClusterProcessConfig,
-    replicate: int,
-    deltas: list[int],
-    dim: int,
-    edge_rate: float,
-    points_per_site: int,
-) -> ClusterTrace:
+class _Growth(NamedTuple):
+    lattice: tuple[list[int], int] | None  # neighbour offsets and dimension; None: the line
+    edge_rate: float  # firing rate of each boundary edge
+    points: int  # points per occupied site
+
+
+# growth -> its parameters, read off a ClusterProcessConfig. A line cluster
+# is a frontier pair: two boundary edges whose firings add a point each and
+# leave the pair as it was; its seed is not counted.
+_GROWTH = {
+    "line": lambda cfg: _Growth(None, cfg.beta, 1),
+    "fpp": lambda cfg: _Growth((_deltas(cfg.dim), cfg.dim), cfg.beta, 1),
+    "diagonal": lambda cfg: _Growth((_DIAGONAL, 2), cfg.mu_eff, cfg.occupancy),
+}
+
+
+def run_cluster_process(cfg: ClusterProcessConfig, replicate: int = 0) -> ClusterTrace:
+    """One run of the growth ``cfg`` names: clusters arrive at the seeding
+    rate and every boundary edge fires at the edge rate, until the total
+    count reaches the target or time reaches ``max_time``.
+
+    Each event draws one exponential (its time) and one uniform (arrival,
+    or which cluster's edge fired); a lattice growth draws its edge with a
+    second uniform. The count path gets a point whenever the count changes.
+    """
+    lattice, edge_rate, points = _GROWTH[cfg.growth](cfg)
+    if lattice is None:
+        frontier, seed_points, clusters = 2, 0, None
+    else:
+        deltas, dim = lattice
+        frontier, seed_points, clusters = len(deltas), points, [_LatticeCluster(deltas, dim)]
     rng = substream(cfg.seed, replicate, CH_PROCESS)
     exp = BufferedSampler(rng.standard_exponential)
     uni = BufferedSampler(rng.random)
     lam = cfg.seeding_rate
     target = cfg.target_count
-    max_time = cfg.max_time
+    max_time = math.inf if cfg.max_time is None else cfg.max_time
 
-    clusters = [_LatticeCluster(deltas, dim)]
-    births = [0.0]
-    boundary_total = clusters[0].boundary()
-    count = points_per_site  # the initial cluster's origin site
+    bounds = [frontier]  # boundary edges per cluster
+    total = frontier
+    count = seed_points
     t = 0.0
+    births = [0.0]
     path = [(0.0, count)]
     events = 0
     while count < target:
-        rate = lam + edge_rate * boundary_total
+        rate = lam + edge_rate * total
         t += exp.draw() / rate
-        if max_time is not None and t > max_time:
+        if t > max_time:
             t = max_time
             break
         events += 1
         x = uni.draw() * rate
         if x < lam:
-            c = _LatticeCluster(deltas, dim)
-            clusters.append(c)
             births.append(t)
-            boundary_total += c.boundary()
+            bounds.append(frontier)
+            total += frontier
+            if clusters is not None:
+                clusters.append(_LatticeCluster(deltas, dim))
+            added = seed_points
         else:
-            # pick a cluster proportionally to its boundary edge count
-            x = (x - lam) / edge_rate
-            acc = 0.0
-            chosen = clusters[-1]
-            for c in clusters:
-                acc += c.boundary()
-                if acc > x:
-                    chosen = c
-                    break
-            before = chosen.boundary()
-            chosen.grow(uni)
-            boundary_total += chosen.boundary() - before
-        count += points_per_site
-        path.append((t, count))
+            if clusters is not None:
+                # the cluster owning the fired edge, by boundary edge counts
+                x = (x - lam) / edge_rate
+                acc = 0
+                for i, b in enumerate(bounds):
+                    acc += b
+                    if acc > x:
+                        break
+                grown = clusters[i].grow(uni)
+                total += grown - bounds[i]
+                bounds[i] = grown
+            added = points
+        if added:
+            count += added
+            path.append((t, count))
     hitting = t if count >= target else None
     return ClusterTrace(
         cluster_birth_times=births,
@@ -394,35 +377,37 @@ def _lattice_cluster_process(
     )
 
 
+def _check_growth(cfg: ClusterProcessConfig, growth: str) -> None:
+    if cfg.growth != growth:
+        raise InvalidParameterError(f"cfg.growth must be {growth!r}")
+
+
+def line_clusters(cfg: ClusterProcessConfig, replicate: int = 0) -> ClusterTrace:
+    """Line cluster process: Poisson cluster arrivals, growth at 2*beta each.
+
+    The count is the number of growth points added across clusters (the
+    accounting whose mean curve is exactly beta*t^2 + 2*beta*t at unit
+    seeding rate); cluster seeds themselves are not counted.
+    """
+    _check_growth(cfg, "line")
+    return run_cluster_process(cfg, replicate)
+
+
 def fpp_clusters(cfg: ClusterProcessConfig, replicate: int = 0) -> ClusterTrace:
     """Cluster process with SI growth on exclusive infinite d-dim lattices.
 
     Each cluster counts its occupied sites (the origin included); the
     total across clusters hitting the target stops the run.
     """
-    if cfg.growth != "fpp":
-        raise InvalidParameterError("cfg.growth must be 'fpp'")
-    return _lattice_cluster_process(
-        cfg, replicate, _deltas(cfg.dim, diagonal=False), cfg.dim, cfg.beta, 1
-    )
+    _check_growth(cfg, "fpp")
+    return run_cluster_process(cfg, replicate)
 
 
 def diagonal_grid_clusters(cfg: ClusterProcessConfig, replicate: int = 0) -> ClusterTrace:
     """Tile process on the 8-neighbour planar lattice at rate mu_eff per
     edge, each occupied site worth ``occupancy`` points."""
-    if cfg.growth != "diagonal":
-        raise InvalidParameterError("cfg.growth must be 'diagonal'")
-    return _lattice_cluster_process(
-        cfg, replicate, _deltas(2, diagonal=True), 2, cfg.mu_eff, cfg.occupancy
-    )
-
-
-def run_cluster_process(cfg: ClusterProcessConfig, replicate: int = 0) -> ClusterTrace:
-    if cfg.growth == "line":
-        return line_clusters(cfg, replicate)
-    if cfg.growth == "fpp":
-        return fpp_clusters(cfg, replicate)
-    return diagonal_grid_clusters(cfg, replicate)
+    _check_growth(cfg, "diagonal")
+    return run_cluster_process(cfg, replicate)
 
 
 def sample_hitting_times(cfg: ClusterProcessConfig, replicates: int) -> list[float]:
@@ -482,13 +467,14 @@ def shape_estimate(
     """
     if not times or any(t <= 0 for t in times):
         raise InvalidParameterError("times must be positive")
-    times = sorted(times)
-    if growth == "fpp":
-        deltas, d, rate = _deltas(dim, False), dim, beta
-    elif growth == "diagonal":
-        deltas, d, rate = _deltas(2, True), 2, mu_eff
-    else:
+    if replicates < 1:
+        raise InvalidParameterError("replicates must be >= 1")
+    cfg = ClusterProcessConfig(growth, 1, beta=beta, dim=dim, mu_eff=mu_eff)
+    lattice, rate, _ = _GROWTH[growth](cfg)
+    if lattice is None:
         raise InvalidParameterError(f"shape_estimate needs a lattice growth, got {growth!r}")
+    deltas, d = lattice
+    times = sorted(times)
 
     radii = [[0.0] * len(times) for _ in range(replicates)]
     for k in range(replicates):
@@ -496,17 +482,18 @@ def shape_estimate(
         exp = BufferedSampler(rng.standard_exponential)
         uni = BufferedSampler(rng.random)
         cluster = _LatticeCluster(deltas, d)
+        boundary = len(deltas)
         t = 0.0
         idx = 0
         horizon = times[-1]
         while t <= horizon:
-            t += exp.draw() / (rate * cluster.boundary())
+            t += exp.draw() / (rate * boundary)
             while idx < len(times) and times[idx] < t:
                 radii[k][idx] = cluster.max_radius
                 idx += 1
             if idx == len(times):
                 break
-            cluster.grow(uni)
+            boundary = cluster.grow(uni)
         while idx < len(times):
             radii[k][idx] = cluster.max_radius
             idx += 1

@@ -55,6 +55,16 @@ def test_fit_rejects_nonpositive():
         exponent_fit([(1, 1.0), (2, -2.0), (3, 3.0)])
 
 
+def test_fit_t_quantile_matches_scipy_stats():
+    # exponent_fit takes its critical value from scipy.special.stdtrit so
+    # that importing the package does not load scipy.stats.
+    from scipy import stats
+    from scipy.special import stdtrit
+
+    for df in range(1, 200):
+        assert float(stdtrit(df, 0.975)) == float(stats.t.ppf(0.975, df))
+
+
 def test_fit_ci_covers_noise():
     rng = np.random.default_rng(3)
     ns = [2**k for k in range(4, 10)]
@@ -151,6 +161,13 @@ def test_run_plan_grid_rows_carry_realized_size():
     report = run_plan(plan)
     assert [r.n for r in report.rows] == [961, 1936, 4900]
     assert all(r.events == r.n * plan.replicates for r in report.rows)
+
+
+def test_run_plan_rejects_repeated_realized_sizes():
+    # 100, 110 and 120 all realize a 10x10 grid, so the fit would divide by 0.
+    plan = ExperimentPlan(sizes=(100, 110, 120), family="grid", replicates=3, seed=1)
+    with pytest.raises(InvalidParameterError, match="110 realizes 100"):
+        run_plan(plan)
 
 
 def test_run_plan_cluster_process():

@@ -136,6 +136,13 @@ def test_override_unknown_key_is_config_error(tmp_path):
     assert code == 2
 
 
+def test_sweep_repeated_realized_sizes_exit_2(tmp_path, capsys):
+    text = RING_SWEEP.replace("family = ring", "family = grid")
+    cfg = _write(tmp_path / "c.cfg", text.replace("8, 16, 32", "100, 110, 120"))
+    assert main(["sweep", "--config", cfg, "--seed", "1", "--out", str(tmp_path / "o")]) == 2
+    assert "110 realizes 100" in capsys.readouterr().err
+
+
 def test_sweep_budget_exhausted_exit_3(tmp_path):
     cfg = _write(tmp_path / "c.cfg", RING_SWEEP + "event_budget = 50\n")
     assert main(["sweep", "--config", cfg, "--seed", "1", "--out", str(tmp_path / "o")]) == 3

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from agentspread import analytics, graphs
@@ -15,6 +17,7 @@ from agentspread.dominators import (
     diagonal_grid_clusters,
     fpp_clusters,
     line_clusters,
+    run_cluster_process,
     sample_hitting_times,
     shape_estimate,
     two_phase_batch,
@@ -61,6 +64,14 @@ def test_two_phase_rejects_unknown_mode():
     part = graphs.partition_ring(g)
     with pytest.raises(InvalidParameterError):
         two_phase_process(g, part, 1.0, "parallel", seed=1)
+
+
+@pytest.mark.parametrize("beta", [0.0, -1.0])
+def test_two_phase_rejects_nonpositive_beta(beta):
+    g = graphs.gen_ring(16)
+    part = graphs.partition_ring(g)
+    with pytest.raises(InvalidParameterError, match="beta"):
+        two_phase_process(g, part, 1.0, "sequential", seed=1, beta=beta)
 
 
 def test_dominance_check_random_policy_consistent():
@@ -170,6 +181,81 @@ def test_sample_hitting_times_deterministic():
 
 
 # ---------------------------------------------------------------------------
+# All growths: the one arrival loop
+# ---------------------------------------------------------------------------
+
+
+# (config, replicate) -> (hitting_time, events, clusters born), recorded from
+# the two separate line and lattice loops this one loop replaced.
+PINNED_RUNS = [
+    (dict(growth="line", target_count=200, seed=3), 1, (14.406194537204446, 215, 16)),
+    (dict(growth="fpp", dim=1, target_count=100, seed=4), 0, (11.970032414466512, 99, 9)),
+    (
+        dict(growth="fpp", dim=2, target_count=300, beta=0.2, seeding_rate=2.0, seed=5),
+        2,
+        (7.9968142425367255, 299, 21),
+    ),
+    (
+        dict(
+            growth="diagonal", target_count=120, occupancy=3, mu_eff=0.25, seeding_rate=2.0,
+            seed=6,
+        ),
+        1,
+        (2.309066817334024, 39, 4),
+    ),
+    (dict(growth="fpp", dim=2, target_count=10**6, max_time=2.0, seed=7), 0, (None, 68, 4)),
+]
+
+
+@pytest.mark.parametrize("kwargs,replicate,want", PINNED_RUNS)
+def test_cluster_stream_pinned(kwargs, replicate, want):
+    tr = run_cluster_process(ClusterProcessConfig(**kwargs), replicate)
+    assert (tr.hitting_time, tr.events, len(tr.cluster_birth_times)) == want
+
+
+@st.composite
+def cluster_configs(draw):
+    growth = draw(st.sampled_from(["line", "fpp", "diagonal"]))
+    rate = st.floats(0.05, 5.0)
+    return ClusterProcessConfig(
+        growth=growth,
+        target_count=draw(st.integers(1, 300)),
+        seeding_rate=draw(rate),
+        beta=draw(rate),
+        dim=draw(st.integers(1, 3)),
+        mu_eff=draw(rate),
+        occupancy=draw(st.integers(1, 4)),
+        max_time=draw(st.one_of(st.none(), st.floats(0.0, 5.0))),
+        seed=draw(st.integers(0, 2**63)),
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(cluster_configs(), st.integers(0, 50))
+def test_cluster_trace_invariants_all_growths(cfg, replicate):
+    tr = run_cluster_process(cfg, replicate)
+    path = tr.total_count_path
+    counts = [c for _, c in path]
+    assert all(a <= b for a, b in zip(counts, counts[1:]))
+    births = tr.cluster_birth_times
+    assert births[0] == 0.0 and births == sorted(births)
+    # every event is an arrival or a growth; a lattice cluster's seed site
+    # counts, a line cluster's does not, and each growth adds one site
+    arrivals = len(births) - 1
+    if cfg.growth == "line":
+        growths = counts[-1]
+    else:
+        points = cfg.occupancy if cfg.growth == "diagonal" else 1
+        growths = counts[-1] // points - len(births)
+    assert tr.events == arrivals + growths
+    if tr.hitting_time is None:
+        assert counts[-1] < cfg.target_count and path[-1][0] <= cfg.max_time
+    else:
+        assert counts[-1] >= cfg.target_count
+        assert tr.hitting_time == path[-1][0]
+
+
+# ---------------------------------------------------------------------------
 # Lattice cluster processes
 # ---------------------------------------------------------------------------
 
@@ -229,6 +315,21 @@ def test_diagonal_shape_envelope_exceedance_decays():
     )
     assert est.exceed_counts[-1] <= est.exceed_counts[0] + 2
     assert est.max_radius_linf == sorted(est.max_radius_linf)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [dict(beta=0.0), dict(beta=-1.0), dict(growth="diagonal", mu_eff=0.0), dict(replicates=0)],
+)
+def test_shape_estimate_rejects_bad_parameters(kwargs):
+    args = dict(growth="fpp", times=[1.0], replicates=2, seed=0) | kwargs
+    with pytest.raises(InvalidParameterError):
+        shape_estimate(**args)
+
+
+def test_shape_estimate_rejects_line_growth():
+    with pytest.raises(InvalidParameterError, match="lattice"):
+        shape_estimate("line", times=[1.0], replicates=2, seed=0)
 
 
 def test_shape_csv(tmp_path):

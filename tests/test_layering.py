@@ -1,6 +1,10 @@
-"""Module layering: the package's relative-import graph has no cycle."""
+"""Module layering: the package's relative-import graph has no cycle, and
+importing the package stays light."""
 
 import ast
+import os
+import subprocess
+import sys
 from graphlib import TopologicalSorter
 from pathlib import Path
 
@@ -32,3 +36,17 @@ def test_import_graph_has_no_cycle():
 
 def test_dominators_imports_only_the_substrate():
     assert _import_graph()["dominators"] == {"errors", "graphs", "rng"}
+
+
+def test_import_does_not_load_scipy_stats():
+    # scipy.stats takes most of a second to import and the package needs
+    # none of it.
+    code = "import sys, agentspread; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+    )
+    assert out.stdout.strip() == "False"

@@ -369,12 +369,18 @@ RATE_PARAMETERS = {
     "beta-clusters": lambda v: dominators.ClusterProcessConfig(
         growth="line", target_count=8, beta=v
     ),
+    "beta-shape": lambda v: dominators.shape_estimate("fpp", [1.0], 1, seed=0, beta=v),
+    "beta-two_phase": lambda v: dominators.two_phase_process(
+        graphs.gen_ring(16), graphs.partition_ring(graphs.gen_ring(16)), 1.0, "sequential", 0,
+        beta=v,
+    ),
     "beta_link": lambda v: policies.StaticLinks([(0, 1)], beta_link=v),
     "beta_link-dynamic": lambda v: policies.DynamicLinks(2, v, 0.0, seed=1),
     "rate_per_agent": lambda v: policies.MobileAgents(1, v),
     "seeding_rate": lambda v: dominators.ClusterProcessConfig(
         growth="line", target_count=8, seeding_rate=v
     ),
+    "mu_eff-shape": lambda v: dominators.shape_estimate("diagonal", [1.0], 1, seed=0, mu_eff=v),
     "psi": lambda v: dominators.conductance_chain(4, v, seed=0),
     "rewire_rate": lambda v: policies.DynamicLinks(2, 1.0, abs(v), seed=1),
 }
@@ -391,6 +397,12 @@ def test_non_finite_rate_rejected(param, value):
 def test_engine_rejects_bad_max_time(max_time):
     with pytest.raises(InvalidParameterError, match="max_time"):
         EngineConfig(max_time=max_time)
+
+
+@pytest.mark.parametrize("max_time", [math.nan, -1.0])
+def test_cluster_config_rejects_bad_max_time(max_time):
+    with pytest.raises(InvalidParameterError, match="max_time"):
+        dominators.ClusterProcessConfig(growth="line", target_count=8, max_time=max_time)
 
 
 # ---------------------------------------------------------------------------
