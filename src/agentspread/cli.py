@@ -69,8 +69,9 @@ section.key=value`` overrides keys already present in the file. Every
 output directory receives a ``resolved.cfg`` echoing the fully resolved
 configuration (master seed included), sufficient to reproduce the run.
 
-Exit codes: 0 success, 2 configuration/usage error, 3 runtime guard
-(nontermination or exhausted event budget).
+Exit codes: 0 success, 2 configuration/usage error or bad input (such as
+a malformed graph file or a disconnected partition piece), 3 runtime
+guard (nontermination or exhausted event budget).
 """
 
 from __future__ import annotations
@@ -83,6 +84,7 @@ import sys
 
 from . import analytics, dominators, engine, graphs, policies
 from .errors import (
+    ConnectivityError,
     InvalidFamilyError,
     InvalidParameterError,
     NonTerminationError,
@@ -504,6 +506,7 @@ def main(argv: list[str] | None = None) -> int:
         return _DISPATCH[args.subcommand](args)
     except (
         ConfigError,
+        ConnectivityError,
         InvalidParameterError,
         InvalidFamilyError,
         SizeLimitError,

@@ -1,9 +1,10 @@
 """Bounding processes that sandwich the real spreading dynamics.
 
 Upper side: the two-phase process (seed every partition piece by external
-contact only, then spread along each piece's BFS tree only), which is
-stochastically slower than the policies it models, and the per-piece
-birth chain driven by conductance. Lower side: one cluster-growth process
+contact only, then spread along each piece's BFS tree from
+``graphs.bfs_tree`` only), which is stochastically slower than the
+policies it models, and the per-piece birth chain driven by
+conductance. Lower side: one cluster-growth process
 in which new clusters arrive as a Poisson stream and grow without ever
 interfering, which is stochastically faster than any policy with the
 same budget. One arrival loop runs it, and one table of growths gives
@@ -22,12 +23,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import InvalidParameterError, positive
-from .graphs import Graph, Partition
+from .graphs import Graph, Partition, bfs_tree
 from .rng import CH_PROCESS, BufferedSampler, substream
 
 _PATH_POINTS = 4096  # count-path export cap per run
@@ -68,8 +68,10 @@ def two_phase_process(
     piece); in ``sequential`` mode pieces are seeded one after another at
     rate L each, the phase lasting the sum (seed node = lowest id, the
     greedy policy's tie-break). Phase 2 spreads intrinsically along each
-    piece's BFS tree from its seed, never across pieces, and ends when
-    the slowest piece fills.
+    piece's ``graphs.bfs_tree`` from its seed, one Exp(beta) per tree edge
+    drawn in discovery order, never across pieces, and ends when the
+    slowest piece fills; a piece its seed cannot reach whole raises
+    ConnectivityError.
     """
     if mode not in ("homogeneous", "sequential"):
         raise InvalidParameterError(f"unknown two-phase mode {mode!r}")
@@ -94,23 +96,11 @@ def two_phase_process(
             seeds.append(piece[0])
 
     t2 = 0.0
-    adj = g.adjacency
     for piece, root in zip(partition.pieces, seeds):
-        members = set(piece)
         arrival = {root: 0.0}
-        queue = deque([root])  # BFS order: tree edges form the shortest-path tree
-        piece_max = 0.0
-        while queue:
-            u = queue.popleft()
-            tu = arrival[u]
-            for v in adj[u]:
-                if v in members and v not in arrival:
-                    tv = tu + exp.draw() / beta
-                    arrival[v] = tv
-                    queue.append(v)
-                    if tv > piece_max:
-                        piece_max = tv
-        t2 = max(t2, piece_max)
+        for v, u in bfs_tree(g, piece, root).parent.items():  # discovery order
+            arrival[v] = arrival[u] + exp.draw() / beta
+        t2 = max(t2, max(arrival.values()))
     return TwoPhaseTrace(phase1=t1, phase2=t2, piece_seeds=tuple(seeds))
 
 

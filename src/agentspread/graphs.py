@@ -9,13 +9,18 @@ conductance (exact by subset enumeration on small graphs, closed-form on
 structured families).
 
 Grid node indexing is row-major over ``{1..side}^d`` with the last axis
-varying fastest; coordinates round-trip through ``node_id``/``coords``.
+varying fastest, the order of ``itertools.product``: grids, read-back grid
+files and sub-grid pieces all take it from there, and coordinates
+round-trip through ``grid_node_id``/``coords``. A BFS spanning tree lists
+its nodes in discovery order, the order in which the two-phase process
+spreads along it.
 Graphs are immutable after construction and safe to share across
 concurrent workers.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -162,28 +167,23 @@ def grid_node_id(coord: Sequence[int], side: int) -> int:
     return idx
 
 
-def gen_grid(n: int, d: int, strict: bool = False) -> Graph:
+def _grid_coords(side: int, d: int) -> tuple[tuple[int, ...], ...]:
+    """The lattice points of {1..side}^d in node-id order (row-major, last
+    axis fastest)."""
+    return tuple(itertools.product(range(1, side + 1), repeat=d))
+
+
+def gen_grid(n: int, d: int) -> Graph:
     """d-dimensional grid on {1..side}^d with the L1-distance-1 edges.
 
-    Lenient mode (default) floors the side when n is not a perfect d-th
-    power, so the realized node count is side**d; strict mode rejects
-    such n instead.
+    The side is floor(n^(1/d)), so when n is not a perfect d-th power the
+    realized node count is side**d < n.
     """
     if n < 1 or d < 1:
         raise InvalidParameterError("grid needs n >= 1 and d >= 1")
     side = _floor_root(n, d)
-    if side**d != n and strict:
-        raise InvalidParameterError(f"n={n} is not a perfect {d}-th power")
     m = side**d
-    coords = []
-    cur = [1] * d
-    for _ in range(m):
-        coords.append(tuple(cur))
-        for axis in range(d - 1, -1, -1):
-            if cur[axis] < side:
-                cur[axis] += 1
-                break
-            cur[axis] = 1
+    coords = _grid_coords(side, d)
     edges = []
     for idx, c in enumerate(coords):
         for axis in range(d):
@@ -194,7 +194,7 @@ def gen_grid(n: int, d: int, strict: bool = False) -> Graph:
         adjacency=_build_adjacency(m, edges),
         family="grid",
         dim=d,
-        coords=tuple(coords),
+        coords=coords,
     )
 
 
@@ -298,7 +298,13 @@ def bfs_distances(g: Graph, root: int, members: Iterable[int] | None = None) -> 
 
 
 def bfs_tree(g: Graph, piece: Iterable[int], root: int) -> SpanningTree:
-    """Shortest-path spanning tree of a connected piece, rooted at root."""
+    """Shortest-path spanning tree of a connected piece, rooted at root.
+
+    ``parent`` holds the non-root nodes in BFS discovery order (neighbours
+    of each dequeued node in ascending id), so a walk over
+    ``parent.items()`` meets every node after its parent. A piece that
+    root cannot reach whole raises ConnectivityError.
+    """
     members = set(piece)
     if root not in members:
         raise InvalidParameterError(f"root {root} not in piece")
@@ -347,95 +353,54 @@ def diameter(g: Graph, piece: Iterable[int] | None = None) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _segment_partition(g: Graph, s: int) -> Partition:
-    # Consecutive blocks of s nodes; the last block absorbs any remainder,
-    # staying below twice the nominal size.
-    n = g.n
-    count = max(1, n // s)
-    pieces = []
-    for i in range(count):
-        lo = i * s
-        hi = (i + 1) * s if i < count - 1 else n
-        pieces.append(tuple(range(lo, hi)))
-    sizes = tuple(len(p) for p in pieces)
-    if count == 1:
-        diam = n // 2 if g.family == "ring" else n - 1
-        diams: tuple[int, ...] = (diam,)
-    else:
-        diams = tuple(sz - 1 for sz in sizes)
-    return Partition(pieces=tuple(pieces), piece_sizes=sizes, piece_diameters=diams)
-
-
-def partition_ring(g: Graph, strict: bool = False) -> Partition:
+def partition_ring(g: Graph) -> Partition:
     """Split a ring/line into ~sqrt(n) consecutive segments of ~sqrt(n) nodes.
 
-    Lenient mode floors sqrt(n) and lets the last segment absorb the
-    remainder; strict mode requires sqrt(n) to be an integer.
+    The segment length is floor(sqrt(n)); the last segment absorbs the
+    remainder, staying below twice that length.
     """
     if g.family not in ("ring", "line"):
         raise InvalidFamilyError(f"segment partition needs ring/line, got {g.family}")
-    s = _floor_root(g.n, 2)
-    if strict and s * s != g.n:
-        raise InvalidParameterError(f"n={g.n} is not a perfect square")
-    return _segment_partition(g, s)
+    n = g.n
+    s = _floor_root(n, 2)
+    count = max(1, n // s)
+    pieces = tuple(
+        tuple(range(i * s, (i + 1) * s if i < count - 1 else n)) for i in range(count)
+    )
+    sizes = tuple(len(p) for p in pieces)
+    if count == 1:
+        diams: tuple[int, ...] = (n // 2 if g.family == "ring" else n - 1,)
+    else:
+        diams = tuple(sz - 1 for sz in sizes)
+    return Partition(pieces=pieces, piece_sizes=sizes, piece_diameters=diams)
 
 
-def partition_grid(g: Graph, l_min: float = 1.0, strict: bool = False) -> Partition:
+def partition_grid(g: Graph, l_min: float = 1.0) -> Partition:
     """Tile a d-grid into contiguous sub-grids of side ~ (n/l_min)^(1/(d+1)).
 
-    Each piece is an axis-aligned box; in lenient mode the trailing block
-    on each axis absorbs the remainder (size below twice nominal).
+    Each piece is an axis-aligned box, listed in ascending node ids; the
+    trailing block on each axis absorbs the remainder (below twice the
+    nominal side). Boxes come in row-major block order.
     """
     if g.family != "grid":
         raise InvalidFamilyError(f"sub-grid partition needs grid, got {g.family}")
     positive("l_min", l_min)
     d = g.dim
     assert d is not None
-    n = g.n
-    side = _floor_root(n, d)
-    target = (n / l_min) ** (1.0 / (d + 1))
-    b = max(1, min(side, int(target + 1e-9)))
-    if strict:
-        if abs(target - round(target)) > 1e-9 or side % int(round(target)) != 0:
-            raise InvalidParameterError(
-                f"sub-grid side {target} is not an exact divisor of {side}"
-            )
-        b = int(round(target))
+    side = _floor_root(g.n, d)
+    b = max(1, min(side, int((g.n / l_min) ** (1.0 / (d + 1)) + 1e-9)))
     k = side // b
-    # Axis cut points; block i covers [cuts[i], cuts[i+1]) in 1-based coords.
-    cuts = [i * b + 1 for i in range(k)] + [side + 1]
-    blocks = [range(cuts[i], cuts[i + 1]) for i in range(k)]
-
+    # Block i of an axis covers 1-based coordinates [i*b + 1, (i+1)*b + 1).
+    blocks = [range(i * b + 1, (i + 1) * b + 1 if i < k - 1 else side + 1) for i in range(k)]
     pieces = []
-    sizes = []
     diams = []
-    idx = [0] * d
-    while True:
-        axis_ranges = [blocks[idx[a]] for a in range(d)]
-        nodes = []
-        cur = [block.start for block in axis_ranges]
-        total = 1
-        for block in axis_ranges:
-            total *= len(block)
-        for _ in range(total):
-            nodes.append(grid_node_id(cur, side))
-            for a in range(d - 1, -1, -1):
-                if cur[a] + 1 < axis_ranges[a].stop:
-                    cur[a] += 1
-                    break
-                cur[a] = axis_ranges[a].start
-        pieces.append(tuple(sorted(nodes)))
-        sizes.append(total)
-        diams.append(sum(len(block) - 1 for block in axis_ranges))
-        for a in range(d - 1, -1, -1):
-            if idx[a] + 1 < k:
-                idx[a] += 1
-                break
-            idx[a] = 0
-        else:
-            break
+    for box in itertools.product(blocks, repeat=d):
+        pieces.append(tuple(grid_node_id(c, side) for c in itertools.product(*box)))
+        diams.append(sum(len(r) - 1 for r in box))
     return Partition(
-        pieces=tuple(pieces), piece_sizes=tuple(sizes), piece_diameters=tuple(diams)
+        pieces=tuple(pieces),
+        piece_sizes=tuple(len(p) for p in pieces),
+        piece_diameters=tuple(diams),
     )
 
 
@@ -609,30 +574,40 @@ def write_graph(g: Graph, path: str) -> None:
 
 
 def read_graph(path: str) -> Graph:
+    """Read a graph in the format of ``write_graph``. A malformed file
+    raises InvalidParameterError naming the path and the line."""
+    edges = []
+    coords: dict[int, tuple[float, float]] = {}
     with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) < 2:
-            raise InvalidParameterError(f"malformed graph header in {path}")
-        n = int(header[0])
-        family = header[1]
-        dim = int(header[2]) if family == "grid" else None
-        radius = float(header[2]) if family == "rgg" else None
-        edges = []
-        coords: dict[int, tuple[float, float]] = {}
-        for line in fh:
-            parts = line.split()
-            if not parts:
-                continue
-            if parts[0] == "coord":
-                coords[int(parts[1])] = (float(parts[2]), float(parts[3]))
-            else:
-                edges.append((int(parts[0]), int(parts[1])))
+        lineno, line = 1, fh.readline()
+        try:
+            header = line.split()
+            n, family = int(header[0]), header[1]
+            dim = int(header[2]) if family == "grid" else None
+            radius = float(header[2]) if family == "rgg" else None
+            for lineno, line in enumerate(fh, 2):
+                parts = line.split()
+                if not parts:
+                    continue
+                if parts[0] == "coord":
+                    coords[int(parts[1])] = (float(parts[2]), float(parts[3]))
+                else:
+                    edges.append((int(parts[0]), int(parts[1])))
+        except (ValueError, IndexError):
+            raise InvalidParameterError(
+                f"{path}, line {lineno}: malformed graph line {line.strip()!r}"
+            ) from None
     coord_tuple = None
-    if coords:
-        coord_tuple = tuple(coords[i] for i in range(n))
+    if coords or family == "rgg":
+        try:
+            coord_tuple = tuple(coords[v] for v in range(n))
+        except KeyError as e:
+            raise InvalidParameterError(f"{path}: no coord line for node {e.args[0]}") from None
     elif family == "grid":
         # Lattice coordinates are implied by the row-major indexing.
-        coord_tuple = gen_grid(n, dim or 1).coords
+        if dim < 1 or _floor_root(n, dim) ** dim != n:
+            raise InvalidParameterError(f"{path}: {n} nodes do not fill a {dim}-d grid")
+        coord_tuple = _grid_coords(_floor_root(n, dim), dim)
     return Graph(
         n=n,
         adjacency=_build_adjacency(n, edges),

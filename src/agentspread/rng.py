@@ -59,33 +59,35 @@ def reseed(gen: np.random.Generator, seed: int, index: int) -> np.random.Generat
     return gen
 
 
+# First block of every BufferedSampler. Pinned: samplers sharing a
+# Generator interleave their fills, so changing it changes their values.
+_FIRST_BLOCK = 64
+_MAX_BLOCK = 4096
+
+
 class BufferedSampler:
     """Buffered draws from one numpy fill method, such as
     ``rng.standard_exponential`` (scale by ``1/rate`` at the call site) or
     ``rng.random`` for uniform(0,1).
 
-    Values come off the stream in blocks of ``block`` doubling to 4096, so
-    short runs stay cheap. Samplers sharing one Generator, as the engine
-    and the bounding processes build them, take turns on it block by
-    block, so their values depend on the block sizes (a lone sampler's do
-    not): the first block is pinned at 64, as changing it changes them all.
+    Values come off the stream in blocks of 64 doubling to 4096, so short
+    runs stay cheap. Samplers sharing one Generator, as the engine and the
+    bounding processes build them, take turns on it block by block, so
+    their values depend on the block sizes (a lone sampler's do not).
     """
 
-    __slots__ = ("_fill", "_block", "_buf", "_i")
+    __slots__ = ("_fill", "_buf", "_i")
 
-    def __init__(self, fill, block: int = 64):
+    def __init__(self, fill):
         self._fill = fill
-        self._block = block
-        self._buf = fill(block).tolist()
+        self._buf = fill(_FIRST_BLOCK).tolist()
         self._i = 0
 
     def draw(self) -> float:
         i = self._i
         buf = self._buf
         if i == len(buf):
-            if len(buf) < 4096:
-                self._block = len(buf) * 2
-            self._buf = buf = self._fill(self._block).tolist()
+            self._buf = buf = self._fill(min(2 * len(buf), _MAX_BLOCK)).tolist()
             i = 0
         self._i = i + 1
         return buf[i]

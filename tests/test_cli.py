@@ -230,6 +230,34 @@ def test_dominate_unknown_mode_exits_2(tmp_path):
     assert main(argv + ["--set", "dominate.mode=parallel"]) == 2
 
 
+def test_dominate_disconnected_piece_exits_2(tmp_path, capsys):
+    # Ring segment {0, 1, 2} is disconnected: node 2 hangs off node 3.
+    edges = "0 1\n1 3\n3 2\n3 4\n4 5\n5 6\n6 7\n7 8\n"
+    path = _write(tmp_path / "g.txt", "9 ring\n" + edges)
+    cfg = _write(
+        tmp_path / "d.cfg",
+        f"[graph]\nfamily = file\npath = {path}\n\n[policy]\nL = 1.0\n\n"
+        "[dominate]\nmode = homogeneous\nreplicates = 50\n",
+    )
+    assert main(["dominate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "disconnected" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["four ring\n0 1\n", "3 ring\n0 1\n2\n", "2 rgg 0.5\n0 1\ncoord 0 0.1 0.2\n"],
+    ids=["header-n", "one-token-edge", "missing-coord"],
+)
+def test_simulate_malformed_graph_file_exit_2(tmp_path, capsys, text):
+    path = _write(tmp_path / "g.txt", text)
+    cfg = _write(
+        tmp_path / "s.cfg",
+        f"[graph]\nfamily = file\npath = {path}\n\n[policy]\nkind = null\n",
+    )
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert path in capsys.readouterr().err
+
+
 def test_conductance_direct(tmp_path, capsys):
     out = tmp_path / "o"
     code = main(["conductance", "--family", "ring", "--n", "8", "--out", str(out)])

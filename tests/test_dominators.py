@@ -1,5 +1,6 @@
 """Two-phase process, conductance chain, and cluster-growth processes."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -23,7 +24,7 @@ from agentspread.dominators import (
     two_phase_batch,
     two_phase_process,
 )
-from agentspread.errors import InvalidParameterError
+from agentspread.errors import ConnectivityError, InvalidParameterError
 
 
 # ---------------------------------------------------------------------------
@@ -64,6 +65,50 @@ def test_two_phase_rejects_unknown_mode():
     part = graphs.partition_ring(g)
     with pytest.raises(InvalidParameterError):
         two_phase_process(g, part, 1.0, "parallel", seed=1)
+
+
+# (graph, mode) -> (phase1, phase2, piece_seeds) at L = 1.3, beta = 0.7,
+# seed 8, replicate 2 on the canonical partition, recorded from the
+# two-phase process's own BFS that graphs.bfs_tree replaced.
+PINNED_TWO_PHASE = [
+    ("ring", "homogeneous", (8.578535063296915, 11.716560848841665, (5, 13, 18, 25, 33, 41, 47))),
+    ("ring", "sequential", (4.7015791283001604, 15.627090030116829, (0, 7, 14, 21, 28, 35, 42))),
+    ("grid", "homogeneous", (5.483958605948884, 20.87404634270456, (30, 37, 80, 77))),
+    ("grid", "sequential", (2.978347788580655, 15.621953451353814, (0, 4, 40, 44))),
+    (
+        "rgg",
+        "homogeneous",
+        (17.443459148699226, 12.322643672907088, (571, 667, 497, 419, 563, 728, 634, 580, 274)),
+    ),
+    ("rgg", "sequential", (6.3025043392062665, 12.322643672907088, (21, 2, 7, 6, 1, 4, 3, 0, 11))),
+]
+TWO_PHASE_GRAPHS = {
+    "ring": lambda: graphs.gen_ring(49),
+    "grid": lambda: graphs.gen_grid(100, 2),
+    "rgg": lambda: graphs.gen_rgg(729, 0.28, seed=11),
+}
+
+
+@pytest.mark.parametrize("family,mode,want", PINNED_TWO_PHASE)
+def test_two_phase_stream_pinned(family, mode, want):
+    g = TWO_PHASE_GRAPHS[family]()
+    part = graphs.canonical_partition(g)
+    tr = two_phase_process(g, part, 1.3, mode, seed=8, replicate=2, beta=0.7)
+    assert (tr.phase1, tr.phase2, tr.piece_seeds) == want
+
+
+# A 9-node ring read from a file whose first segment {0, 1, 2} is
+# disconnected: node 2 hangs off node 3.
+BROKEN_RING_EDGES = [(0, 1), (1, 3), (3, 2), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8)]
+
+
+def test_two_phase_rejects_disconnected_piece():
+    g = dataclasses.replace(graphs.gen_custom(9, BROKEN_RING_EDGES), family="ring")
+    part = graphs.partition_ring(g)
+    assert part.pieces[0] == (0, 1, 2)
+    with pytest.raises(ConnectivityError) as err:
+        two_phase_process(g, part, 1.0, "sequential", seed=1)
+    assert err.value.unreachable == 2
 
 
 @pytest.mark.parametrize("beta", [0.0, -1.0])

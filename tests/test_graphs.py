@@ -68,11 +68,6 @@ def test_grid_degree_bounds():
     assert min(degs) >= 2 and max(degs) <= 4
 
 
-def test_grid_strict_rejects_non_power():
-    with pytest.raises(InvalidParameterError):
-        graphs.gen_grid(10, 2, strict=True)
-
-
 def test_grid_lenient_floors_side():
     g = graphs.gen_grid(10, 2)
     assert g.n == 9
@@ -170,11 +165,6 @@ def test_partition_ring_ragged_tail():
     graphs.validate_partition(g, p)
 
 
-def test_partition_ring_strict():
-    with pytest.raises(InvalidParameterError):
-        graphs.partition_ring(graphs.gen_ring(19), strict=True)
-
-
 def test_partition_ring_wrong_family():
     with pytest.raises(InvalidFamilyError):
         graphs.partition_ring(graphs.gen_grid(9, 2))
@@ -206,6 +196,27 @@ def test_partition_grid_validates():
     g = graphs.gen_grid(81, 2)
     p = graphs.partition_grid(g, l_min=1.0)
     graphs.validate_partition(g, p)
+
+
+@pytest.mark.parametrize("l_min", [1, 3, 8])
+@pytest.mark.parametrize("n,d", [(n, d) for d in (1, 2, 3) for n in (30, 100, 1000)])
+def test_partition_grid_matches_box_membership(n, d, l_min):
+    # Independent reference from the coordinates: the block of a node on
+    # each axis is (x - 1) // b, the trailing block taking the remainder;
+    # boxes in row-major block order, nodes ascending inside a box.
+    g = graphs.gen_grid(n, d)
+    side = round(g.n ** (1 / d))
+    b = max(1, min(side, math.floor((g.n / l_min) ** (1 / (d + 1)) + 1e-9)))
+    k = side // b
+    boxes = {}
+    for v, c in enumerate(g.coords):
+        boxes.setdefault(tuple(min((x - 1) // b, k - 1) for x in c), []).append(v)
+    want = [tuple(boxes[key]) for key in sorted(boxes)]
+    p = graphs.partition_grid(g, l_min=l_min)
+    assert p.pieces == tuple(want)
+    assert p.piece_sizes == tuple(len(piece) for piece in want)
+    extents = [[{g.coords[v][a] for v in piece} for a in range(d)] for piece in want]
+    assert p.piece_diameters == tuple(sum(max(xs) - min(xs) for xs in e) for e in extents)
 
 
 def test_partition_grid_wrong_family():
@@ -362,13 +373,14 @@ def test_graph_file_round_trip_ring(tmp_path):
     assert h.adjacency == g.adjacency
 
 
-def test_graph_file_round_trip_grid(tmp_path):
-    g = graphs.gen_grid(16, 2)
+@pytest.mark.parametrize("d,n", [(1, 16), (2, 16), (3, 27)])
+def test_graph_file_round_trip_grid(tmp_path, d, n):
+    g = graphs.gen_grid(n, d)
     path = str(tmp_path / "grid.txt")
     graphs.write_graph(g, path)
     h = graphs.read_graph(path)
     assert h.adjacency == g.adjacency
-    assert h.dim == 2
+    assert h.dim == d
     assert h.coords == g.coords
 
 
@@ -380,3 +392,20 @@ def test_graph_file_round_trip_rgg_exact(tmp_path):
     assert h.adjacency == g.adjacency
     assert h.radius == g.radius
     assert h.coords == g.coords  # 17 significant digits round-trip exactly
+
+
+MALFORMED_GRAPH_FILES = {
+    "header-n": ("four ring\n0 1\n", "line 1"),
+    "one-token-edge": ("3 ring\n0 1\n2\n", "line 3"),
+    "missing-coord": ("2 rgg 0.5\n0 1\ncoord 0 0.1 0.2\n", "node 1"),
+    "grid-not-filled": ("10 grid 2\n0 1\n", "10 nodes"),
+}
+
+
+@pytest.mark.parametrize("text,where", MALFORMED_GRAPH_FILES.values(), ids=MALFORMED_GRAPH_FILES)
+def test_read_graph_rejects_malformed_file(tmp_path, text, where):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(InvalidParameterError, match=where) as err:
+        graphs.read_graph(str(path))
+    assert str(path) in str(err.value)
