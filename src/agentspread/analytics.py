@@ -40,10 +40,13 @@ from .dominators import (
 from .engine import EngineConfig, finish_times, simulate_batch
 from .errors import InvalidParameterError
 from .graphs import Graph, Partition, canonical_partition, make_graph
-from .policies import PolicySpec, build_policy
+from .policies import Policy, PolicySpec, build_policy
 from .rng import CH_BOOTSTRAP, CH_DERIVE, stream, substream
 
 DECILES = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
+
+# Bootstrap resamples behind each dominance verdict.
+_N_BOOT = 2000
 
 # Purpose tags mixed into per-size derived seeds.
 _P_ENGINE = 0
@@ -213,9 +216,11 @@ def _resolve_cluster_cfg(plan: ExperimentPlan, n: int) -> ClusterProcessConfig:
     )
 
 
-def _engine_times(plan: ExperimentPlan, n: int, g: Graph) -> tuple[int, list[float], int]:
-    """Engine replicates on the graph built for requested size n."""
-    handle = build_policy(plan.policy, g)
+def _engine_times(
+    plan: ExperimentPlan, n: int, g: Graph, handle: Policy
+) -> tuple[int, list[float], int]:
+    """Engine replicates of a policy handle on the graph built for
+    requested size n."""
     cfg = EngineConfig(
         beta=plan.beta,
         initial_infected=plan.initial_infected,
@@ -229,7 +234,8 @@ def _sample_times(plan: ExperimentPlan, n: int) -> tuple[int, list[float], int]:
     """Realized size, finish-time sample and the event count spent
     producing it (a grid realizes side**d <= n nodes)."""
     if plan.process == "simulate":
-        return _engine_times(plan, n, build_graph(plan, n))
+        g = build_graph(plan, n)
+        return _engine_times(plan, n, g, build_policy(plan.policy, g))
     cfg = _resolve_cluster_cfg(plan, n)
     events = 0
     times = []
@@ -330,8 +336,9 @@ def concentration_probe(plan: ExperimentPlan, kappa: float) -> ConcentrationTabl
     """Fraction of runs with T >= kappa * h(n) * ln n for each size.
 
     h(n) comes from the family's canonical partition: the larger of the
-    piece count over the budget and the worst piece diameter. A gsi
-    policy without a partition of its own runs on that same partition.
+    piece count over the policy's ``l_min`` (1 when that is 0) and the
+    worst piece diameter. A gsi policy without a partition of its own
+    runs on that same partition.
     """
     if plan.process != "simulate":
         raise InvalidParameterError("concentration probe needs an engine sweep")
@@ -341,11 +348,11 @@ def concentration_probe(plan: ExperimentPlan, kappa: float) -> ConcentrationTabl
     for n in plan.sizes:
         g = build_graph(plan, n)
         part = canonical_partition(g, max(spec.L, 1e-12))
-        l_min = spec.L if spec.kind in ("random_homogeneous", "gsi") else 1.0
-        h = max(part.g / l_min, max(part.piece_diameters))
-        threshold = kappa * h * math.log(n)
         policy = spec if spec.partition is not None else replace(spec, partition=part)
-        _, times, _ = _engine_times(replace(plan, policy=policy), n, g)
+        handle = build_policy(policy, g)
+        h = max(part.g / (handle.l_min or 1.0), max(part.piece_diameters))
+        threshold = kappa * h * math.log(n)
+        _, times, _ = _engine_times(plan, n, g, handle)
         arr = np.asarray(times)
         frac = float((arr >= threshold).mean()) if arr.size else 1.0
         rows.append(ConcentrationRow(n=n, threshold=threshold, exceed_fraction=frac))
@@ -380,14 +387,12 @@ class DominanceVerdict:
         return "violation-at-deciles[" + ",".join(map(str, self.violations)) + "]"
 
 
-def dominance_report(
-    sample_a, sample_b, *, n_boot: int = 2000, seed: int = 0
-) -> DominanceVerdict:
+def dominance_report(sample_a, sample_b, *, seed: int = 0) -> DominanceVerdict:
     """One-sided bootstrap check that sample_a <=_st sample_b by deciles.
 
     Decile q is a violation when even the 95th percentile of the
-    bootstrap distribution of decile_b - decile_a is negative (ties and
-    noise-level crossings are allowed).
+    ``_N_BOOT``-resample bootstrap distribution of decile_b - decile_a is
+    negative (ties and noise-level crossings are allowed).
     """
     a = np.asarray(list(sample_a), dtype=float)
     b = np.asarray(list(sample_b), dtype=float)
@@ -398,8 +403,8 @@ def dominance_report(
     qa = np.quantile(a, DECILES, method="linear")
     qb = np.quantile(b, DECILES, method="linear")
     rng = substream(seed, 0, CH_BOOTSTRAP)
-    boot = np.empty((n_boot, len(DECILES)))
-    for i in range(n_boot):
+    boot = np.empty((_N_BOOT, len(DECILES)))
+    for i in range(_N_BOOT):
         ra = a[rng.integers(0, a.size, size=a.size)]
         rb = b[rng.integers(0, b.size, size=b.size)]
         boot[i] = np.quantile(rb, DECILES, method="linear") - np.quantile(

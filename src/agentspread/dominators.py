@@ -447,13 +447,12 @@ def shape_estimate(
     dim: int = 2,
     beta: float = 1.0,
     mu_eff: float = 1.0,
-    envelope_rate: float | None = None,
 ) -> ShapeEstimate:
     """Grow single clusters (no seeding) and track the max L-inf radius.
 
     ``fitted_rate`` is the through-origin slope of mean radius vs time;
-    the exceedance counts compare per-run radii against envelope_rate*t
-    (default: 1.25x the fitted rate).
+    the exceedance counts compare per-run radii against envelope_rate*t,
+    where ``envelope_rate`` is 1.25x the fitted rate.
     """
     if not times or any(t <= 0 for t in times):
         raise InvalidParameterError("times must be positive")
@@ -495,7 +494,7 @@ def shape_estimate(
     num = math.fsum(r * t for r, t in zip(mean_radius, times))
     den = math.fsum(t * t for t in times)
     fitted = num / den
-    env = envelope_rate if envelope_rate is not None else 1.25 * fitted
+    env = 1.25 * fitted
     exceed = [
         sum(1 for k in range(replicates) if radii[k][i] > env * times[i])
         for i in range(len(times))

@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from heapq import heapify, heappop, heappush
 
 from .engine import InfectionState
 from .errors import InvalidParameterError, positive
@@ -121,7 +120,8 @@ class RandomHomogeneous(Policy):
 class _TargetedBudget(Policy):
     """Shared rate logic for policies that put the whole budget L on the
     one healthy node a subclass's ``_target(state)`` returns, until every
-    node is infected."""
+    node is infected. ``_target`` is reached only while a healthy node is
+    left, so it needs no empty case."""
 
     def __init__(self, L: float):
         self.L = positive("L", L)
@@ -146,8 +146,11 @@ class GsiPolicy(_TargetedBudget):
     """Greedy subgraph infection: the whole budget sits on one healthy node
     of a piece with the fewest infected nodes.
 
-    Ties go to the lowest piece index, and inside a piece to the
-    lowest-id healthy node; pieces without healthy nodes are skipped.
+    The target piece is ``counts.index(min(counts))`` over the per-piece
+    infection counts, so ties go to the lowest piece index; a full piece
+    has its count parked at the sentinel n + 1, so it is never chosen
+    while a healthy node is left. Inside a piece the target is the
+    lowest-id healthy node, found by a pointer that only moves forward.
     """
 
     kind = "gsi"
@@ -161,36 +164,25 @@ class GsiPolicy(_TargetedBudget):
     def reset(self, graph, state, replicate):
         if graph.n != self._n:
             raise InvalidParameterError("partition does not match the graph")
-        g = self.partition.g
-        self._counts = [0] * g
-        self._healthy = list(self.partition.piece_sizes)
-        self._ptr = [0] * g
-        self._heap = [(0, i) for i in range(g)]
-        heapify(self._heap)
+        self._counts = [0] * self.partition.g
+        self._ptr = [0] * self.partition.g
 
     def _target(self, state) -> int:
-        heap = self._heap
         counts = self._counts
-        while heap:
-            cnt, piece = heap[0]
-            if self._healthy[piece] == 0 or cnt != counts[piece]:
-                heappop(heap)
-                continue
-            nodes = self.partition.pieces[piece]
-            ptr = self._ptr[piece]
-            infected = state.infected
-            while infected[nodes[ptr]]:
-                ptr += 1
-            self._ptr[piece] = ptr
-            return nodes[ptr]
-        return -1
+        piece = counts.index(min(counts))
+        nodes = self.partition.pieces[piece]
+        ptr = self._ptr[piece]
+        infected = state.infected
+        while infected[nodes[ptr]]:
+            ptr += 1
+        self._ptr[piece] = ptr
+        return nodes[ptr]
 
     def on_infect(self, node, state):
         piece = self._piece_of[node]
         self._counts[piece] += 1
-        self._healthy[piece] -= 1
-        if self._healthy[piece] > 0:
-            heappush(self._heap, (self._counts[piece], piece))
+        if self._counts[piece] == self.partition.piece_sizes[piece]:
+            self._counts[piece] = self._n + 1
 
 
 class _LinkRates(Policy):
@@ -365,37 +357,23 @@ class GreedyFrontierAdversary(_TargetedBudget):
     maximum hop distance from the infected set.
 
     Distances to the infected set only shrink, so they are maintained by
-    decremental BFS relaxation from each newly infected node, and the
-    current farthest healthy node comes from a lazily filtered max-heap
-    (ties to the lowest node id).
+    decremental BFS relaxation from each newly infected node. The target
+    is ``dist.index(max(dist))``: infected nodes sit at distance 0 and
+    nodes no wave has reached (other components) at the sentinel n + 1,
+    so it is the lowest-id healthy node at the largest distance.
     """
 
     kind = "greedy_frontier_adversary"
 
     def reset(self, graph, state, replicate):
         self._adj = graph.adjacency
-        n = graph.n
-        self._dist = [n + 1] * n
-        # every node starts at the unreachable sentinel distance, so nodes
-        # no relaxation wave ever reaches (other components) stay the
-        # farthest targets
-        self._heap = [(-(n + 1), v) for v in range(n)]
+        self._dist = [graph.n + 1] * graph.n
 
     def _target(self, state) -> int:
-        heap = self._heap
-        dist = self._dist
-        infected = state.infected
-        while heap:
-            nd, v = heap[0]
-            if infected[v] or dist[v] != -nd:
-                heappop(heap)
-                continue
-            return v
-        return -1
+        return self._dist.index(max(self._dist))
 
     def on_infect(self, node, state):
         dist = self._dist
-        heap = self._heap
         adj = self._adj
         dist[node] = 0
         wave = deque([node])
@@ -405,7 +383,6 @@ class GreedyFrontierAdversary(_TargetedBudget):
             for w in adj[u]:
                 if du < dist[w]:
                     dist[w] = du
-                    heappush(heap, (-du, w))
                     wave.append(w)
 
 

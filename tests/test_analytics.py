@@ -277,6 +277,20 @@ def test_concentration_gsi_builds_each_partition_once(monkeypatch):
     assert built == [16, 25, 36]
 
 
+def test_concentration_threshold_uses_policy_l_min():
+    # The adversary's budget L = 2 sets h(n) = max(g / 2, diameter), as
+    # it does for the partition the probe builds at that budget.
+    plan = ExperimentPlan(
+        sizes=(16, 25, 36),
+        family="ring",
+        policy=PolicySpec(kind="greedy_frontier_adversary", L=2.0),
+        replicates=5,
+        seed=9,
+    )
+    tab = concentration_probe(plan, 1.0)
+    assert [r.threshold for r in tab.rows] == pytest.approx([8.32, 12.88, 17.92], abs=5e-3)
+
+
 # ---------------------------------------------------------------------------
 # Dominance verdicts
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import random
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -82,21 +84,37 @@ def _unit_sampler():
     return S()
 
 
-def test_gsi_support_set_property_replay():
-    # Recomputable from the trace: every external event lands on a piece
-    # minimizing the infected count among pieces with healthy nodes left.
-    g = graphs.gen_ring(64)
-    part = graphs.partition_ring(g)
-    trace = engine.simulate(g, policies.GsiPolicy(part, 1.0), EngineConfig(seed=13))
+# family -> (graph, beta); the critical-radius RGG spreads in a few hops,
+# so it runs at a low beta to see external events at all.
+GSI_REPLAY_GRAPHS = {
+    "ring": (lambda: graphs.gen_ring(64), 1.0),
+    "grid": (lambda: graphs.gen_grid(100, 2), 1.0),
+    "rgg": (lambda: graphs.make_graph("rgg", 256, seed=11), 0.05),
+}
+
+
+@pytest.mark.parametrize("family", sorted(GSI_REPLAY_GRAPHS))
+def test_gsi_support_set_property_replay(family):
+    # Recomputable from the trace: every external event lands on the
+    # lowest-id healthy node of the lowest-index piece among those with
+    # the fewest infections and a healthy node left.
+    make, beta = GSI_REPLAY_GRAPHS[family]
+    g = make()
+    part = graphs.canonical_partition(g)
+    trace = engine.simulate(g, policies.GsiPolicy(part, 1.0), EngineConfig(seed=13, beta=beta))
     piece_of = part.piece_of(g.n)
     counts = [0] * part.g
-    healthy = list(part.piece_sizes)
+    infected = set()
+    externals = 0
     for _, node, cause in trace.events:
         if cause == "external":
-            eligible = [counts[i] for i in range(part.g) if healthy[i] > 0]
-            assert counts[piece_of[node]] == min(eligible)
+            open_pieces = [i for i, p in enumerate(part.pieces) if set(p) - infected]
+            piece = min(open_pieces, key=lambda i: (counts[i], i))
+            assert node == min(set(part.pieces[piece]) - infected)
+            externals += 1
         counts[piece_of[node]] += 1
-        healthy[piece_of[node]] -= 1
+        infected.add(node)
+    assert externals > 0
     assert trace.finish_time is not None
 
 
@@ -257,18 +275,119 @@ def test_adversary_reaches_disconnected_components():
     assert trace.finish_time is not None
 
 
-def test_adversary_max_distance_replay():
-    g = graphs.gen_ring(24)
+ADVERSARY_GRAPHS = {
+    "ring": lambda: graphs.gen_ring(24),
+    "grid": lambda: graphs.gen_grid(49, 2),
+    "rgg": lambda: graphs.gen_rgg(120, 0.12, seed=3),
+    "split": lambda: graphs.gen_custom(6, [(0, 1), (1, 2), (3, 4), (4, 5)]),
+}
+
+
+@pytest.mark.parametrize("family", sorted(ADVERSARY_GRAPHS))
+def test_adversary_max_distance_replay(family):
+    # Every external event lands on the lowest-id healthy node at the
+    # largest distance from the infected set; unreached nodes count as
+    # farther than any reached one.
+    g = ADVERSARY_GRAPHS[family]()
     p = policies.GreedyFrontierAdversary(1.0)
     trace = engine.simulate(g, p, EngineConfig(seed=19))
     infected = set()
+    externals = 0
     for _, node, cause in trace.events:
         if cause == "external":
             dist = _multi_source_distances(g, infected)
-            healthy_max = max(d for v, d in dist.items() if v not in infected)
-            assert dist[node] == healthy_max
+            healthy = [v for v in range(g.n) if v not in infected]
+            assert node == max(healthy, key=lambda v: (dist.get(v, g.n + 1), -v))
+            externals += 1
         infected.add(node)
+    assert externals > 0
     assert trace.finish_time is not None
+
+
+def _split_graph():
+    """Two paths, an edge and an isolated node, cut into connected pieces."""
+    edges = [(i, i + 1) for i in range(11)] + [(i, i + 1) for i in range(12, 20)] + [(21, 22)]
+    g = graphs.gen_custom(24, edges)
+    cuts = (0, 4, 8, 12, 15, 18, 21, 23, 24)
+    pieces = tuple(tuple(range(a, b)) for a, b in zip(cuts, cuts[1:]))
+    diams = tuple(graphs.diameter(g, p) for p in pieces)
+    return g, graphs.Partition(pieces, tuple(map(len, pieces)), diams)
+
+
+TARGETED_GRAPHS = {
+    "ring": lambda: (graphs.gen_ring(256), None),
+    "grid": lambda: (graphs.gen_grid(1024, 2), None),
+    "split": _split_graph,
+}
+
+# (graph, kind) -> {(L, seed): (finish_time, external events)}, recorded
+# from the lazily filtered heaps the two targeted policies kept before
+# they read their target off a list.
+PINNED_TARGETED = {
+    ("ring", "gsi"): {
+        (0.5, 3): (28.861518830960886, 17),
+        (0.5, 4): (25.00560948280055, 23),
+        (1.0, 3): (18.444023681733725, 21),
+        (1.0, 4): (24.42675514629707, 24),
+        (4.0, 3): (11.437882589757194, 48),
+        (4.0, 4): (10.669735282951288, 39),
+    },
+    ("ring", "greedy_frontier_adversary"): {
+        (0.5, 3): (19.730027691835758, 12),
+        (0.5, 4): (19.112365230871873, 13),
+        (1.0, 3): (16.556705274585816, 15),
+        (1.0, 4): (16.482100447522427, 21),
+        (4.0, 3): (9.858942044505074, 33),
+        (4.0, 4): (9.000442078709597, 33),
+    },
+    ("grid", "gsi"): {
+        (0.5, 3): (19.365817599109718, 7),
+        (0.5, 4): (19.099293594439544, 10),
+        (1.0, 3): (16.93435515920226, 15),
+        (1.0, 4): (15.754320370979489, 14),
+        (4.0, 3): (11.09377037702983, 36),
+        (4.0, 4): (13.268044184267636, 37),
+    },
+    ("grid", "greedy_frontier_adversary"): {
+        (0.5, 3): (12.088860740333836, 5),
+        (0.5, 4): (11.151272334165718, 5),
+        (1.0, 3): (11.331043454679564, 8),
+        (1.0, 4): (10.574142313510455, 9),
+        (4.0, 3): (6.51789371590786, 24),
+        (4.0, 4): (6.260914907215457, 28),
+    },
+    ("split", "gsi"): {
+        (0.5, 3): (7.899482971435656, 7),
+        (0.5, 4): (11.16509518591533, 7),
+        (1.0, 3): (6.684815519577978, 5),
+        (1.0, 4): (4.798283885994024, 8),
+        (4.0, 3): (2.067336871759981, 11),
+        (4.0, 4): (2.708327372803217, 10),
+    },
+    ("split", "greedy_frontier_adversary"): {
+        (0.5, 3): (7.183434551042656, 5),
+        (0.5, 4): (7.777631297781368, 5),
+        (1.0, 3): (6.501706199752388, 5),
+        (1.0, 4): (7.789386266955994, 6),
+        (4.0, 3): (2.5570544256938423, 12),
+        (4.0, 4): (3.0881629548175082, 11),
+    },
+}
+
+
+@pytest.mark.parametrize("family,kind", sorted(PINNED_TARGETED))
+def test_targeted_stream_pinned(family, kind):
+    g, part = TARGETED_GRAPHS[family]()
+    got = {}
+    for L, seed in PINNED_TARGETED[family, kind]:
+        if kind == "gsi":
+            policy = policies.GsiPolicy(part or graphs.canonical_partition(g, L), L)
+        else:
+            policy = policies.GreedyFrontierAdversary(L)
+        trace = engine.simulate(g, policy, EngineConfig(seed=seed))
+        externals = sum(1 for _, _, cause in trace.events if cause == "external")
+        got[L, seed] = (trace.finish_time, externals)
+    assert got == PINNED_TARGETED[family, kind]
 
 
 def _multi_source_distances(g, sources):
@@ -466,3 +585,65 @@ def test_every_kind_infects_each_node_once_in_time_order(run):
         cut_trace = engine.simulate(g, handle, dataclasses.replace(cfg, max_time=cut))
         assert cut_trace.events == [e for e in trace.events if e[0] <= cut]
         assert cut_trace.finish_time == (trace.finish_time if times[-1] <= cut else None)
+
+
+# The engine-facing hooks of the rate contract.
+HOOKS = (
+    "reset",
+    "rate_of",
+    "total_rate",
+    "healthy_rate",
+    "sample_target",
+    "internal_rate",
+    "apply_internal",
+    "on_infect",
+)
+
+
+class RateAudit:
+    """Delegates every hook to a policy and, each time the engine calls
+    one, checks the aggregates against rate_of and that a sampled target
+    is a healthy node with positive rate. Its own samples use a private
+    stream, so the engine's draws are untouched."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.audits = 0
+        self._uni = types.SimpleNamespace(draw=random.Random(0).random)
+
+    @property
+    def l_max(self):
+        return self.inner.l_max
+
+    def audit(self, state):
+        p = self.inner
+        healthy = sum(p.rate_of(v, state) for v in state.healthy)
+        assert math.isclose(p.healthy_rate(state), healthy)
+        assert math.isclose(p.total_rate(state), sum(p.rate_of(v, state) for v in range(state.n)))
+        if healthy > 0:
+            v = p.sample_target(state, self._uni)
+            assert not state.infected[v] and p.rate_of(v, state) > 0
+        self.audits += 1
+
+
+def _audited(name):
+    def hook(self, *args):
+        out = getattr(self.inner, name)(*args)
+        self.audit(next(a for a in args if isinstance(a, InfectionState)))
+        return out
+
+    return hook
+
+
+for _name in HOOKS:
+    setattr(RateAudit, _name, _audited(_name))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(runs())
+def test_rates_agree_with_rate_of_at_every_hook(run):
+    g, spec, cfg = run
+    audit = RateAudit(policies.build_policy(spec, g))
+    trace = engine.simulate(g, audit, cfg)
+    assert audit.audits > g.n
+    assert trace == engine.simulate(g, policies.build_policy(spec, g), cfg)
