@@ -70,8 +70,10 @@ output directory receives a ``resolved.cfg`` echoing the fully resolved
 configuration (master seed included), sufficient to reproduce the run.
 
 Exit codes: 0 success, 2 configuration/usage error or bad input (such as
-a malformed graph file or a disconnected partition piece), 3 runtime
-guard (nontermination or exhausted event budget).
+a malformed graph file, a ring/line/grid file whose edges are not that
+family's, an RGG radius that is NaN, infinite or negative, or a
+disconnected partition piece), 3 runtime guard (nontermination or
+exhausted event budget).
 """
 
 from __future__ import annotations

@@ -8,6 +8,11 @@ chunks on RGGs), BFS spanning trees, exact diameters, and graph
 conductance (exact by subset enumeration on small graphs, closed-form on
 structured families).
 
+The RGG and diameter layers run in numpy: an RGG's sorted adjacency is
+read off the nonzero columns of blocked distance masks, and a piece's
+diameter comes from one bit-parallel BFS over all of its sources (each
+source a row of ``uint64`` words, one ``bitwise_or.reduceat`` per hop).
+
 Grid node indexing is row-major over ``{1..side}^d`` with the last axis
 varying fastest, the order of ``itertools.product``: grids, read-back grid
 files and sub-grid pieces all take it from there, and coordinates
@@ -202,17 +207,19 @@ def gen_rgg(n: int, r: float, seed: int) -> Graph:
     """RGG: n points i.i.d. uniform on the unit square, edge iff ||x-y|| <= r.
 
     Deterministic for fixed (n, r, seed): the point set comes from the
-    counter-based stream addressed by the seed, edge order from pair
-    enumeration.
+    counter-based stream addressed by the seed. The distance test runs on
+    blocks of rows, and each row's neighbours are the nonzero columns of
+    its mask (diagonal cleared), already in ascending id order. The mask
+    is symmetric, since x_u - x_v is exactly -(x_v - x_u) in floating point.
     """
     if n < 1:
         raise InvalidParameterError(f"rgg needs n >= 1, got {n}")
-    if r < 0:
-        raise InvalidParameterError(f"rgg radius must be nonnegative, got {r}")
+    if not 0 <= r < math.inf:
+        raise InvalidParameterError(f"rgg radius must be finite and nonnegative, got {r}")
     rng = substream(seed, 0, CH_GRAPH)
     pts = rng.random((n, 2))
     r2 = r * r
-    edges: list[tuple[int, int]] = []
+    adjacency: list[tuple[int, ...]] = []
     chunk = max(1, 4_000_000 // max(n, 1))
     xs, ys = pts[:, 0], pts[:, 1]
     for i0 in range(0, n, chunk):
@@ -220,13 +227,15 @@ def gen_rgg(n: int, r: float, seed: int) -> Graph:
         dx = block[:, 0:1] - xs[None, :]
         dy = block[:, 1:2] - ys[None, :]
         close = dx * dx + dy * dy <= r2
+        rows = np.arange(len(block))
+        close[rows, rows + i0] = False
         bi, j = np.nonzero(close)
-        for b, v in zip((bi + i0).tolist(), j.tolist()):
-            if b < v:
-                edges.append((b, v))
+        cols = j.tolist()
+        cuts = np.searchsorted(bi, np.arange(len(block) + 1)).tolist()
+        adjacency.extend(tuple(cols[a:b]) for a, b in zip(cuts, cuts[1:]))
     return Graph(
         n=n,
-        adjacency=_build_adjacency(n, edges),
+        adjacency=tuple(adjacency),
         family="rgg",
         radius=r,
         coords=tuple(map(tuple, pts.tolist())),
@@ -330,22 +339,49 @@ def bfs_tree(g: Graph, piece: Iterable[int], root: int) -> SpanningTree:
 
 
 def diameter(g: Graph, piece: Iterable[int] | None = None) -> int:
-    """Exact hop diameter of a connected piece via all-sources BFS."""
+    """Exact hop diameter of a connected piece, by bit-parallel BFS from
+    all of its nodes at once.
+
+    Row i of ``reach`` is the bitset (``uint64`` words, bit j = local node
+    j) of the nodes within t hops of local node i. Each round ORs every
+    row with its neighbours' rows, one ``reduceat`` over the piece's
+    induced adjacency with self-loops; the number of rounds until every
+    row is full is the diameter. A round that changes nothing means the
+    piece is disconnected: ConnectivityError names a node the lowest-id
+    member cannot reach. A round gathers one row per arc, so it holds about
+    k^2 * (mean degree) / 8 bytes for a k-node piece.
+    """
     members = list(range(g.n)) if piece is None else sorted(set(piece))
-    member_set = set(members)
-    best = 0
-    for u in members:
-        dist = bfs_distances(g, u, member_set)
-        if len(dist) != len(members):
-            missing = next(iter(member_set - dist.keys()))
+    k = len(members)
+    ids = np.arange(k)
+    # Closed neighbourhoods (each node first, then its neighbours) as local
+    # CSR arrays: the self-loop keeps every row's reduceat segment nonempty.
+    closed = [(v, *g.adjacency[v]) for v in members]
+    local = np.full(g.n, -1)
+    local[members] = ids
+    cols = local[np.fromiter(itertools.chain.from_iterable(closed), dtype=np.int64)]
+    rows = np.repeat(ids, [len(c) for c in closed])
+    inside = cols >= 0
+    cols, starts = cols[inside], np.searchsorted(rows[inside], ids)
+    reach = np.zeros((k, (k + 63) // 64), dtype=np.uint64)
+    reach[ids, ids // 64] = np.uint64(1) << (ids % 64).astype(np.uint64)
+    full = np.bitwise_or.reduce(reach, axis=0)
+    rounds = 0
+    while not (reach == full).all():
+        nxt = np.bitwise_or.reduceat(reach[cols], starts, axis=0)
+        if np.array_equal(nxt, reach):
+            row = reach[0].tolist()
+            reached = [v for j, v in enumerate(members) if row[j // 64] >> (j % 64) & 1]
+            # difference() copies the set, as set - dict.keys() does, so the
+            # first node left is the one a per-source BFS has always named.
+            missing = next(iter(set(members).difference(reached)))
             raise ConnectivityError(
-                f"piece is disconnected: node {missing} unreachable from {u}",
+                f"piece is disconnected: node {missing} unreachable from {members[0]}",
                 unreachable=missing,
             )
-        ecc = max(dist.values())
-        if ecc > best:
-            best = ecc
-    return best
+        reach = nxt
+        rounds += 1
+    return rounds
 
 
 # ---------------------------------------------------------------------------
@@ -412,13 +448,14 @@ def partition_rgg(g: Graph, l_min: float = 1.0) -> Partition:
     range r of one another), and tiles are grouped into ~(n/l_min)^(1/3)
     chunk blocks. If any tile is empty the construction cannot guarantee
     connected pieces and a degenerate-partition error carrying the empty
-    tile's index is raised; callers may resample the graph.
+    tile's index is raised; callers may resample the graph. A radius that
+    is not finite and positive raises InvalidParameterError.
     """
     if g.family != "rgg":
         raise InvalidFamilyError(f"chunk partition needs rgg, got {g.family}")
     positive("l_min", l_min)
-    r = g.radius
-    assert r is not None and g.coords is not None
+    r = positive("rgg radius", g.radius)
+    assert g.coords is not None
     n = g.n
     if r >= math.sqrt(2):
         tiles = 1  # the whole square already has diameter <= r
@@ -456,7 +493,8 @@ def partition_rgg(g: Graph, l_min: float = 1.0) -> Partition:
 
 def validate_partition(g: Graph, p: Partition) -> None:
     """Raise ValueError unless p is a disjoint connected cover of g with
-    exact piece diameters (recomputed by BFS)."""
+    exact piece diameters (recomputed by ``diameter``, which raises
+    ConnectivityError for a disconnected piece)."""
     seen: set[int] = set()
     total = 0
     for piece in p.pieces:
@@ -470,7 +508,7 @@ def validate_partition(g: Graph, p: Partition) -> None:
         d = diameter(g, piece)  # raises ConnectivityError if disconnected
         if d != p.piece_diameters[i]:
             raise ValueError(
-                f"piece {i} diameter {p.piece_diameters[i]} != BFS value {d}"
+                f"piece {i} diameter {p.piece_diameters[i]} != recomputed {d}"
             )
 
 
@@ -575,7 +613,9 @@ def write_graph(g: Graph, path: str) -> None:
 
 def read_graph(path: str) -> Graph:
     """Read a graph in the format of ``write_graph``. A malformed file
-    raises InvalidParameterError naming the path and the line."""
+    raises InvalidParameterError naming the path and the line, and so does
+    a ``ring``, ``line`` or ``grid`` file whose edges differ from that
+    family's graph on n nodes."""
     edges = []
     coords: dict[int, tuple[float, float]] = {}
     with open(path) as fh:
@@ -608,9 +648,19 @@ def read_graph(path: str) -> Graph:
         if dim < 1 or _floor_root(n, dim) ** dim != n:
             raise InvalidParameterError(f"{path}: {n} nodes do not fill a {dim}-d grid")
         coord_tuple = _grid_coords(_floor_root(n, dim), dim)
+    adjacency = _build_adjacency(n, edges)
+    if family in ("ring", "line", "grid"):
+        # Partitions and analytic conductance trust the label, so the edges
+        # must be exactly the family's.
+        try:
+            lattice = make_graph(family, n, dim if family == "grid" else 2).adjacency
+        except InvalidParameterError:
+            lattice = None
+        if adjacency != lattice:
+            raise InvalidParameterError(f"{path}: edges are not those of a {n}-node {family}")
     return Graph(
         n=n,
-        adjacency=_build_adjacency(n, edges),
+        adjacency=adjacency,
         family=family,
         dim=dim,
         radius=radius,

@@ -231,9 +231,10 @@ def test_dominate_unknown_mode_exits_2(tmp_path):
 
 
 def test_dominate_disconnected_piece_exits_2(tmp_path, capsys):
-    # Ring segment {0, 1, 2} is disconnected: node 2 hangs off node 3.
-    edges = "0 1\n1 3\n3 2\n3 4\n4 5\n5 6\n6 7\n7 8\n"
-    path = _write(tmp_path / "g.txt", "9 ring\n" + edges)
+    # At radius 1.5 the tile partition is one piece, and the file's edges
+    # leave it disconnected: nodes 2 and 3 hang apart from 0 and 1.
+    coords = "".join(f"coord {v} {0.2 + 0.2 * v} 0.5\n" for v in range(4))
+    path = _write(tmp_path / "g.txt", "4 rgg 1.5\n0 1\n2 3\n" + coords)
     cfg = _write(
         tmp_path / "d.cfg",
         f"[graph]\nfamily = file\npath = {path}\n\n[policy]\nL = 1.0\n\n"
@@ -256,6 +257,25 @@ def test_simulate_malformed_graph_file_exit_2(tmp_path, capsys, text):
     )
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert path in capsys.readouterr().err
+
+
+def test_conductance_mislabelled_ring_file_exits_2(tmp_path, capsys):
+    # A 30-node path labelled ring would get the ring's conductance 2/15.
+    edges = "".join(f"{i} {i + 1}\n" for i in range(29))
+    path = _write(tmp_path / "g.txt", "30 ring\n" + edges)
+    cfg = _write(tmp_path / "c.cfg", f"[graph]\nfamily = file\npath = {path}\n")
+    assert main(["conductance", "--config", cfg]) == 2
+    err = capsys.readouterr()
+    assert path in err.err and "conductance[" not in err.out
+
+
+@pytest.mark.parametrize("r", ["nan", "inf", "-0.1"])
+def test_gen_rgg_bad_radius_exits_2(tmp_path, capsys, r):
+    out = tmp_path / "r.txt"
+    argv = ["gen", "--family", "rgg", "--n", "40", "--r", r, "--out", str(out)]
+    assert main(argv) == 2
+    assert "radius" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_conductance_direct(tmp_path, capsys):

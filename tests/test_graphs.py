@@ -1,5 +1,6 @@
 """Graph families, partitions, BFS metrics, conductance, serialization."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -13,6 +14,8 @@ from agentspread.errors import (
     PartitionDegenerateError,
     SizeLimitError,
 )
+
+from agentspread.rng import CH_GRAPH, substream
 
 from oracles import conductance_brute
 
@@ -127,6 +130,40 @@ def test_rgg_edge_rule_matches_coords():
             assert (v in g.adjacency[u]) == (d <= 0.4)
 
 
+def _pair_adjacency(g):
+    """Reference: every pair u < v with the documented distance test."""
+    xs = np.array([c[0] for c in g.coords])
+    ys = np.array([c[1] for c in g.coords])
+    r2 = g.radius * g.radius
+    edges = []
+    for u in range(g.n):
+        dx = xs[u] - xs[u + 1 :]
+        dy = ys[u] - ys[u + 1 :]
+        edges.extend((u, u + 1 + int(k)) for k in np.flatnonzero(dx * dx + dy * dy <= r2))
+    return graphs._build_adjacency(g.n, edges)
+
+
+# n = 3000 runs the distance test in three row blocks. A complete graph on
+# 3000 nodes would hold 9M Python ints, so r >= sqrt(2) stops at n = 300.
+@pytest.mark.parametrize(
+    "n,r",
+    [(n, r) for n in (1, 2, 300, 3000) for r in (0.0, "critical")]
+    + [(n, r) for n in (1, 2, 300) for r in (math.sqrt(2), 1.5)],
+)
+def test_rgg_adjacency_matches_pair_enumeration(n, r):
+    if r == "critical":
+        r = math.sqrt(5 * math.log(n) / n)
+    g = graphs.gen_rgg(n, r, seed=n + 17)
+    assert g.adjacency == _pair_adjacency(g)
+    assert g.coords == tuple(map(tuple, substream(n + 17, 0, CH_GRAPH).random((n, 2)).tolist()))
+
+
+@pytest.mark.parametrize("r", [math.nan, math.inf, -0.1])
+def test_rgg_rejects_bad_radius(r):
+    with pytest.raises(InvalidParameterError, match="radius"):
+        graphs.gen_rgg(40, r, seed=3)
+
+
 def test_custom_rejects_self_loop():
     with pytest.raises(InvalidParameterError):
         graphs.gen_custom(3, [(0, 0)])
@@ -239,6 +276,55 @@ def test_partition_rgg_exact_power_chunk_count():
     graphs.validate_partition(g, p)
 
 
+# Recorded before the bit-parallel diameter: sizes, diameters and a digest
+# of the pieces of make_graph("rgg", n, seed=seed) at the critical radius.
+PINNED_RGG_PARTITIONS = {
+    (256, 1): ((84, 56, 60, 56), (3, 3, 2, 2), "d114f115059a8199"),
+    (256, 2): ((93, 62, 51, 50), (3, 2, 2, 2), "e0680f6992eb5593"),
+    (256, 3): ((88, 63, 56, 49), (3, 2, 2, 2), "310160ea730b24c8"),
+    (256, 4): ((99, 62, 63, 32), (3, 3, 3, 2), "1d7d601f8926ede1"),
+    (729, 1): (
+        (83, 108, 60, 97, 97, 71, 54, 86, 73),
+        (3, 3, 3, 3, 3, 3, 2, 3, 2),
+        "64a548090f1faf86",
+    ),
+    (729, 2): None,  # tile (0, 0) of 11x11 is empty
+    (729, 3): (
+        (106, 82, 65, 94, 95, 86, 68, 72, 61),
+        (3, 3, 2, 3, 3, 2, 2, 2, 2),
+        "0f57078fa5d92b60",
+    ),
+    (729, 4): (
+        (101, 96, 80, 110, 94, 75, 67, 60, 46),
+        (3, 3, 2, 3, 3, 2, 3, 2, 2),
+        "3005fd89fedc182b",
+    ),
+}
+
+
+@pytest.mark.parametrize("n,seed", PINNED_RGG_PARTITIONS)
+def test_partition_rgg_pinned(n, seed):
+    g = graphs.make_graph("rgg", n, seed=seed)
+    want = PINNED_RGG_PARTITIONS[n, seed]
+    if want is None:
+        with pytest.raises(PartitionDegenerateError, match=r"tile \(0,0\) of 11x11") as err:
+            graphs.partition_rgg(g)
+        assert err.value.tile_index == (0, 0)
+        return
+    p = graphs.partition_rgg(g)
+    sizes, diams, digest = want
+    assert p.piece_sizes == sizes
+    assert p.piece_diameters == diams
+    assert hashlib.sha256(repr(p.pieces).encode()).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize("r", [0.0, math.nan])
+def test_partition_rgg_rejects_degenerate_radius(r):
+    g = graphs.Graph(n=1, adjacency=((),), family="rgg", radius=r, coords=((0.5, 0.5),))
+    with pytest.raises(InvalidParameterError, match="radius"):
+        graphs.partition_rgg(g)
+
+
 def test_partition_rgg_empty_tile_error():
     g = graphs.gen_rgg(5, 0.3, seed=2)
     with pytest.raises(PartitionDegenerateError) as err:
@@ -301,6 +387,80 @@ def test_bfs_depth_matches_recomputation():
                         nxt.append(v)
             frontier = nxt
         assert tree.depth == dist
+
+
+def _all_sources_diameter(g, piece):
+    """Reference: one dict BFS per source in ascending id order; the first
+    source that misses a node gives (missing, source)."""
+    members = sorted(set(piece))
+    member_set = set(members)
+    best = 0
+    for u in members:
+        dist = {u: 0}
+        frontier = [u]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for v in g.adjacency[x]:
+                    if v in member_set and v not in dist:
+                        dist[v] = dist[x] + 1
+                        nxt.append(v)
+            frontier = nxt
+        if len(dist) != len(members):
+            return next(iter(member_set - dist.keys())), u
+        best = max(best, max(dist.values()))
+    return best
+
+
+DIAMETER_GRAPHS = {
+    "rgg": lambda: graphs.gen_rgg(1000, 0.08, seed=6),
+    "ring": lambda: graphs.gen_ring(400),
+    "line": lambda: graphs.gen_line(400),
+    "grid2": lambda: graphs.gen_grid(400, 2),
+    "grid3": lambda: graphs.gen_grid(512, 3),
+}
+
+
+@pytest.mark.parametrize("size", [1, 2, 63, 64, 65, 128, 300])
+@pytest.mark.parametrize("family", DIAMETER_GRAPHS)
+def test_diameter_matches_all_sources_bfs(family, size):
+    # Pieces of 1, 2, 63-65, 128 and 300 nodes span one to five bitset
+    # words. A BFS-order prefix is connected; a random subset mostly not.
+    g = DIAMETER_GRAPHS[family]()
+    rng = np.random.default_rng(size)
+    root = int(rng.integers(g.n))
+    prefix = list(graphs.bfs_tree(g, range(g.n), root).parent)[: size - 1] + [root]
+    subset = rng.choice(g.n, size=size, replace=False).tolist()
+    for piece in (prefix, subset):
+        want = _all_sources_diameter(g, piece)
+        if isinstance(want, int):
+            assert graphs.diameter(g, piece) == want
+        else:
+            missing, source = want
+            with pytest.raises(ConnectivityError) as err:
+                graphs.diameter(g, piece)
+            assert err.value.unreachable == missing
+            assert str(err.value) == (
+                f"piece is disconnected: node {missing} unreachable from {source}"
+            )
+
+
+def test_diameter_whole_graph_and_empty_piece():
+    g = graphs.gen_grid(100, 2)
+    assert graphs.diameter(g) == 18
+    assert graphs.diameter(g, []) == 0
+    assert graphs.diameter(graphs.gen_rgg(1, 0.5, seed=1)) == 0
+
+
+def test_diameter_disconnected_piece_names_node():
+    g = graphs.gen_line(10)
+    with pytest.raises(ConnectivityError, match="node 5 unreachable from 0") as err:
+        graphs.diameter(g, [6, 0, 2, 1, 5])
+    assert err.value.unreachable == 5
+    g = graphs.gen_custom(3, [(0, 1)])  # node 2 isolated in the whole graph
+    with pytest.raises(ConnectivityError) as err:
+        graphs.diameter(g)
+    assert err.value.unreachable == 2
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +552,24 @@ def test_graph_file_round_trip_rgg_exact(tmp_path):
     assert h.adjacency == g.adjacency
     assert h.radius == g.radius
     assert h.coords == g.coords  # 17 significant digits round-trip exactly
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "30 ring\n" + "".join(f"{i} {i + 1}\n" for i in range(29)),  # a path
+        "4 line\n0 1\n1 2\n2 3\n3 0\n",  # a cycle
+        "4 grid 2\n0 1\n1 3\n3 2\n",  # a 2x2 grid without the edge 0-2
+        "2 ring\n0 1\n",  # no 2-node ring exists
+    ],
+    ids=["path-as-ring", "cycle-as-line", "grid-missing-edge", "tiny-ring"],
+)
+def test_read_graph_rejects_mislabelled_family(tmp_path, text):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(InvalidParameterError, match="edges are not those of") as err:
+        graphs.read_graph(str(path))
+    assert str(path) in str(err.value)
 
 
 MALFORMED_GRAPH_FILES = {

@@ -50,3 +50,17 @@ def test_import_does_not_load_scipy_stats():
         env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
     )
     assert out.stdout.strip() == "False"
+
+
+def test_package_does_not_import_the_benchmark_references():
+    # rgg-fpp checks gen_rgg and partition_rgg against cKDTree pairs and
+    # csgraph diameters; those checks are independent only while the
+    # package computes both without these modules.
+    imported = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.update(f"{node.module}.{alias.name}" for alias in node.names)
+    assert not {m for m in imported if m.startswith(("scipy.spatial", "scipy.sparse.csgraph"))}
