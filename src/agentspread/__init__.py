@@ -2,14 +2,14 @@
 
 Module map: ``graphs`` (families, partitions, conductance), ``engine``
 (exact event-driven SI simulation), ``policies`` (external rate vectors),
-``dominators`` (bounding processes), ``analytics`` (sweeps, scaling fits,
-dominance verdicts and checks), ``cli`` (the ``sim`` tool).
+``dominators`` (the two-phase, conductance-chain and cluster-growth
+bounding processes), ``analytics`` (sweeps, scaling fits, dominance
+verdicts and checks), ``cli`` (the ``sim`` tool).
 """
 
 from .analytics import (
     ExperimentPlan,
     ScalingReport,
-    concentration_probe,
     dominance_check,
     dominance_report,
     exponent_fit,
@@ -18,12 +18,10 @@ from .analytics import (
 from .dominators import (
     ClusterProcessConfig,
     ClusterTrace,
-    bound_calculator,
     conductance_chain,
     diagonal_grid_clusters,
     fpp_clusters,
     line_clusters,
-    shape_estimate,
     two_phase_process,
 )
 from .engine import EngineConfig, InfectionState, Trace, simulate, simulate_batch
@@ -80,9 +78,7 @@ __all__ = [
     "StaticLinks",
     "Trace",
     "bfs_tree",
-    "bound_calculator",
     "build_policy",
-    "concentration_probe",
     "conductance_chain",
     "conductance_exact",
     "diagonal_grid_clusters",
@@ -103,7 +99,6 @@ __all__ = [
     "partition_ring",
     "read_graph",
     "run_plan",
-    "shape_estimate",
     "simulate",
     "simulate_batch",
     "two_phase_process",

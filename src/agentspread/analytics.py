@@ -25,7 +25,7 @@ import json
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -40,7 +40,7 @@ from .dominators import (
 from .engine import EngineConfig, finish_times, simulate_batch
 from .errors import InvalidParameterError
 from .graphs import Graph, Partition, canonical_partition, make_graph
-from .policies import Policy, PolicySpec, build_policy
+from .policies import PolicySpec, build_policy
 from .rng import CH_BOOTSTRAP, CH_DERIVE, stream, substream
 
 DECILES = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
@@ -216,26 +216,19 @@ def _resolve_cluster_cfg(plan: ExperimentPlan, n: int) -> ClusterProcessConfig:
     )
 
 
-def _engine_times(
-    plan: ExperimentPlan, n: int, g: Graph, handle: Policy
-) -> tuple[int, list[float], int]:
-    """Engine replicates of a policy handle on the graph built for
-    requested size n."""
-    cfg = EngineConfig(
-        beta=plan.beta,
-        initial_infected=plan.initial_infected,
-        seed=derive_seed(plan.seed, (n << 2) | _P_ENGINE),
-    )
-    summaries = simulate_batch(g, handle, cfg, plan.replicates)
-    return g.n, finish_times(summaries), sum(s.events for s in summaries)
-
-
 def _sample_times(plan: ExperimentPlan, n: int) -> tuple[int, list[float], int]:
     """Realized size, finish-time sample and the event count spent
     producing it (a grid realizes side**d <= n nodes)."""
     if plan.process == "simulate":
         g = build_graph(plan, n)
-        return _engine_times(plan, n, g, build_policy(plan.policy, g))
+        handle = build_policy(plan.policy, g)
+        ecfg = EngineConfig(
+            beta=plan.beta,
+            initial_infected=plan.initial_infected,
+            seed=derive_seed(plan.seed, (n << 2) | _P_ENGINE),
+        )
+        summaries = simulate_batch(g, handle, ecfg, plan.replicates)
+        return g.n, finish_times(summaries), sum(s.events for s in summaries)
     cfg = _resolve_cluster_cfg(plan, n)
     events = 0
     times = []
@@ -311,54 +304,6 @@ def run_plan(plan: ExperimentPlan) -> ScalingReport:
         write_report_json(report, os.path.join(plan.output_dir, "report.json"))
         write_gnuplot(report, os.path.join(plan.output_dir, "loglog.dat"))
     return report
-
-
-# ---------------------------------------------------------------------------
-# Concentration probe
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class ConcentrationRow:
-    n: int
-    threshold: float
-    exceed_fraction: float
-
-
-@dataclass
-class ConcentrationTable:
-    kappa: float
-    rows: list[ConcentrationRow]
-    decaying: bool
-
-
-def concentration_probe(plan: ExperimentPlan, kappa: float) -> ConcentrationTable:
-    """Fraction of runs with T >= kappa * h(n) * ln n for each size.
-
-    h(n) comes from the family's canonical partition: the larger of the
-    piece count over the policy's ``l_min`` (1 when that is 0) and the
-    worst piece diameter. A gsi policy without a partition of its own
-    runs on that same partition.
-    """
-    if plan.process != "simulate":
-        raise InvalidParameterError("concentration probe needs an engine sweep")
-    spec = plan.policy
-    rows = []
-    fractions = []
-    for n in plan.sizes:
-        g = build_graph(plan, n)
-        part = canonical_partition(g, max(spec.L, 1e-12))
-        policy = spec if spec.partition is not None else replace(spec, partition=part)
-        handle = build_policy(policy, g)
-        h = max(part.g / (handle.l_min or 1.0), max(part.piece_diameters))
-        threshold = kappa * h * math.log(n)
-        _, times, _ = _engine_times(plan, n, g, handle)
-        arr = np.asarray(times)
-        frac = float((arr >= threshold).mean()) if arr.size else 1.0
-        rows.append(ConcentrationRow(n=n, threshold=threshold, exceed_fraction=frac))
-        fractions.append(frac)
-    decaying = all(b <= a + 1e-12 for a, b in zip(fractions, fractions[1:]))
-    return ConcentrationTable(kappa=kappa, rows=rows, decaying=decaying)
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,9 @@ Config files are whitespace-insensitive key-value text with sections::
     log_correction = divide_by_log_n   # none | divide_by_log_n
     process = simulate   # simulate | line_clusters | fpp_clusters
                          # | diagonal_grid_clusters
+    seeding_rate = 1.0   # cluster processes: arrival rate of new clusters
+    mu_eff = 1.0         # diagonal edge rate, a real or log2n = (ln n)^2
+    occupancy = 1        # diagonal points per site, an int or logn = ceil(ln n)
     event_budget =       # optional event ceiling
 
     [dominate]
@@ -57,6 +60,7 @@ Config files are whitespace-insensitive key-value text with sections::
     growth = fpp         # line | fpp | diagonal
     target = 1000
     seeding_rate = 1.0
+    beta = 1.0           # line and fpp edge rate
     dim = 2
     mu_eff = 1.0
     occupancy = 1
@@ -71,9 +75,10 @@ configuration (master seed included), sufficient to reproduce the run.
 
 Exit codes: 0 success, 2 configuration/usage error or bad input (such as
 a malformed graph file, a ring/line/grid file whose edges are not that
-family's, an RGG radius that is NaN, infinite or negative, or a
-disconnected partition piece), 3 runtime guard (nontermination or
-exhausted event budget).
+family's, an RGG file whose edges are not the disk graph of its
+coordinates, an RGG radius that is NaN, infinite or negative, a
+disconnected partition piece, or a cluster run count below 1), 3 runtime
+guard (nontermination or exhausted event budget).
 """
 
 from __future__ import annotations
@@ -90,7 +95,6 @@ from .errors import (
     InvalidFamilyError,
     InvalidParameterError,
     NonTerminationError,
-    PartitionDegenerateError,
     PolicyContractError,
     SizeLimitError,
 )
@@ -256,7 +260,6 @@ def _policy_spec(cfg: dict, master_seed: int) -> policies.PolicySpec:
         rewire_rate=_get(cfg, "policy", "rewire_rate", float, 0.0),
         agents=_get(cfg, "policy", "agents", int, 1),
         rate_per_agent=_get(cfg, "policy", "rate_per_agent", float, 1.0),
-        mobility=_get(cfg, "policy", "mobility", str, "uniform_jump"),
         seed=_get(cfg, "policy", "seed", int, master_seed),
     )
 
@@ -410,7 +413,6 @@ def _cmd_conductance(args) -> int:
 
 def _cmd_fpp(args) -> int:
     cfg = _load(args.config, args.set or [])
-    outdir = _ensure_outdir(args.out)
     growth = _get(cfg, "clusters", "growth", str)
     ccfg = dominators.ClusterProcessConfig(
         growth=growth,
@@ -423,6 +425,9 @@ def _cmd_fpp(args) -> int:
         seed=args.seed,
     )
     replicates = _get(cfg, "clusters", "replicates", int, 100)
+    if replicates < 1:
+        raise ConfigError(f"[clusters] replicates must be >= 1, got {replicates}")
+    outdir = _ensure_outdir(args.out)
     with open(os.path.join(outdir, "hitting.csv"), "w") as fh:
         fh.write("replicate,hitting_time,events\n")
         for k in range(replicates):
@@ -512,7 +517,6 @@ def main(argv: list[str] | None = None) -> int:
         InvalidParameterError,
         InvalidFamilyError,
         SizeLimitError,
-        PartitionDegenerateError,
         OSError,
     ) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -14,9 +14,10 @@ and a diagonal-grid tile process. The processes run without the engine
 or the policies; ``analytics.dominance_check`` pairs each with the
 policy it bounds.
 
-Lattice clusters allocate sites lazily in hash-indexed windows, so there
-is no truncation boundary. Cluster sites are packed into integers (21
-bits per axis, offset binary), which keeps neighbour arithmetic cheap.
+A lattice cluster keeps its sites in a hash set and its boundary edges
+in a swap-remove list, so there is no truncation boundary and a growth
+step costs O(degree). Cluster sites are packed into integers (21 bits
+per axis, offset binary), which keeps neighbour arithmetic cheap.
 """
 
 from __future__ import annotations
@@ -219,7 +220,6 @@ def _downsample(path: list[tuple[float, int]]) -> list[tuple[float, int]]:
 # Site packing: 21 bits per axis, offset-binary so coordinates may be negative.
 _BITS = 21
 _HALF = 1 << 20
-_MASK = (1 << _BITS) - 1
 
 
 def _deltas(dim: int) -> list[int]:
@@ -235,24 +235,17 @@ def _origin(dim: int) -> int:
     return sum(_HALF << (_BITS * a) for a in range(dim))
 
 
-def _linf_radius(site: int, dim: int) -> int:
-    return max(abs(((site >> (_BITS * a)) & _MASK) - _HALF) for a in range(dim))
-
-
 class _LatticeCluster:
     """One growing cluster: infected-site set plus a swap-remove list of
     boundary edges for uniform edge sampling."""
 
-    __slots__ = ("infected", "edges", "pos", "deltas", "dim", "max_radius")
+    __slots__ = ("infected", "edges", "pos", "deltas")
 
-    def __init__(self, deltas: list[int], dim: int):
+    def __init__(self, deltas: list[int], origin: int):
         self.deltas = deltas
-        self.dim = dim
-        origin = _origin(dim)
         self.infected = {origin}
         self.edges: list[tuple[int, int]] = [(origin, origin + d) for d in deltas]
         self.pos = {e: i for i, e in enumerate(self.edges)}
-        self.max_radius = 0
 
     def _remove(self, e: tuple[int, int]) -> None:
         i = self.pos.pop(e)
@@ -276,14 +269,11 @@ class _LatticeCluster:
                 e = (dst, w)
                 self.pos[e] = len(edges)
                 edges.append(e)
-        r = _linf_radius(dst, self.dim)
-        if r > self.max_radius:
-            self.max_radius = r
         return len(edges)
 
 
 class _Growth(NamedTuple):
-    lattice: tuple[list[int], int] | None  # neighbour offsets and dimension; None: the line
+    lattice: tuple[list[int], int] | None  # neighbour offsets and origin site; None: the line
     edge_rate: float  # firing rate of each boundary edge
     points: int  # points per occupied site
 
@@ -293,8 +283,8 @@ class _Growth(NamedTuple):
 # leave the pair as it was; its seed is not counted.
 _GROWTH = {
     "line": lambda cfg: _Growth(None, cfg.beta, 1),
-    "fpp": lambda cfg: _Growth((_deltas(cfg.dim), cfg.dim), cfg.beta, 1),
-    "diagonal": lambda cfg: _Growth((_DIAGONAL, 2), cfg.mu_eff, cfg.occupancy),
+    "fpp": lambda cfg: _Growth((_deltas(cfg.dim), _origin(cfg.dim)), cfg.beta, 1),
+    "diagonal": lambda cfg: _Growth((_DIAGONAL, _origin(2)), cfg.mu_eff, cfg.occupancy),
 }
 
 
@@ -311,8 +301,8 @@ def run_cluster_process(cfg: ClusterProcessConfig, replicate: int = 0) -> Cluste
     if lattice is None:
         frontier, seed_points, clusters = 2, 0, None
     else:
-        deltas, dim = lattice
-        frontier, seed_points, clusters = len(deltas), points, [_LatticeCluster(deltas, dim)]
+        deltas, origin = lattice
+        frontier, seed_points, clusters = len(deltas), points, [_LatticeCluster(deltas, origin)]
     rng = substream(cfg.seed, replicate, CH_PROCESS)
     exp = BufferedSampler(rng.standard_exponential)
     uni = BufferedSampler(rng.random)
@@ -340,7 +330,7 @@ def run_cluster_process(cfg: ClusterProcessConfig, replicate: int = 0) -> Cluste
             bounds.append(frontier)
             total += frontier
             if clusters is not None:
-                clusters.append(_LatticeCluster(deltas, dim))
+                clusters.append(_LatticeCluster(deltas, origin))
             added = seed_points
         else:
             if clusters is not None:
@@ -420,120 +410,3 @@ def write_cluster_csv(trace: ClusterTrace, path: str) -> None:
         fh.write("t,N\n")
         for t, n in trace.total_count_path:
             fh.write(f"{t:.17g},{n}\n")
-
-
-# ---------------------------------------------------------------------------
-# Single-cluster shape statistics
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class ShapeEstimate:
-    """Radius growth of a single cluster across replicates."""
-
-    times: list[float]
-    max_radius_linf: list[float]  # mean over replicates of the running max radius
-    fitted_rate: float
-    envelope_rate: float
-    exceed_counts: list[int]
-    replicates: int
-
-
-def shape_estimate(
-    growth: str,
-    times: list[float],
-    replicates: int,
-    seed: int,
-    dim: int = 2,
-    beta: float = 1.0,
-    mu_eff: float = 1.0,
-) -> ShapeEstimate:
-    """Grow single clusters (no seeding) and track the max L-inf radius.
-
-    ``fitted_rate`` is the through-origin slope of mean radius vs time;
-    the exceedance counts compare per-run radii against envelope_rate*t,
-    where ``envelope_rate`` is 1.25x the fitted rate.
-    """
-    if not times or any(t <= 0 for t in times):
-        raise InvalidParameterError("times must be positive")
-    if replicates < 1:
-        raise InvalidParameterError("replicates must be >= 1")
-    cfg = ClusterProcessConfig(growth, 1, beta=beta, dim=dim, mu_eff=mu_eff)
-    lattice, rate, _ = _GROWTH[growth](cfg)
-    if lattice is None:
-        raise InvalidParameterError(f"shape_estimate needs a lattice growth, got {growth!r}")
-    deltas, d = lattice
-    times = sorted(times)
-
-    radii = [[0.0] * len(times) for _ in range(replicates)]
-    for k in range(replicates):
-        rng = substream(seed, k, CH_PROCESS)
-        exp = BufferedSampler(rng.standard_exponential)
-        uni = BufferedSampler(rng.random)
-        cluster = _LatticeCluster(deltas, d)
-        boundary = len(deltas)
-        t = 0.0
-        idx = 0
-        horizon = times[-1]
-        while t <= horizon:
-            t += exp.draw() / (rate * boundary)
-            while idx < len(times) and times[idx] < t:
-                radii[k][idx] = cluster.max_radius
-                idx += 1
-            if idx == len(times):
-                break
-            boundary = cluster.grow(uni)
-        while idx < len(times):
-            radii[k][idx] = cluster.max_radius
-            idx += 1
-
-    mean_radius = [
-        math.fsum(radii[k][i] for k in range(replicates)) / replicates
-        for i in range(len(times))
-    ]
-    num = math.fsum(r * t for r, t in zip(mean_radius, times))
-    den = math.fsum(t * t for t in times)
-    fitted = num / den
-    env = 1.25 * fitted
-    exceed = [
-        sum(1 for k in range(replicates) if radii[k][i] > env * times[i])
-        for i in range(len(times))
-    ]
-    return ShapeEstimate(
-        times=list(times),
-        max_radius_linf=mean_radius,
-        fitted_rate=fitted,
-        envelope_rate=env,
-        exceed_counts=exceed,
-        replicates=replicates,
-    )
-
-
-def write_shape_csv(est: ShapeEstimate, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write("t,max_radius,exceed_count\n")
-        for t, r, c in zip(est.times, est.max_radius_linf, est.exceed_counts):
-            fh.write(f"{t:.17g},{r:.17g},{c}\n")
-
-
-# ---------------------------------------------------------------------------
-# Bound functionals
-# ---------------------------------------------------------------------------
-
-
-def bound_calculator(
-    g_count: float, s_size: float, d_diam: float, psi: float, l_min: float
-) -> tuple[float, float]:
-    """The two spreading-time bound functionals:
-    h = max(g/l_min, d) and k = max(g/l_min, ln(s)/psi)."""
-    for name, v in (
-        ("g_count", g_count),
-        ("s_size", s_size),
-        ("d_diam", d_diam),
-        ("psi", psi),
-        ("l_min", l_min),
-    ):
-        positive(name, v)
-    h = max(g_count / l_min, d_diam)
-    k = max(g_count / l_min, math.log(s_size) / psi)
-    return h, k

@@ -34,7 +34,12 @@ class ConnectivityError(RuntimeError):
 
 
 class PartitionDegenerateError(RuntimeError):
-    """A geometric partition hit an empty tile; carries the tile index."""
+    """A geometric partition hit an empty tile; carries the tile index.
+
+    Nothing in the package raises it any more (an RGG tile may be empty;
+    ``partition_rgg`` judges its chunks by connectivity). It stays while
+    ``perfbench/workloads.py`` imports it.
+    """
 
     def __init__(self, message: str, tile_index: tuple[int, int] | None = None):
         super().__init__(message)

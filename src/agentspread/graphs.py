@@ -37,7 +37,6 @@ from .errors import (
     ConnectivityError,
     InvalidFamilyError,
     InvalidParameterError,
-    PartitionDegenerateError,
     SizeLimitError,
     positive,
 )
@@ -203,21 +202,19 @@ def gen_grid(n: int, d: int) -> Graph:
     )
 
 
-def gen_rgg(n: int, r: float, seed: int) -> Graph:
-    """RGG: n points i.i.d. uniform on the unit square, edge iff ||x-y|| <= r.
+def _disk_adjacency(pts: np.ndarray, r: float) -> tuple[tuple[int, ...], ...]:
+    """Sorted adjacency of the r-disk graph on the rows of ``pts`` (n x 2):
+    an edge iff ||x-y|| <= r, the one RGG edge rule.
 
-    Deterministic for fixed (n, r, seed): the point set comes from the
-    counter-based stream addressed by the seed. The distance test runs on
-    blocks of rows, and each row's neighbours are the nonzero columns of
-    its mask (diagonal cleared), already in ascending id order. The mask
-    is symmetric, since x_u - x_v is exactly -(x_v - x_u) in floating point.
+    The distance test runs on blocks of rows, and each row's neighbours
+    are the nonzero columns of its mask (diagonal cleared), already in
+    ascending id order. The mask is symmetric, since x_u - x_v is exactly
+    -(x_v - x_u) in floating point. A radius that is not finite and
+    nonnegative raises InvalidParameterError.
     """
-    if n < 1:
-        raise InvalidParameterError(f"rgg needs n >= 1, got {n}")
     if not 0 <= r < math.inf:
         raise InvalidParameterError(f"rgg radius must be finite and nonnegative, got {r}")
-    rng = substream(seed, 0, CH_GRAPH)
-    pts = rng.random((n, 2))
+    n = len(pts)
     r2 = r * r
     adjacency: list[tuple[int, ...]] = []
     chunk = max(1, 4_000_000 // max(n, 1))
@@ -233,9 +230,22 @@ def gen_rgg(n: int, r: float, seed: int) -> Graph:
         cols = j.tolist()
         cuts = np.searchsorted(bi, np.arange(len(block) + 1)).tolist()
         adjacency.extend(tuple(cols[a:b]) for a, b in zip(cuts, cuts[1:]))
+    return tuple(adjacency)
+
+
+def gen_rgg(n: int, r: float, seed: int) -> Graph:
+    """RGG: n points i.i.d. uniform on the unit square, edge iff ||x-y|| <= r.
+
+    Deterministic for fixed (n, r, seed): the point set comes from the
+    counter-based stream addressed by the seed, and ``_disk_adjacency``
+    decides the edges.
+    """
+    if n < 1:
+        raise InvalidParameterError(f"rgg needs n >= 1, got {n}")
+    pts = substream(seed, 0, CH_GRAPH).random((n, 2))
     return Graph(
         n=n,
-        adjacency=tuple(adjacency),
+        adjacency=_disk_adjacency(pts, r),
         family="rgg",
         radius=r,
         coords=tuple(map(tuple, pts.tolist())),
@@ -446,10 +456,10 @@ def partition_rgg(g: Graph, l_min: float = 1.0) -> Partition:
     The unit square is cut into tiles of side at most r/sqrt(5) (points in
     the same or in horizontally/vertically adjacent tiles are always within
     range r of one another), and tiles are grouped into ~(n/l_min)^(1/3)
-    chunk blocks. If any tile is empty the construction cannot guarantee
-    connected pieces and a degenerate-partition error carrying the empty
-    tile's index is raised; callers may resample the graph. A radius that
-    is not finite and positive raises InvalidParameterError.
+    chunk blocks. A tile may be empty; what matters is that each chunk is
+    connected, and ``diameter`` raises ConnectivityError naming an
+    unreachable node for a chunk that is not. A radius that is not finite
+    and positive raises InvalidParameterError.
     """
     if g.family != "rgg":
         raise InvalidFamilyError(f"chunk partition needs rgg, got {g.family}")
@@ -461,26 +471,12 @@ def partition_rgg(g: Graph, l_min: float = 1.0) -> Partition:
         tiles = 1  # the whole square already has diameter <= r
     else:
         tiles = int(math.ceil(math.sqrt(5.0) / r - 1e-12))
-    tile_nodes: dict[tuple[int, int], list[int]] = {}
-    tile_index = []
+    chunks = max(1, min(tiles, int((n / l_min) ** (1.0 / 6.0) + 1e-9)))
+    piece_nodes: dict[tuple[int, int], list[int]] = {}
     for v, (x, y) in enumerate(g.coords):
         tx = min(int(x * tiles), tiles - 1)
         ty = min(int(y * tiles), tiles - 1)
-        tile_nodes.setdefault((tx, ty), []).append(v)
-        tile_index.append((tx, ty))
-    for tx in range(tiles):
-        for ty in range(tiles):
-            if (tx, ty) not in tile_nodes:
-                raise PartitionDegenerateError(
-                    f"tile ({tx},{ty}) of {tiles}x{tiles} is empty",
-                    tile_index=(tx, ty),
-                )
-    chunks = max(1, min(tiles, int((n / l_min) ** (1.0 / 6.0) + 1e-9)))
-    piece_nodes: dict[tuple[int, int], list[int]] = {}
-    for v, (tx, ty) in enumerate(tile_index):
-        cx = tx * chunks // tiles
-        cy = ty * chunks // tiles
-        piece_nodes.setdefault((cx, cy), []).append(v)
+        piece_nodes.setdefault((tx * chunks // tiles, ty * chunks // tiles), []).append(v)
     keys = sorted(piece_nodes)
     pieces = tuple(tuple(sorted(piece_nodes[k])) for k in keys)
     diams = tuple(diameter(g, p) for p in pieces)
@@ -615,7 +611,8 @@ def read_graph(path: str) -> Graph:
     """Read a graph in the format of ``write_graph``. A malformed file
     raises InvalidParameterError naming the path and the line, and so does
     a ``ring``, ``line`` or ``grid`` file whose edges differ from that
-    family's graph on n nodes."""
+    family's graph on n nodes, or an ``rgg`` file whose edges differ from
+    the disk graph of its coordinates and radius."""
     edges = []
     coords: dict[int, tuple[float, float]] = {}
     with open(path) as fh:
@@ -649,15 +646,19 @@ def read_graph(path: str) -> Graph:
             raise InvalidParameterError(f"{path}: {n} nodes do not fill a {dim}-d grid")
         coord_tuple = _grid_coords(_floor_root(n, dim), dim)
     adjacency = _build_adjacency(n, edges)
-    if family in ("ring", "line", "grid"):
+    if family in ("ring", "line", "grid", "rgg"):
         # Partitions and analytic conductance trust the label, so the edges
         # must be exactly the family's.
         try:
-            lattice = make_graph(family, n, dim if family == "grid" else 2).adjacency
+            if family == "rgg":
+                want = _disk_adjacency(np.array(coord_tuple, dtype=float).reshape(-1, 2), radius)
+            else:
+                want = make_graph(family, n, dim if family == "grid" else 2).adjacency
         except InvalidParameterError:
-            lattice = None
-        if adjacency != lattice:
-            raise InvalidParameterError(f"{path}: edges are not those of a {n}-node {family}")
+            want = None
+        if adjacency != want:
+            of = f" of radius {radius} on its coords" if family == "rgg" else ""
+            raise InvalidParameterError(f"{path}: edges are not those of a {n}-node {family}{of}")
     return Graph(
         n=n,
         adjacency=adjacency,

@@ -307,14 +307,10 @@ class MobileAgents(Policy):
 
     kind = "mobile_agents"
 
-    def __init__(
-        self, agents: int, rate_per_agent: float, mobility: str = "uniform_jump", seed: int = 0
-    ):
+    def __init__(self, agents: int, rate_per_agent: float, seed: int = 0):
         if agents < 1:
             raise InvalidParameterError(f"agents must be >= 1, got {agents}")
         positive("rate_per_agent", rate_per_agent)
-        if mobility != "uniform_jump":
-            raise InvalidParameterError(f"unknown mobility kind {mobility!r}")
         self.agents = agents
         self.rate = rate_per_agent
         self.seed = seed
@@ -403,7 +399,6 @@ class PolicySpec:
     rewire_rate: float = 0.0
     agents: int = 1
     rate_per_agent: float = 1.0
-    mobility: str = "uniform_jump"
     seed: int = 0
     partition: Partition | None = field(default=None, compare=False)
 
@@ -429,7 +424,7 @@ def build_policy(spec: PolicySpec, graph: Graph | None = None) -> Policy:
     if kind == "dynamic_links":
         return DynamicLinks(spec.count, spec.beta_link, spec.rewire_rate, spec.seed)
     if kind == "mobile_agents":
-        return MobileAgents(spec.agents, spec.rate_per_agent, spec.mobility, spec.seed)
+        return MobileAgents(spec.agents, spec.rate_per_agent, spec.seed)
     if kind == "greedy_frontier_adversary":
         return GreedyFrontierAdversary(spec.L)
     raise InvalidParameterError(f"unknown policy kind {kind!r}")

@@ -6,10 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from agentspread import analytics, graphs
 from agentspread.analytics import (
     ExperimentPlan,
-    concentration_probe,
     dominance_report,
     exponent_fit,
     run_plan,
@@ -18,7 +16,6 @@ from agentspread.analytics import (
     write_report_json,
 )
 from agentspread.errors import InvalidParameterError
-from agentspread.graphs import make_graph, partition_ring
 from agentspread.policies import PolicySpec
 
 
@@ -203,92 +200,6 @@ def test_deciles_monotone():
     )
     for row in run_plan(plan).rows:
         assert list(row.deciles) == sorted(row.deciles)
-
-
-# ---------------------------------------------------------------------------
-# Concentration probe
-# ---------------------------------------------------------------------------
-
-
-def test_concentration_extremes():
-    plan = ExperimentPlan(
-        sizes=(8, 16, 32),
-        family="ring",
-        policy=PolicySpec(kind="random_homogeneous", L=1.0),
-        replicates=30,
-        seed=9,
-    )
-    huge = concentration_probe(plan, 1e6)
-    assert all(r.exceed_fraction == 0.0 for r in huge.rows)
-    zero = concentration_probe(plan, 0.0)
-    assert all(r.exceed_fraction == 1.0 for r in zero.rows)
-    assert zero.decaying
-
-
-def test_concentration_decays_at_moderate_kappa():
-    plan = ExperimentPlan(
-        sizes=(64, 256, 1024),
-        family="ring",
-        policy=PolicySpec(kind="random_homogeneous", L=1.0),
-        replicates=100,
-        seed=603,
-    )
-    tab = concentration_probe(plan, 0.35)
-    fractions = [r.exceed_fraction for r in tab.rows]
-    assert fractions[-1] < fractions[0]
-    assert tab.decaying
-
-
-def test_concentration_builds_each_graph_once(monkeypatch):
-    built = []
-
-    def counting_make_graph(family, n, *args):
-        built.append(n)
-        return make_graph(family, n, *args)
-
-    monkeypatch.setattr(analytics, "make_graph", counting_make_graph)
-    plan = ExperimentPlan(
-        sizes=(16, 25, 36),
-        family="ring",
-        policy=PolicySpec(kind="random_homogeneous", L=1.0),
-        replicates=5,
-        seed=9,
-    )
-    concentration_probe(plan, 0.35)
-    assert built == [16, 25, 36]
-
-
-def test_concentration_gsi_builds_each_partition_once(monkeypatch):
-    built = []
-
-    def counting_partition_ring(g, *args):
-        built.append(g.n)
-        return partition_ring(g, *args)
-
-    monkeypatch.setattr(graphs, "partition_ring", counting_partition_ring)
-    plan = ExperimentPlan(
-        sizes=(16, 25, 36),
-        family="ring",
-        policy=PolicySpec(kind="gsi", L=1.0),
-        replicates=5,
-        seed=9,
-    )
-    concentration_probe(plan, 0.35)
-    assert built == [16, 25, 36]
-
-
-def test_concentration_threshold_uses_policy_l_min():
-    # The adversary's budget L = 2 sets h(n) = max(g / 2, diameter), as
-    # it does for the partition the probe builds at that budget.
-    plan = ExperimentPlan(
-        sizes=(16, 25, 36),
-        family="ring",
-        policy=PolicySpec(kind="greedy_frontier_adversary", L=2.0),
-        replicates=5,
-        seed=9,
-    )
-    tab = concentration_probe(plan, 1.0)
-    assert [r.threshold for r in tab.rows] == pytest.approx([8.32, 12.88, 17.92], abs=5e-3)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """End-to-end CLI behaviour: artifacts, determinism, exit codes."""
 
+import ast
 import json
 import math
+from pathlib import Path
 
 import pytest
 
-from agentspread import analytics, graphs
+from agentspread import analytics, cli, graphs
 from agentspread.cli import main
 
 
@@ -231,10 +233,12 @@ def test_dominate_unknown_mode_exits_2(tmp_path):
 
 
 def test_dominate_disconnected_piece_exits_2(tmp_path, capsys):
-    # At radius 1.5 the tile partition is one piece, and the file's edges
-    # leave it disconnected: nodes 2 and 3 hang apart from 0 and 1.
-    coords = "".join(f"coord {v} {0.2 + 0.2 * v} 0.5\n" for v in range(4))
-    path = _write(tmp_path / "g.txt", "4 rgg 1.5\n0 1\n2 3\n" + coords)
+    # A genuine disk graph at radius 0.3 whose 4 nodes form one chunk: the
+    # pairs near (0.1, 0.1) and (0.9, 0.9) are joined inside but not to
+    # each other, so the piece is disconnected.
+    points = [(0.1, 0.1), (0.15, 0.1), (0.9, 0.9), (0.95, 0.9)]
+    coords = "".join(f"coord {v} {x} {y}\n" for v, (x, y) in enumerate(points))
+    path = _write(tmp_path / "g.txt", "4 rgg 0.3\n0 1\n2 3\n" + coords)
     cfg = _write(
         tmp_path / "d.cfg",
         f"[graph]\nfamily = file\npath = {path}\n\n[policy]\nL = 1.0\n\n"
@@ -309,6 +313,58 @@ replicates = 5
     assert lines[0] == "replicate,hitting_time,events"
     assert len(lines) == 6
     assert (out / "path0.csv").read_text().startswith("t,N")
+
+
+@pytest.mark.parametrize("replicates", [0, -3])
+def test_fpp_nonpositive_replicates_exit_2(tmp_path, capsys, replicates):
+    cfg = _write(
+        tmp_path / "f.cfg",
+        f"[clusters]\ngrowth = fpp\ntarget = 100\nreplicates = {replicates}\n",
+    )
+    out = tmp_path / "o"
+    assert main(["fpp", "--config", cfg, "--out", str(out)]) == 2
+    assert "[clusters] replicates" in capsys.readouterr().err
+    assert not (out / "hitting.csv").exists()
+
+
+def test_sweep_gsi_on_rgg_with_empty_tiles(tmp_path):
+    # Seed 9 meets an RGG with an empty partition tile; its chunks are
+    # connected, so the sweep runs through.
+    cfg = _write(
+        tmp_path / "s.cfg",
+        "[graph]\nfamily = rgg\n\n[policy]\nkind = gsi\nL = 1.0\n\n"
+        "[sweep]\nsizes = 64, 128, 256\nreplicates = 10\n",
+    )
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", cfg, "--seed", "9", "--out", str(out)]) == 0
+    rows = (out / "report.csv").read_text().splitlines()[1:]
+    assert [int(row.split(",")[0]) for row in rows] == [64, 128, 256]
+
+
+def test_grammar_lists_every_config_key():
+    # Every ``_get(cfg, "<section>", "<key>", ...)`` call of the CLI reads a
+    # key the module docstring's grammar shows as ``<key> =`` under
+    # ``[<section>]``.
+    source = Path(cli.__file__).read_text()
+    shown: dict[str, set[str]] = {}
+    section = None
+    for line in (ast.get_docstring(ast.parse(source)) or "").splitlines():
+        line = line.strip()
+        if line.startswith("[") and line.endswith("]"):
+            section = shown.setdefault(line[1:-1], set())
+        elif section is not None and " = " in line and not line.startswith("#"):
+            section.add(line.split(" = ", 1)[0].strip())
+    read = {
+        (node.args[1].value, node.args[2].value)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "_get"
+        and all(isinstance(arg, ast.Constant) for arg in node.args[1:3])
+    }
+    assert len(read) > 30
+    missing = sorted(f"[{sec}] {key}" for sec, key in read if key not in shown.get(sec, ()))
+    assert not missing, f"keys the CLI reads but its grammar does not show: {missing}"
 
 
 def test_missing_config_is_error(tmp_path):

@@ -12,7 +12,6 @@ from scipy import stats
 from agentspread import analytics, graphs
 from agentspread.dominators import (
     ClusterProcessConfig,
-    bound_calculator,
     chain_sojourn_mean,
     conductance_chain,
     diagonal_grid_clusters,
@@ -20,7 +19,6 @@ from agentspread.dominators import (
     line_clusters,
     run_cluster_process,
     sample_hitting_times,
-    shape_estimate,
     two_phase_batch,
     two_phase_process,
 )
@@ -327,14 +325,6 @@ def test_fpp_counts_origin():
     assert counts == sorted(counts)
 
 
-def test_fpp_d2_radius_growth_is_linear():
-    est = shape_estimate("fpp", times=[10.0, 20.0, 30.0, 40.0], replicates=40, seed=17)
-    early = est.max_radius_linf[1] / est.times[1]
-    late = est.max_radius_linf[3] / est.times[3]
-    assert abs(early - late) / late < 0.10
-    assert est.fitted_rate > 0
-
-
 def test_diagonal_first_jump_exp8():
     cfg = ClusterProcessConfig(
         growth="diagonal", target_count=2, seeding_rate=1e-12, mu_eff=1.0, seed=18
@@ -352,40 +342,6 @@ def test_diagonal_occupancy_counts_points():
     # 6 occupied sites reach 30 points
     assert tr.total_count_path[-1][1] == 30
     assert tr.events == 5
-
-
-def test_diagonal_shape_envelope_exceedance_decays():
-    est = shape_estimate(
-        "diagonal", times=[3.0, 6.0, 12.0], replicates=60, seed=20, mu_eff=1.0
-    )
-    assert est.exceed_counts[-1] <= est.exceed_counts[0] + 2
-    assert est.max_radius_linf == sorted(est.max_radius_linf)
-
-
-@pytest.mark.parametrize(
-    "kwargs",
-    [dict(beta=0.0), dict(beta=-1.0), dict(growth="diagonal", mu_eff=0.0), dict(replicates=0)],
-)
-def test_shape_estimate_rejects_bad_parameters(kwargs):
-    args = dict(growth="fpp", times=[1.0], replicates=2, seed=0) | kwargs
-    with pytest.raises(InvalidParameterError):
-        shape_estimate(**args)
-
-
-def test_shape_estimate_rejects_line_growth():
-    with pytest.raises(InvalidParameterError, match="lattice"):
-        shape_estimate("line", times=[1.0], replicates=2, seed=0)
-
-
-def test_shape_csv(tmp_path):
-    from agentspread.dominators import write_shape_csv
-
-    est = shape_estimate("fpp", times=[2.0, 4.0], replicates=10, seed=21)
-    path = tmp_path / "shape.csv"
-    write_shape_csv(est, str(path))
-    lines = path.read_text().splitlines()
-    assert lines[0] == "t,max_radius,exceed_count"
-    assert len(lines) == 3
 
 
 def test_diagonal_polylog_sweep_consistent_with_cube_root_law():
@@ -408,32 +364,3 @@ def test_diagonal_polylog_sweep_consistent_with_cube_root_law():
         [(n, n ** (1 / 3) / math.log(n) ** (4 / 3)) for n in sizes]
     ).slope
     assert rep.fit_raw.ci_low <= ref <= rep.fit_raw.ci_high
-
-
-# ---------------------------------------------------------------------------
-# Bound functionals
-# ---------------------------------------------------------------------------
-
-
-def test_bounds_ring_100():
-    h, _ = bound_calculator(10, 10, 9, 0.2, 1.0)
-    assert h == 10
-
-
-def test_bounds_grid_4096():
-    g = graphs.gen_grid(4096, 2)
-    part = graphs.partition_grid(g, l_min=1.0)
-    h, _ = bound_calculator(
-        part.g, max(part.piece_sizes), max(part.piece_diameters), 1.0, 1.0
-    )
-    assert h == 30
-
-
-def test_bounds_k_value():
-    _, k = bound_calculator(16, 16, 6, 2 / 16, 1.0)
-    assert k == pytest.approx(math.log(16) * 8)
-
-
-def test_bounds_reject_nonpositive():
-    with pytest.raises(InvalidParameterError):
-        bound_calculator(0, 1, 1, 1, 1)

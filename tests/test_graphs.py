@@ -11,7 +11,6 @@ from agentspread.errors import (
     ConnectivityError,
     InvalidFamilyError,
     InvalidParameterError,
-    PartitionDegenerateError,
     SizeLimitError,
 )
 
@@ -278,6 +277,7 @@ def test_partition_rgg_exact_power_chunk_count():
 
 # Recorded before the bit-parallel diameter: sizes, diameters and a digest
 # of the pieces of make_graph("rgg", n, seed=seed) at the critical radius.
+# (729, 2) leaves tile (0, 0) of 11x11 empty; its chunks are connected.
 PINNED_RGG_PARTITIONS = {
     (256, 1): ((84, 56, 60, 56), (3, 3, 2, 2), "d114f115059a8199"),
     (256, 2): ((93, 62, 51, 50), (3, 2, 2, 2), "e0680f6992eb5593"),
@@ -288,7 +288,11 @@ PINNED_RGG_PARTITIONS = {
         (3, 3, 3, 3, 3, 3, 2, 3, 2),
         "64a548090f1faf86",
     ),
-    (729, 2): None,  # tile (0, 0) of 11x11 is empty
+    (729, 2): (
+        (114, 99, 75, 102, 98, 64, 63, 64, 50),
+        (3, 3, 3, 3, 3, 2, 2, 3, 2),
+        "794f988e8848656c",
+    ),
     (729, 3): (
         (106, 82, 65, 94, 95, 86, 68, 72, 61),
         (3, 3, 2, 3, 3, 2, 2, 2, 2),
@@ -305,14 +309,8 @@ PINNED_RGG_PARTITIONS = {
 @pytest.mark.parametrize("n,seed", PINNED_RGG_PARTITIONS)
 def test_partition_rgg_pinned(n, seed):
     g = graphs.make_graph("rgg", n, seed=seed)
-    want = PINNED_RGG_PARTITIONS[n, seed]
-    if want is None:
-        with pytest.raises(PartitionDegenerateError, match=r"tile \(0,0\) of 11x11") as err:
-            graphs.partition_rgg(g)
-        assert err.value.tile_index == (0, 0)
-        return
     p = graphs.partition_rgg(g)
-    sizes, diams, digest = want
+    sizes, diams, digest = PINNED_RGG_PARTITIONS[n, seed]
     assert p.piece_sizes == sizes
     assert p.piece_diameters == diams
     assert hashlib.sha256(repr(p.pieces).encode()).hexdigest()[:16] == digest
@@ -325,11 +323,23 @@ def test_partition_rgg_rejects_degenerate_radius(r):
         graphs.partition_rgg(g)
 
 
-def test_partition_rgg_empty_tile_error():
+def test_partition_rgg_empty_tiles_still_partition():
+    # At the critical radius a tile holds about ln n points, so some are
+    # empty; the chunks are connected all the same.
+    empty = 0
+    for seed in range(12):
+        g = graphs.make_graph("rgg", 128, seed=seed)
+        tiles = math.ceil(math.sqrt(5) / g.radius)
+        empty += len({(int(x * tiles), int(y * tiles)) for x, y in g.coords}) < tiles * tiles
+        graphs.validate_partition(g, graphs.partition_rgg(g))
+    assert empty == 8  # seeds 0, 3-7, 10 and 11
+
+
+def test_partition_rgg_disconnected_chunk_raises():
     g = graphs.gen_rgg(5, 0.3, seed=2)
-    with pytest.raises(PartitionDegenerateError) as err:
+    with pytest.raises(ConnectivityError, match="node 2 unreachable from 0") as err:
         graphs.partition_rgg(g)
-    assert err.value.tile_index is not None
+    assert err.value.unreachable == 2
 
 
 # ---------------------------------------------------------------------------
@@ -577,6 +587,12 @@ MALFORMED_GRAPH_FILES = {
     "one-token-edge": ("3 ring\n0 1\n2\n", "line 3"),
     "missing-coord": ("2 rgg 0.5\n0 1\ncoord 0 0.1 0.2\n", "node 1"),
     "grid-not-filled": ("10 grid 2\n0 1\n", "10 nodes"),
+    # all four points lie within 0.6 of each other, so radius 1.5 joins every pair
+    "rgg-not-disk-graph": (
+        "4 rgg 1.5\n0 1\n2 3\n" + "".join(f"coord {v} {0.2 + 0.2 * v} 0.5\n" for v in range(4)),
+        "rgg of radius 1.5",
+    ),
+    "rgg-nan-radius": ("2 rgg nan\n0 1\ncoord 0 0.1 0.2\ncoord 1 0.1 0.3\n", "radius nan"),
 }
 
 

@@ -215,11 +215,6 @@ def test_mobile_envelope_and_jump():
     assert all(not state.infected[q] for q in p._pos)
 
 
-def test_mobile_rejects_unknown_mobility():
-    with pytest.raises(InvalidParameterError):
-        policies.MobileAgents(1, 1.0, mobility="teleport_swarm")
-
-
 def test_dynamic_links_grid_scaling_cube_root():
     # Rewiring links do not beat the cube-root growth order on 2-d grids.
     from agentspread.analytics import exponent_fit
@@ -488,7 +483,6 @@ RATE_PARAMETERS = {
     "beta-clusters": lambda v: dominators.ClusterProcessConfig(
         growth="line", target_count=8, beta=v
     ),
-    "beta-shape": lambda v: dominators.shape_estimate("fpp", [1.0], 1, seed=0, beta=v),
     "beta-two_phase": lambda v: dominators.two_phase_process(
         graphs.gen_ring(16), graphs.partition_ring(graphs.gen_ring(16)), 1.0, "sequential", 0,
         beta=v,
@@ -499,7 +493,9 @@ RATE_PARAMETERS = {
     "seeding_rate": lambda v: dominators.ClusterProcessConfig(
         growth="line", target_count=8, seeding_rate=v
     ),
-    "mu_eff-shape": lambda v: dominators.shape_estimate("diagonal", [1.0], 1, seed=0, mu_eff=v),
+    "mu_eff": lambda v: dominators.ClusterProcessConfig(
+        growth="diagonal", target_count=8, mu_eff=v
+    ),
     "psi": lambda v: dominators.conductance_chain(4, v, seed=0),
     "rewire_rate": lambda v: policies.DynamicLinks(2, 1.0, abs(v), seed=1),
 }
