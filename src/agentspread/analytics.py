@@ -47,6 +47,11 @@ DECILES = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 
 # Bootstrap resamples behind each dominance verdict.
 _N_BOOT = 2000
+# Bytes of resample indices dominance_report draws at once. Its temporaries
+# come to about three times this, and peak RSS keeps them: at 4 MiB,
+# ring-dominance peaked 16 MiB (28%) above the per-resample loop. Chunks
+# this small run as fast.
+_BOOT_CHUNK_BYTES = 1 << 19
 
 # Purpose tags mixed into per-size derived seeds.
 _P_ENGINE = 0
@@ -347,14 +352,22 @@ def dominance_report(sample_a, sample_b, *, seed: int = 0) -> DominanceVerdict:
         )
     qa = np.quantile(a, DECILES, method="linear")
     qb = np.quantile(b, DECILES, method="linear")
+    # Each row of one integers() call draws a resample of a, then one of b,
+    # the very values of a loop of per-sample calls; chunks of rows cap the
+    # memory.
     rng = substream(seed, 0, CH_BOOTSTRAP)
+    na, nb = a.size, b.size
+    high = np.repeat([na, nb], [na, nb])
+    rows = max(1, _BOOT_CHUNK_BYTES // (8 * (na + nb)))
     boot = np.empty((_N_BOOT, len(DECILES)))
-    for i in range(_N_BOOT):
-        ra = a[rng.integers(0, a.size, size=a.size)]
-        rb = b[rng.integers(0, b.size, size=b.size)]
-        boot[i] = np.quantile(rb, DECILES, method="linear") - np.quantile(
-            ra, DECILES, method="linear"
-        )
+    for lo in range(0, _N_BOOT, rows):
+        idx = rng.integers(0, high, size=(min(rows, _N_BOOT - lo), na + nb))
+        ra = np.sort(a[idx[:, :na]], axis=1)
+        rb = np.sort(b[idx[:, na:]], axis=1)
+        boot[lo : lo + len(idx)] = (
+            np.quantile(rb, DECILES, axis=1, method="linear")
+            - np.quantile(ra, DECILES, axis=1, method="linear")
+        ).T
     upper = np.quantile(boot, 0.95, axis=0)
     violations = tuple(
         int(round(DECILES[i] * 100)) for i in range(len(DECILES)) if upper[i] < 0

@@ -3,19 +3,28 @@
 The dynamics are competing exponential clocks: every boundary edge from
 an infected to a healthy node fires at the intrinsic rate beta, and every
 healthy node i additionally fires at the policy-supplied external rate
-L_i. Scheduling is next-reaction style: the edge clocks wait in a
-priority queue of tentative (time, node) firings, while the aggregate
+L_i. Scheduling is next-reaction style (Gibson and Bruck, J. Phys.
+Chem. A 104, 2000). Each newly infected node draws one clock per healthy
+neighbour, but a clock is queued only when it beats the earliest one
+already pending for that node: a later one could only ever be popped
+after the node fell, so it is drawn (the stream is unchanged) and
+dropped. Entries still pop stale, and are skipped, when a node got an
+earlier clock after them or fell to the external clock. The aggregate
 external clock (rate sum of L_i over healthy nodes) and the policy's
-internal clock are two scalar firing times, redrawn after every
-infection and internal transition. Because all clocks are exponential,
-redrawing them does not change the sampled law, which is also what
-makes it exact to poll policies only at event instants (all supported
-policies depend on time only through the infection state). A clock
-whose rate is zero, or whose draw lands past ``max_time``, is infinite.
+internal clock are merged into one scalar firing time, redrawn after
+every infection and internal transition. Because all clocks are
+exponential, redrawing them does not change the sampled law, which is
+also what makes it exact to poll policies only at event instants (all
+supported policies depend on time only through the infection state). A
+clock whose rate is zero, or whose draw lands past ``max_time``, is
+infinite.
 
 Simultaneous firings are resolved internal clock first, then the
 external clock, then edge clocks by node id; this is documented purely
 for bit-level reproducibility, exact ties have measure zero.
+
+A run that has fired n^2 (1 + 1/beta) + 64 clocks, stale edge clocks
+included, stops with ``NonTerminationError``.
 """
 
 from __future__ import annotations
@@ -108,91 +117,106 @@ def _run(g: Graph, policy, cfg: EngineConfig, replicate: int, keep_events: bool,
             f"initial_infected {cfg.initial_infected} out of range for n={n}"
         )
 
-    exp = BufferedSampler(rng.standard_exponential)
+    draw = BufferedSampler(rng.standard_exponential).draw
     uni = BufferedSampler(rng.random)
 
     state = InfectionState(n)
     policy.reset(g, state, replicate)
-
-    events: list[tuple[float, int, str]] = []
-    heap: list[tuple[float, int]] = []
+    l_max = policy.l_max
+    total_rate = policy.total_rate
+    healthy_rate = policy.healthy_rate
+    internal_rate = policy.internal_rate
+    apply_internal = policy.apply_internal
+    sample_target = policy.sample_target
+    on_infect = policy.on_infect
+    infect = state.infect
     infected = state.infected
 
-    l_max = policy.l_max
+    events: list[tuple[float, int, str]] = []
+    # A firing time t is kept iff t < horizon, that is t <= max_time.
+    horizon = math.nextafter(max_time, math.inf)
+    # best[v] is v's earliest queued edge clock (horizon while none is):
+    # a later clock for v could only ever be popped stale, so it is drawn
+    # but not queued. The sentinel keeps heap[0] defined.
+    best = [horizon] * n
+    heap: list[tuple[float, int]] = [(math.inf, n)]
 
-    def push_edges(u: int, now: float) -> None:
-        for v in adj[u]:
-            if not infected[v]:
-                tv = now + exp.draw() / beta
-                if tv <= max_time:
-                    heappush(heap, (tv, v))
+    budget = int(n * n * (1.0 + 1.0 / beta)) + 64
+    fired = 0
+    t, node, cause = 0.0, cfg.initial_infected, "seed"
+    while True:
+        if node >= 0:
+            infect(node, t)
+            if keep_events:
+                events.append((t, node, cause))
+            on_infect(node, state)
+            for v in adj[node]:
+                if not infected[v]:
+                    tv = t + draw() / beta
+                    if tv < best[v]:
+                        best[v] = tv
+                        heappush(heap, (tv, v))
 
-    def clock(now: float, rate: float, what: str) -> float:
-        if rate < 0.0:
-            raise PolicyContractError(f"negative {what} {rate}")
-        if rate > 0.0:
-            t = now + exp.draw() / rate
-            if t <= max_time:
-                return t
-        return math.inf
-
-    def redraw(now: float) -> None:
-        nonlocal t_ext, t_int
+        # Redraw the scalar clock: the earlier of the external and the
+        # internal clock, internal on a tie.
         if l_max is not None:
-            total = policy.total_rate(state)
+            total = total_rate(state)
             if total > l_max * (1.0 + _ENVELOPE_SLACK) + 1e-12:
                 raise PolicyContractError(
                     f"policy rate sum {total} exceeds declared L_max {l_max}"
                 )
-        t_ext = math.inf
+        t_clock = math.inf
         if state.infected_count < n:
-            t_ext = clock(now, policy.healthy_rate(state), "external rate sum")
-        t_int = clock(now, policy.internal_rate(state), "internal rate")
+            rate = healthy_rate(state)
+            if rate < 0.0:
+                raise PolicyContractError(f"negative external rate sum {rate}")
+            if rate > 0.0:
+                tc = t + draw() / rate
+                if tc < horizon:
+                    t_clock = tc
+        internal = False
+        rate = internal_rate(state)
+        if rate < 0.0:
+            raise PolicyContractError(f"negative internal rate {rate}")
+        if rate > 0.0:
+            tc = t + draw() / rate
+            if tc < horizon and tc <= t_clock:
+                t_clock, internal = tc, True
+        if state.infected_count == n:
+            break
 
-    t_ext = t_int = math.inf
-    seed_node = cfg.initial_infected
-    state.infect(seed_node, 0.0)
-    if keep_events:
-        events.append((0.0, seed_node, "seed"))
-    policy.on_infect(seed_node, state)
-    push_edges(seed_node, 0.0)
-    redraw(0.0)
-
-    budget = int(n * n * (1.0 + 1.0 / beta)) + 64
-    fired = 0
-
-    while state.infected_count < n:
-        t = min(t_int, t_ext, heap[0][0] if heap else math.inf)
-        if t == math.inf:
-            if cfg.max_time is not None:
+        # The next event: the scalar clock, or else the earliest edge clock
+        # whose node is still healthy.
+        while True:
+            t_edge, v = heap[0]
+            t = t_clock if t_clock <= t_edge else t_edge
+            if t == math.inf:
+                if cfg.max_time is None:
+                    raise NonTerminationError(
+                        "no pending events while nodes remain healthy "
+                        "(disconnected graph with zero external rates?)"
+                    )
                 break
-            raise NonTerminationError(
-                "no pending events while nodes remain healthy "
-                "(disconnected graph with zero external rates?)"
-            )
-        fired += 1
-        if fired > budget:
-            raise NonTerminationError(
-                f"event budget {budget} exhausted at t={t} with "
-                f"{state.infected_count}/{n} infected"
-            )
-        if t == t_int:
-            policy.apply_internal(state)
-        else:
-            if t == t_ext:
-                node = policy.sample_target(state, uni)
-                cause = "external"
-            else:
-                node = heappop(heap)[1]
-                if infected[node]:
-                    continue
-                cause = "intrinsic"
-            state.infect(node, t)
-            if keep_events:
-                events.append((t, node, cause))
-            policy.on_infect(node, state)
-            push_edges(node, t)
-        redraw(t)
+            fired += 1
+            if fired > budget:
+                raise NonTerminationError(
+                    f"event budget {budget} exhausted at t={t} with "
+                    f"{state.infected_count}/{n} infected"
+                )
+            if t_clock <= t_edge:
+                if internal:
+                    apply_internal(state)
+                    node = -1
+                else:
+                    node = sample_target(state, uni)
+                    cause = "external"
+                break
+            heappop(heap)
+            if not infected[v]:
+                node, cause = v, "intrinsic"
+                break
+        if t == math.inf:
+            break
 
     finish = state.clock if state.infected_count == n else None
     return state, events, finish

@@ -610,9 +610,10 @@ def write_graph(g: Graph, path: str) -> None:
 def read_graph(path: str) -> Graph:
     """Read a graph in the format of ``write_graph``. A malformed file
     raises InvalidParameterError naming the path and the line, and so does
-    a ``ring``, ``line`` or ``grid`` file whose edges differ from that
-    family's graph on n nodes, or an ``rgg`` file whose edges differ from
-    the disk graph of its coordinates and radius."""
+    a header whose node count is below 1, a ``ring``, ``line`` or ``grid``
+    file whose edges differ from that family's graph on n nodes, or an
+    ``rgg`` file whose edges differ from the disk graph of its coordinates
+    and radius."""
     edges = []
     coords: dict[int, tuple[float, float]] = {}
     with open(path) as fh:
@@ -634,6 +635,8 @@ def read_graph(path: str) -> Graph:
             raise InvalidParameterError(
                 f"{path}, line {lineno}: malformed graph line {line.strip()!r}"
             ) from None
+    if n < 1:
+        raise InvalidParameterError(f"{path}: node count must be >= 1, got {n}")
     coord_tuple = None
     if coords or family == "rgg":
         try:

@@ -320,6 +320,7 @@ class MobileAgents(Policy):
     def reset(self, graph, state, replicate):
         self._rng = substream(self.seed, replicate, CH_POLICY)
         self._pos = [int(self._rng.integers(graph.n)) for _ in range(self.agents)]
+        self._live = self.agents  # agents on healthy nodes
 
     def rate_of(self, node, state):
         if state.infected[node]:
@@ -327,8 +328,7 @@ class MobileAgents(Policy):
         return self.rate * sum(1 for p in self._pos if p == node)
 
     def healthy_rate(self, state):
-        infected = state.infected
-        return self.rate * sum(1 for p in self._pos if not infected[p])
+        return self.rate * self._live
 
     total_rate = healthy_rate
 
@@ -338,10 +338,11 @@ class MobileAgents(Policy):
         return live[int(uni.draw() * len(live))]
 
     def on_infect(self, node, state):
-        if state.infected_count <= 1:  # initial seeding, nothing witnessed
-            return
         healthy = state.healthy
-        if not healthy:
+        if state.infected_count <= 1 or not healthy:
+            # Initial seeding (nothing witnessed) or no healthy node left:
+            # the node's agents stay put and go idle.
+            self._live -= self._pos.count(node)
             return
         for i, p in enumerate(self._pos):
             if p == node:

@@ -15,6 +15,8 @@ from its address alone.
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
@@ -65,29 +67,32 @@ _FIRST_BLOCK = 64
 _MAX_BLOCK = 4096
 
 
+def _blocks(fill, first):
+    """``first``, then blocks of 128, 256, ... up to 4096, 4096, ... from
+    ``fill``, each filled only when the one before it is used up."""
+    yield first
+    size = _FIRST_BLOCK
+    while True:
+        size = min(2 * size, _MAX_BLOCK)
+        yield fill(size).tolist()
+
+
 class BufferedSampler:
     """Buffered draws from one numpy fill method, such as
     ``rng.standard_exponential`` (scale by ``1/rate`` at the call site) or
     ``rng.random`` for uniform(0,1).
 
-    Values come off the stream in blocks of 64 doubling to 4096, so short
-    runs stay cheap. Samplers sharing one Generator, as the engine and the
-    bounding processes build them, take turns on it block by block, so
-    their values depend on the block sizes (a lone sampler's do not).
+    ``draw()`` returns the next value. Values come off the stream in
+    blocks of 64 doubling to 4096, so short runs stay cheap: the first
+    block is filled on construction, each later one on the draw that
+    needs it. ``draw`` is the ``__next__`` of an ``itertools.chain`` over
+    the blocks, so a draw runs no Python code except once per block.
+    Samplers sharing one Generator, as the engine and the bounding
+    processes build them, take turns on it block by block, so their
+    values depend on the block sizes (a lone sampler's do not).
     """
 
-    __slots__ = ("_fill", "_buf", "_i")
+    __slots__ = ("draw",)
 
     def __init__(self, fill):
-        self._fill = fill
-        self._buf = fill(_FIRST_BLOCK).tolist()
-        self._i = 0
-
-    def draw(self) -> float:
-        i = self._i
-        buf = self._buf
-        if i == len(buf):
-            self._buf = buf = self._fill(min(2 * len(buf), _MAX_BLOCK)).tolist()
-            i = 0
-        self._i = i + 1
-        return buf[i]
+        self.draw = chain.from_iterable(_blocks(fill, fill(_FIRST_BLOCK).tolist())).__next__

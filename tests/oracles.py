@@ -3,17 +3,23 @@
 Everything here is deliberately naive and separate from the library's
 code paths: a phase-type expectation for the exact finish-time mean, a
 first-passage sampler built on Dijkstra over pre-drawn clocks, brute
-force subset enumeration for conductance, and exhaustive small-graph
-enumeration up to isomorphism.
+force subset enumeration for conductance, exhaustive small-graph
+enumeration up to isomorphism, and a reference copy of the event loop
+that queues every edge clock.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from heapq import heappop, heappush
 from itertools import combinations, permutations
 
 import numpy as np
+
+from agentspread.engine import InfectionState
+from agentspread.errors import InvalidParameterError, NonTerminationError, PolicyContractError
+from agentspread.rng import CH_ENGINE, substream
 
 
 def ctmc_expected_finish(adjacency, seed_node=0, beta=1.0, external=None):
@@ -162,3 +168,153 @@ def adjacency_of(edges, n):
         adj[u].append(v)
         adj[v].append(u)
     return [sorted(a) for a in adj]
+
+
+# ---------------------------------------------------------------------------
+# Reference event loop
+# ---------------------------------------------------------------------------
+#
+# The event loop and buffered sampler as they stood before the engine
+# queued only each node's earliest edge clock: every edge clock goes on
+# the heap, the external and internal clocks are two scalars, and the
+# sampler refills in a Python method. Kept verbatim, so the engine can be
+# checked against it trace for trace.
+
+_ENVELOPE_SLACK = 1e-9
+_FIRST_BLOCK = 64
+_MAX_BLOCK = 4096
+
+
+class ReferenceSampler:
+    """Buffered draws from one numpy fill method, such as
+    ``rng.standard_exponential`` (scale by ``1/rate`` at the call site) or
+    ``rng.random`` for uniform(0,1).
+
+    Values come off the stream in blocks of 64 doubling to 4096, so short
+    runs stay cheap. Samplers sharing one Generator, as the engine and the
+    bounding processes build them, take turns on it block by block, so
+    their values depend on the block sizes (a lone sampler's do not).
+    """
+
+    __slots__ = ("_fill", "_buf", "_i")
+
+    def __init__(self, fill):
+        self._fill = fill
+        self._buf = fill(_FIRST_BLOCK).tolist()
+        self._i = 0
+
+    def draw(self) -> float:
+        i = self._i
+        buf = self._buf
+        if i == len(buf):
+            self._buf = buf = self._fill(min(2 * len(buf), _MAX_BLOCK)).tolist()
+            i = 0
+        self._i = i + 1
+        return buf[i]
+
+
+def reference_run(g, policy, cfg, replicate, keep_events, rng):
+    n = g.n
+    adj = g.adjacency
+    beta = cfg.beta
+    max_time = math.inf if cfg.max_time is None else cfg.max_time
+    if not (0 <= cfg.initial_infected < n):
+        raise InvalidParameterError(
+            f"initial_infected {cfg.initial_infected} out of range for n={n}"
+        )
+
+    exp = ReferenceSampler(rng.standard_exponential)
+    uni = ReferenceSampler(rng.random)
+
+    state = InfectionState(n)
+    policy.reset(g, state, replicate)
+
+    events: list[tuple[float, int, str]] = []
+    heap: list[tuple[float, int]] = []
+    infected = state.infected
+
+    l_max = policy.l_max
+
+    def push_edges(u: int, now: float) -> None:
+        for v in adj[u]:
+            if not infected[v]:
+                tv = now + exp.draw() / beta
+                if tv <= max_time:
+                    heappush(heap, (tv, v))
+
+    def clock(now: float, rate: float, what: str) -> float:
+        if rate < 0.0:
+            raise PolicyContractError(f"negative {what} {rate}")
+        if rate > 0.0:
+            t = now + exp.draw() / rate
+            if t <= max_time:
+                return t
+        return math.inf
+
+    def redraw(now: float) -> None:
+        nonlocal t_ext, t_int
+        if l_max is not None:
+            total = policy.total_rate(state)
+            if total > l_max * (1.0 + _ENVELOPE_SLACK) + 1e-12:
+                raise PolicyContractError(
+                    f"policy rate sum {total} exceeds declared L_max {l_max}"
+                )
+        t_ext = math.inf
+        if state.infected_count < n:
+            t_ext = clock(now, policy.healthy_rate(state), "external rate sum")
+        t_int = clock(now, policy.internal_rate(state), "internal rate")
+
+    t_ext = t_int = math.inf
+    seed_node = cfg.initial_infected
+    state.infect(seed_node, 0.0)
+    if keep_events:
+        events.append((0.0, seed_node, "seed"))
+    policy.on_infect(seed_node, state)
+    push_edges(seed_node, 0.0)
+    redraw(0.0)
+
+    budget = int(n * n * (1.0 + 1.0 / beta)) + 64
+    fired = 0
+
+    while state.infected_count < n:
+        t = min(t_int, t_ext, heap[0][0] if heap else math.inf)
+        if t == math.inf:
+            if cfg.max_time is not None:
+                break
+            raise NonTerminationError(
+                "no pending events while nodes remain healthy "
+                "(disconnected graph with zero external rates?)"
+            )
+        fired += 1
+        if fired > budget:
+            raise NonTerminationError(
+                f"event budget {budget} exhausted at t={t} with "
+                f"{state.infected_count}/{n} infected"
+            )
+        if t == t_int:
+            policy.apply_internal(state)
+        else:
+            if t == t_ext:
+                node = policy.sample_target(state, uni)
+                cause = "external"
+            else:
+                node = heappop(heap)[1]
+                if infected[node]:
+                    continue
+                cause = "intrinsic"
+            state.infect(node, t)
+            if keep_events:
+                events.append((t, node, cause))
+            policy.on_infect(node, state)
+            push_edges(node, t)
+        redraw(t)
+
+    finish = state.clock if state.infected_count == n else None
+    return state, events, finish
+
+
+def reference_simulate(g, policy, cfg, replicate=0):
+    """``engine.simulate`` on the reference loop: (events, finish_time)."""
+    rng = substream(cfg.seed, replicate, CH_ENGINE)
+    _, events, finish = reference_run(g, policy, cfg, replicate, True, rng)
+    return events, finish

@@ -232,6 +232,27 @@ def test_dominance_detects_violation():
     assert "violation-at-deciles" in verdict.verdict
 
 
+def test_dominance_report_pinned():
+    # pins the bootstrap stream: one integers() row per resample pair
+    # draws the values a loop of per-sample calls did (odd size included)
+    rng = np.random.default_rng(14)
+    a = rng.exponential(1.0, 1000)
+    b = 0.6 * rng.exponential(1.0, 997) + 0.35
+    verdict = dominance_report(a, b, seed=4)
+    assert verdict.upper95 == (
+        0.32168587625611866,
+        0.28324744143359165,
+        0.22597010184223965,
+        0.1875174193286653,
+        0.14788507025579778,
+        0.0632272303709883,
+        -0.09735304035908203,
+        -0.1844023207809484,
+        -0.5853783678680717,
+    )
+    assert verdict.verdict == "violation-at-deciles[70,80,90]"
+
+
 def test_dominance_rejects_small_samples():
     with pytest.raises(InvalidParameterError):
         dominance_report([1.0] * 50, [1.0] * 500)

@@ -250,8 +250,13 @@ def test_dominate_disconnected_piece_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "text",
-    ["four ring\n0 1\n", "3 ring\n0 1\n2\n", "2 rgg 0.5\n0 1\ncoord 0 0.1 0.2\n"],
-    ids=["header-n", "one-token-edge", "missing-coord"],
+    [
+        "four ring\n0 1\n",
+        "3 ring\n0 1\n2\n",
+        "2 rgg 0.5\n0 1\ncoord 0 0.1 0.2\n",
+        "-2 custom\n",
+    ],
+    ids=["header-n", "one-token-edge", "missing-coord", "negative-nodes"],
 )
 def test_simulate_malformed_graph_file_exit_2(tmp_path, capsys, text):
     path = _write(tmp_path / "g.txt", text)

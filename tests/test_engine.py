@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from agentspread import engine, graphs, policies
@@ -19,6 +21,7 @@ from oracles import (
     draw_edge_times,
     fpp_relax,
     percolation_finish_times,
+    reference_simulate,
 )
 
 
@@ -143,6 +146,66 @@ def test_batch_self_consistency():
     )
     se = np.std(other, ddof=1) / math.sqrt(len(other))
     assert abs(m1 - np.mean(other)) <= 3 * se
+
+
+# ---------------------------------------------------------------------------
+# Against the reference loop (every edge clock queued)
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def oracle_runs(draw):
+    shape = draw(st.sampled_from(["random", "ring", "grid"]))
+    if shape == "random":
+        # a random tree, relabelled, plus random chords: connected, n <= 12
+        n = draw(st.integers(1, 12))
+        label = draw(st.permutations(range(n)))
+        edges = [(label[draw(st.integers(0, i - 1))], label[i]) for i in range(1, n)]
+        node = st.integers(0, n - 1)
+        edges += draw(st.lists(st.tuples(node, node), max_size=n))
+        g = graphs.gen_custom(n, [(u, v) for u, v in edges if u != v])
+    elif shape == "ring":
+        g = graphs.gen_ring(draw(st.integers(3, 12)))
+    else:
+        g = graphs.make_graph("grid", draw(st.sampled_from([4, 9, 16])), 2)
+    kinds = [
+        "null",
+        "random_homogeneous",
+        "static_links",
+        "dynamic_links",  # rewire_rate 0 or > 0
+        "mobile_agents",
+        "greedy_frontier_adversary",
+    ] + (["gsi"] if shape != "random" else [])  # gsi needs a canonical partition
+    node = st.integers(0, g.n - 1)
+    rate = st.floats(0.1, 4.0)
+    spec = policies.PolicySpec(
+        kind=draw(st.sampled_from(kinds)),
+        L=draw(rate),
+        links=tuple(draw(st.lists(st.tuples(node, node), min_size=1, max_size=3))),
+        beta_link=draw(rate),
+        count=draw(st.integers(1, 3)),
+        rewire_rate=draw(st.sampled_from([0.0, 0.5, 2.0])),
+        agents=draw(st.integers(1, 3)),
+        rate_per_agent=draw(rate),
+        seed=draw(st.integers(0, 2**32)),
+    )
+    cfg = EngineConfig(
+        beta=draw(st.floats(0.2, 3.0)),
+        initial_infected=draw(node),
+        max_time=draw(st.none() | st.floats(0.0, 4.0)),
+        seed=draw(st.integers(0, 2**63)),
+    )
+    return g, spec, cfg, draw(st.integers(0, 3))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(oracle_runs())
+def test_engine_trace_equals_reference_loop(run):
+    g, spec, cfg, replicate = run
+    trace = engine.simulate(g, policies.build_policy(spec, g), cfg, replicate)
+    events, finish = reference_simulate(g, policies.build_policy(spec, g), cfg, replicate)
+    assert trace.events == events
+    assert trace.finish_time == finish
 
 
 # ---------------------------------------------------------------------------

@@ -593,6 +593,9 @@ MALFORMED_GRAPH_FILES = {
         "rgg of radius 1.5",
     ),
     "rgg-nan-radius": ("2 rgg nan\n0 1\ncoord 0 0.1 0.2\ncoord 1 0.1 0.3\n", "radius nan"),
+    "zero-nodes": ("0 custom\n", "node count must be >= 1, got 0"),
+    "negative-nodes": ("-2 custom\n", "node count must be >= 1, got -2"),
+    "negative-nodes-rgg": ("-2 rgg 0.5\n", "node count must be >= 1, got -2"),
 }
 
 
