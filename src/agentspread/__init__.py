@@ -19,9 +19,7 @@ from .dominators import (
     ClusterProcessConfig,
     ClusterTrace,
     conductance_chain,
-    diagonal_grid_clusters,
-    fpp_clusters,
-    line_clusters,
+    run_cluster_process,
     two_phase_process,
 )
 from .engine import EngineConfig, InfectionState, Trace, simulate, simulate_batch
@@ -81,23 +79,21 @@ __all__ = [
     "build_policy",
     "conductance_chain",
     "conductance_exact",
-    "diagonal_grid_clusters",
     "diameter",
     "dominance_check",
     "dominance_report",
     "exponent_fit",
-    "fpp_clusters",
     "gen_custom",
     "gen_grid",
     "gen_line",
     "gen_rgg",
     "gen_ring",
-    "line_clusters",
     "make_graph",
     "partition_grid",
     "partition_rgg",
     "partition_ring",
     "read_graph",
+    "run_cluster_process",
     "run_plan",
     "simulate",
     "simulate_batch",

@@ -35,7 +35,7 @@ from .dominators import (
     ClusterProcessConfig,
     run_cluster_process,
     sample_hitting_times,
-    two_phase_batch,
+    two_phase_process,
 )
 from .engine import EngineConfig, finish_times, simulate_batch
 from .errors import InvalidParameterError
@@ -44,6 +44,9 @@ from .policies import PolicySpec, build_policy
 from .rng import CH_BOOTSTRAP, CH_DERIVE, stream, substream
 
 DECILES = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
+
+# log_correction -> divisor of each size's mean before a fit, decided only here
+_LOG_DIVISOR = {"none": lambda n: 1.0, "divide_by_log_n": math.log}
 
 # Bootstrap resamples behind each dominance verdict.
 _N_BOOT = 2000
@@ -149,7 +152,7 @@ class ExperimentPlan:
             raise InvalidParameterError("size sweep must be strictly increasing")
         if len(sizes) < 3:
             raise InvalidParameterError("size sweep needs >= 3 points for regression")
-        if self.log_correction not in ("none", "divide_by_log_n"):
+        if self.log_correction not in _LOG_DIVISOR:
             raise InvalidParameterError(f"unknown log_correction {self.log_correction!r}")
         if self.process != "simulate" and self.process not in _CLUSTER_GROWTH:
             raise InvalidParameterError(f"unknown process {self.process!r}")
@@ -171,16 +174,12 @@ class ScalingReport:
     rows: list[SweepRow]
     fit_raw: ExponentFit | None
     fit_corrected: ExponentFit | None
+    fit: ExponentFit | None  # the one the plan's log_correction selects
     log_correction: str
     master_seed: int
     incomplete: bool
     runtime_seconds: float
     plan_echo: dict
-
-    @property
-    def fit(self) -> ExponentFit | None:
-        """The fit selected by the plan's log_correction."""
-        return self.fit_corrected if self.log_correction == "divide_by_log_n" else self.fit_raw
 
     @property
     def exponent(self) -> float:
@@ -287,16 +286,17 @@ def run_plan(plan: ExperimentPlan) -> ScalingReport:
         if plan.event_budget is not None and total_events > plan.event_budget:
             incomplete = len(rows) < len(plan.sizes)
             break
-    fit_raw = fit_corrected = None
-    if len(rows) >= 3:
-        fit_raw = exponent_fit([(r.n, r.mean) for r in rows])
-        fit_corrected = exponent_fit([(r.n, r.mean / math.log(r.n)) for r in rows])
+    fits = {
+        c: exponent_fit([(r.n, r.mean / div(r.n)) for r in rows]) if len(rows) >= 3 else None
+        for c, div in _LOG_DIVISOR.items()
+    }
     echo = asdict(plan)
     echo["policy"].pop("partition", None)
     report = ScalingReport(
         rows=rows,
-        fit_raw=fit_raw,
-        fit_corrected=fit_corrected,
+        fit_raw=fits["none"],
+        fit_corrected=fits["divide_by_log_n"],
+        fit=fits[plan.log_correction],
         log_correction=plan.log_correction,
         master_seed=plan.seed,
         incomplete=incomplete,
@@ -382,7 +382,8 @@ def dominance_report(sample_a, sample_b, *, seed: int = 0) -> DominanceVerdict:
 
 
 def _two_phase(g, partition, L, mode, seed, replicates, beta) -> list[float]:
-    return [tp.finish_time for tp in two_phase_batch(g, partition, L, mode, seed, replicates, beta)]
+    runs = (two_phase_process(g, partition, L, mode, seed, k, beta) for k in range(replicates))
+    return [tp.finish_time for tp in runs]
 
 
 def _line_hits(g, partition, L, mode, seed, replicates, beta) -> list[float]:
@@ -495,6 +496,6 @@ def write_gnuplot(report: ScalingReport, path: str) -> None:
     """Two-column file (n, fitted y) ready for a log-log plot."""
     with open(path, "w") as fh:
         fh.write("# n y\n")
+        div = _LOG_DIVISOR[report.log_correction]
         for r in report.rows:
-            y = r.mean / math.log(r.n) if report.log_correction == "divide_by_log_n" else r.mean
-            fh.write(f"{r.n} {y:.17g}\n")
+            fh.write(f"{r.n} {r.mean / div(r.n):.17g}\n")

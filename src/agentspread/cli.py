@@ -66,12 +66,20 @@ Config files are whitespace-insensitive key-value text with sections::
     occupancy = 1
     replicates = 100
 
+    [meta]
+    master_seed = 0      # resolved.cfg writes [meta]; no subcommand reads it
+    subcommand = sweep
+
 Values are integers, reals, comma lists, or bare strings. An empty
 value reads as an absent key, and a value of the wrong type is a
-configuration error naming its ``[section] key``. ``--set
-section.key=value`` overrides keys already present in the file. Every
-output directory receives a ``resolved.cfg`` echoing the fully resolved
-configuration (master seed included), sufficient to reproduce the run.
+configuration error naming its ``[section] key``; an integer key
+refuses a value with a fractional part. A section or key outside this
+grammar is a configuration error too. ``--set section.key=value``
+overrides keys already present in the file. Every output directory
+receives a ``resolved.cfg`` that echoes the keys the file and ``--set``
+gave, plus ``[meta]`` with the master seed; it does not echo defaults.
+Running the same subcommand on it with ``--seed`` set to ``master_seed``
+reproduces the run.
 
 Exit codes: 0 success, 2 configuration/usage error or bad input (such as
 a malformed graph file, a ring/line/grid file whose edges are not that
@@ -130,23 +138,43 @@ def _parse_value(raw: str):
     return raw
 
 
+# section -> its keys: the grammar of the module docstring, [meta] included
+_KEYS = {
+    "graph": "family n d r path".split(),
+    "policy": "kind L links beta_link count rewire_rate agents rate_per_agent seed".split(),
+    "engine": "beta initial_infected max_time".split(),
+    "simulate": ["replicates"],
+    "sweep": (
+        "sizes replicates log_correction process seeding_rate mu_eff occupancy event_budget"
+    ).split(),
+    "dominate": ["mode", "replicates"],
+    "clusters": "growth target seeding_rate beta dim mu_eff occupancy replicates".split(),
+    "meta": ["master_seed", "subcommand"],
+}
+
+
 def parse_config(text: str) -> dict[str, dict[str, object]]:
     sections: dict[str, dict[str, object]] = {}
-    current: dict[str, object] | None = None
+    section = None
     for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.split("#", 1)[0].strip()  # full-line and trailing comments
         if not stripped:
             continue
         if stripped.startswith("[") and stripped.endswith("]"):
-            name = stripped[1:-1].strip()
-            current = sections.setdefault(name, {})
+            section = stripped[1:-1].strip()
+            if section not in _KEYS:
+                raise ConfigError(f"line {lineno}: unknown section [{section}]")
+            sections.setdefault(section, {})
             continue
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {stripped!r}")
-        if current is None:
+        if section is None:
             raise ConfigError(f"line {lineno}: key outside any [section]")
         key, _, raw = stripped.partition("=")
-        current[key.strip()] = _parse_value(raw)
+        key = key.strip()
+        if key not in _KEYS[section]:
+            raise ConfigError(f"line {lineno}: unknown key [{section}] {key}")
+        sections[section][key] = _parse_value(raw)
     return sections
 
 
@@ -202,12 +230,20 @@ def _get(cfg: dict, section: str, key: str, kind, default=_REQUIRED):
         return default
     try:
         return kind(value)
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise ConfigError(f"[{section}] {key}: cannot read {value!r} ({e})") from e
 
 
+def _int(value) -> int:
+    """``int`` that refuses to truncate: 64.7 is an error, 64.0 reads as 64."""
+    n = int(value)
+    if n != value:
+        raise ValueError("not an integer")
+    return n
+
+
 def _int_list(value) -> tuple[int, ...]:
-    return tuple(int(x) for x in (value if isinstance(value, list) else [value]))
+    return tuple(_int(x) for x in (value if isinstance(value, list) else [value]))
 
 
 def _or_name(kind, name: str):
@@ -232,8 +268,8 @@ def _build_graph(cfg: dict, seed: int) -> graphs.Graph:
         return graphs.read_graph(_get(cfg, "graph", "path", str))
     return graphs.make_graph(
         family,
-        _get(cfg, "graph", "n", int),
-        _get(cfg, "graph", "d", int, 2),
+        _get(cfg, "graph", "n", _int),
+        _get(cfg, "graph", "d", _int, 2),
         _radius(cfg),
         seed,
     )
@@ -256,18 +292,18 @@ def _policy_spec(cfg: dict, master_seed: int) -> policies.PolicySpec:
         L=_get(cfg, "policy", "L", float, 1.0),
         links=_get(cfg, "policy", "links", _parse_links, ()),
         beta_link=_get(cfg, "policy", "beta_link", float, 1.0),
-        count=_get(cfg, "policy", "count", int, 1),
+        count=_get(cfg, "policy", "count", _int, 1),
         rewire_rate=_get(cfg, "policy", "rewire_rate", float, 0.0),
-        agents=_get(cfg, "policy", "agents", int, 1),
+        agents=_get(cfg, "policy", "agents", _int, 1),
         rate_per_agent=_get(cfg, "policy", "rate_per_agent", float, 1.0),
-        seed=_get(cfg, "policy", "seed", int, master_seed),
+        seed=_get(cfg, "policy", "seed", _int, master_seed),
     )
 
 
 def _engine_config(cfg: dict, seed: int) -> engine.EngineConfig:
     return engine.EngineConfig(
         beta=_get(cfg, "engine", "beta", float, 1.0),
-        initial_infected=_get(cfg, "engine", "initial_infected", int, 0),
+        initial_infected=_get(cfg, "engine", "initial_infected", _int, 0),
         max_time=_get(cfg, "engine", "max_time", float, None),
         seed=seed,
     )
@@ -305,7 +341,7 @@ def _cmd_simulate(args) -> int:
     spec = _policy_spec(cfg, args.seed)
     handle = policies.build_policy(spec, g)
     ecfg = _engine_config(cfg, args.seed)
-    replicates = _get(cfg, "simulate", "replicates", int, 1)
+    replicates = _get(cfg, "simulate", "replicates", _int, 1)
     summaries = engine.simulate_batch(g, handle, ecfg, replicates)
     engine.write_batch_csv(summaries, os.path.join(outdir, "batch.csv"))
     trace = engine.simulate(g, handle, ecfg)
@@ -324,18 +360,18 @@ def _plan_from_config(cfg: dict, args, outdir: str | None = None) -> analytics.E
         sizes=_get(cfg, "sweep", "sizes", _int_list),
         family=_get(cfg, "graph", "family", str, "ring"),
         policy=_policy_spec(cfg, args.seed),
-        replicates=_get(cfg, "sweep", "replicates", int, 200),
+        replicates=_get(cfg, "sweep", "replicates", _int, 200),
         beta=_get(cfg, "engine", "beta", float, 1.0),
         seed=args.seed,
         log_correction=_get(cfg, "sweep", "log_correction", str, "none"),
         process=_get(cfg, "sweep", "process", str, "simulate"),
-        dim=_get(cfg, "graph", "d", int, 2),
+        dim=_get(cfg, "graph", "d", _int, 2),
         rgg_radius=_radius(cfg),
         seeding_rate=_get(cfg, "sweep", "seeding_rate", float, 1.0),
         mu_eff=_get(cfg, "sweep", "mu_eff", _or_name(float, "log2n"), 1.0),
-        occupancy=_get(cfg, "sweep", "occupancy", _or_name(int, "logn"), 1),
-        initial_infected=_get(cfg, "engine", "initial_infected", int, 0),
-        event_budget=_get(cfg, "sweep", "event_budget", int, None),
+        occupancy=_get(cfg, "sweep", "occupancy", _or_name(_int, "logn"), 1),
+        initial_infected=_get(cfg, "engine", "initial_infected", _int, 0),
+        event_budget=_get(cfg, "sweep", "event_budget", _int, None),
         output_dir=outdir,
     )
 
@@ -358,7 +394,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_dominate(args) -> int:
     cfg = _load(args.config, args.set or [])
     outdir = _ensure_outdir(args.out)
-    replicates = _get(cfg, "dominate", "replicates", int, 1000)
+    replicates = _get(cfg, "dominate", "replicates", _int, 1000)
     label, verdict = analytics.dominance_check(
         _build_graph(cfg, args.seed),
         _get(cfg, "dominate", "mode", str, "homogeneous"),
@@ -416,15 +452,15 @@ def _cmd_fpp(args) -> int:
     growth = _get(cfg, "clusters", "growth", str)
     ccfg = dominators.ClusterProcessConfig(
         growth=growth,
-        target_count=_get(cfg, "clusters", "target", int),
+        target_count=_get(cfg, "clusters", "target", _int),
         seeding_rate=_get(cfg, "clusters", "seeding_rate", float, 1.0),
         beta=_get(cfg, "clusters", "beta", float, 1.0),
-        dim=_get(cfg, "clusters", "dim", int, 2),
+        dim=_get(cfg, "clusters", "dim", _int, 2),
         mu_eff=_get(cfg, "clusters", "mu_eff", float, 1.0),
-        occupancy=_get(cfg, "clusters", "occupancy", int, 1),
+        occupancy=_get(cfg, "clusters", "occupancy", _int, 1),
         seed=args.seed,
     )
-    replicates = _get(cfg, "clusters", "replicates", int, 100)
+    replicates = _get(cfg, "clusters", "replicates", _int, 100)
     if replicates < 1:
         raise ConfigError(f"[clusters] replicates must be >= 1, got {replicates}")
     outdir = _ensure_outdir(args.out)

@@ -1,18 +1,19 @@
 """Bounding processes that sandwich the real spreading dynamics.
 
-Upper side: the two-phase process (seed every partition piece by external
-contact only, then spread along each piece's BFS tree from
-``graphs.bfs_tree`` only), which is stochastically slower than the
-policies it models, and the per-piece birth chain driven by
-conductance. Lower side: one cluster-growth process
-in which new clusters arrive as a Poisson stream and grow without ever
-interfering, which is stochastically faster than any policy with the
-same budget. One arrival loop runs it, and one table of growths gives
-each its edge rate, its lattice and the points a site is worth: a
-frontier pair on the line, SI growth on an exclusive infinite lattice,
-and a diagonal-grid tile process. The processes run without the engine
-or the policies; ``analytics.dominance_check`` pairs each with the
-policy it bounds.
+Upper side: the two-phase process, run only through
+``two_phase_process`` (seed every partition piece by external contact
+only, then spread along each piece's BFS tree from ``graphs.bfs_tree``
+only), which is stochastically slower than the policies it models, and
+the per-piece birth chain driven by conductance. Lower side: one
+cluster-growth process in which new clusters arrive as a Poisson stream
+and grow without ever interfering, which is stochastically faster than
+any policy with the same budget. ``run_cluster_process`` is its one
+arrival loop and its one way in: ``ClusterProcessConfig.growth`` picks
+from one table of growths, which gives each its edge rate, its lattice
+and the points a site is worth: a frontier pair on the line, SI growth
+on an exclusive infinite lattice, and a diagonal-grid tile process. The
+processes run without the engine or the policies;
+``analytics.dominance_check`` pairs each with the policy it bounds.
 
 A lattice cluster keeps its sites in a hash set and its boundary edges
 in a swap-remove list, so there is no truncation boundary and a growth
@@ -105,21 +106,6 @@ def two_phase_process(
     return TwoPhaseTrace(phase1=t1, phase2=t2, piece_seeds=tuple(seeds))
 
 
-def two_phase_batch(
-    g: Graph,
-    partition: Partition,
-    L: float,
-    mode: str,
-    seed: int,
-    replicates: int,
-    beta: float = 1.0,
-) -> list[TwoPhaseTrace]:
-    return [
-        two_phase_process(g, partition, L, mode, seed, replicate=k, beta=beta)
-        for k in range(replicates)
-    ]
-
-
 # ---------------------------------------------------------------------------
 # Conductance birth chain
 # ---------------------------------------------------------------------------
@@ -159,10 +145,11 @@ class ClusterProcessConfig:
     """Parameters of a cluster-growth run.
 
     ``growth`` selects the cluster dynamics: "line" (each cluster adds
-    points at rate 2*beta), "fpp" (SI growth on an exclusive infinite
-    dim-dimensional lattice at rate beta per edge), or "diagonal"
-    (8-neighbour lattice at rate mu_eff per edge, each site worth
-    ``occupancy`` points).
+    points at rate 2*beta and its seed is not counted, so at unit seeding
+    rate the mean count is beta*t^2 + 2*beta*t), "fpp" (SI growth on an
+    exclusive infinite dim-dimensional lattice at rate beta per edge), or
+    "diagonal" (8-neighbour lattice at rate mu_eff per edge, each site
+    worth ``occupancy`` points).
     """
 
     growth: str
@@ -357,36 +344,12 @@ def run_cluster_process(cfg: ClusterProcessConfig, replicate: int = 0) -> Cluste
     )
 
 
-def _check_growth(cfg: ClusterProcessConfig, growth: str) -> None:
-    if cfg.growth != growth:
-        raise InvalidParameterError(f"cfg.growth must be {growth!r}")
-
-
-def line_clusters(cfg: ClusterProcessConfig, replicate: int = 0) -> ClusterTrace:
-    """Line cluster process: Poisson cluster arrivals, growth at 2*beta each.
-
-    The count is the number of growth points added across clusters (the
-    accounting whose mean curve is exactly beta*t^2 + 2*beta*t at unit
-    seeding rate); cluster seeds themselves are not counted.
-    """
-    _check_growth(cfg, "line")
-    return run_cluster_process(cfg, replicate)
-
-
 def fpp_clusters(cfg: ClusterProcessConfig, replicate: int = 0) -> ClusterTrace:
-    """Cluster process with SI growth on exclusive infinite d-dim lattices.
-
-    Each cluster counts its occupied sites (the origin included); the
-    total across clusters hitting the target stops the run.
-    """
-    _check_growth(cfg, "fpp")
-    return run_cluster_process(cfg, replicate)
-
-
-def diagonal_grid_clusters(cfg: ClusterProcessConfig, replicate: int = 0) -> ClusterTrace:
-    """Tile process on the 8-neighbour planar lattice at rate mu_eff per
-    edge, each occupied site worth ``occupancy`` points."""
-    _check_growth(cfg, "diagonal")
+    """``run_cluster_process`` for an "fpp" growth. It stays only while
+    ``perfbench/workloads.py`` calls it; everything else calls
+    ``run_cluster_process``."""
+    if cfg.growth != "fpp":
+        raise InvalidParameterError("cfg.growth must be 'fpp'")
     return run_cluster_process(cfg, replicate)
 
 

@@ -294,28 +294,6 @@ def canonical_partition(graph: Graph, l_min: float = 1.0) -> Partition:
 # ---------------------------------------------------------------------------
 
 
-def bfs_distances(g: Graph, root: int, members: Iterable[int] | None = None) -> dict[int, int]:
-    """Hop distances from root inside the subgraph induced by ``members``.
-
-    Nodes of the induced subgraph unreachable from root are absent from
-    the result. ``members=None`` uses the whole graph.
-    """
-    allowed = None if members is None else set(members)
-    if allowed is not None and root not in allowed:
-        raise InvalidParameterError(f"root {root} not in the given piece")
-    dist = {root: 0}
-    q = deque([root])
-    adj = g.adjacency
-    while q:
-        u = q.popleft()
-        du = dist[u]
-        for v in adj[u]:
-            if v not in dist and (allowed is None or v in allowed):
-                dist[v] = du + 1
-                q.append(v)
-    return dist
-
-
 def bfs_tree(g: Graph, piece: Iterable[int], root: int) -> SpanningTree:
     """Shortest-path spanning tree of a connected piece, rooted at root.
 

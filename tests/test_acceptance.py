@@ -16,11 +16,12 @@ from agentspread.dominators import (
     ClusterProcessConfig,
     chain_sojourn_mean,
     conductance_chain,
-    line_clusters,
+    run_cluster_process,
     sample_hitting_times,
-    two_phase_batch,
+    two_phase_process,
 )
 from agentspread.engine import EngineConfig, finish_times, simulate, simulate_batch
+from agentspread.errors import ConnectivityError
 from agentspread.policies import PolicySpec
 
 from oracles import adjacency_of, connected_graphs_up_to_iso, ctmc_expected_finish
@@ -97,7 +98,7 @@ def test_c02_path_and_star_closed_forms():
 def test_c03_line_cluster_growth_law():
     reps = 100_000
     cfg = ClusterProcessConfig(growth="line", target_count=10**9, max_time=3.0, seed=13_000)
-    traces = [line_clusters(cfg, k) for k in range(reps)]
+    traces = [run_cluster_process(cfg, k) for k in range(reps)]
     worst = 0.0
     for t in (1.0, 2.0, 3.0):
         want = t * t + 2 * t
@@ -226,8 +227,8 @@ def test_c07_dominance_suite():
             simulate_batch(g, a.RandomHomogeneous(1.0), EngineConfig(seed=401), reps)
         )
         upper = [
-            tp.finish_time
-            for tp in two_phase_batch(g, part, 1.0, "homogeneous", seed=402, replicates=reps)
+            two_phase_process(g, part, 1.0, "homogeneous", seed=402, replicate=k).finish_time
+            for k in range(reps)
         ]
         verdicts[f"random<=two_phase_hom n={n}"] = dominance_report(real, upper, seed=403)
 
@@ -235,8 +236,8 @@ def test_c07_dominance_suite():
             simulate_batch(g, a.GsiPolicy(part, 1.0), EngineConfig(seed=404), reps)
         )
         upper = [
-            tp.finish_time
-            for tp in two_phase_batch(g, part, 1.0, "sequential", seed=405, replicates=reps)
+            two_phase_process(g, part, 1.0, "sequential", seed=405, replicate=k).finish_time
+            for k in range(reps)
         ]
         verdicts[f"gsi<=two_phase_seq n={n}"] = dominance_report(real, upper, seed=406)
 
@@ -291,7 +292,10 @@ def test_c08_conductance_and_chain():
 def test_c09_two_phase_coupon_phase1():
     g = a.gen_ring(16)
     part = a.partition_ring(g)  # 4 pieces of n/4
-    runs = two_phase_batch(g, part, 1.0, "homogeneous", seed=15_000, replicates=100_000)
+    runs = [
+        two_phase_process(g, part, 1.0, "homogeneous", seed=15_000, replicate=k)
+        for k in range(100_000)
+    ]
     got = np.mean([r.phase1 for r in runs])
     want = 25 / 3
     err = abs(got - want) / want
@@ -311,10 +315,11 @@ def test_c10_rgg_pipeline():
     finish = []
     for seed in range(100):
         g = a.gen_rgg(n, r, seed=seed)
-        if len(a.graphs.bfs_distances(g, 0)) == n:
-            connected += 1
-        else:
+        try:
+            a.bfs_tree(g, range(n), 0)
+        except ConnectivityError:
             continue
+        connected += 1
         if validated < 3:  # partition validity sampled on the first few seeds
             a.graphs.validate_partition(g, a.partition_rgg(g))
             validated += 1

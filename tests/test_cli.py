@@ -118,6 +118,81 @@ def test_sweep_byte_identical(tmp_path):
     assert report["master_seed"] == 42
 
 
+def test_sweep_rerun_from_resolved_cfg_is_byte_identical(tmp_path):
+    # resolved.cfg echoes the file's keys, the overrides and [meta]; fed
+    # back with the same seed it reproduces the sweep.
+    cfg = _write(tmp_path / "c.cfg", RING_SWEEP)
+    out1, out2 = tmp_path / "o1", tmp_path / "o2"
+    argv = ["sweep", "--config", cfg, "--seed", "42", "--out", str(out1)]
+    assert main(argv + ["--set", "sweep.log_correction=divide_by_log_n"]) == 0
+    resolved = str(out1 / "resolved.cfg")
+    assert main(["sweep", "--config", resolved, "--seed", "42", "--out", str(out2)]) == 0
+    for name in ("report.csv", "loglog.dat", "resolved.cfg"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+@pytest.mark.parametrize("process", ["line_clusters", "fpp_clusters", "diagonal_grid_clusters"])
+def test_sweep_sets_each_cluster_process(tmp_path, process):
+    cfg = _write(tmp_path / "c.cfg", RING_SWEEP)
+    out = tmp_path / "o"
+    argv = ["sweep", "--config", cfg, "--seed", "1", "--out", str(out)]
+    assert main(argv + ["--set", f"sweep.process={process}"]) == 0
+    assert json.loads((out / "report.json").read_text())["plan"]["process"] == process
+
+
+CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
+
+# the section a shipped config is built around -> its subcommand and a
+# replicate count small enough for a test
+SHIPPED_RUNS = {"sweep": ("sweep", 5), "dominate": ("dominate", 100), "clusters": ("fpp", 5)}
+
+
+def test_configs_are_shipped():
+    assert len(CONFIGS) >= 3
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
+def test_shipped_config_runs(tmp_path, path):
+    sections = cli.parse_config(path.read_text())
+    (section,) = [name for name in SHIPPED_RUNS if name in sections]
+    subcommand, replicates = SHIPPED_RUNS[section]
+    argv = [subcommand, "--config", str(path), "--seed", "1", "--out", str(tmp_path / "o")]
+    assert main(argv + ["--set", f"{section}.replicates={replicates}"]) == 0
+
+
+@pytest.mark.parametrize(
+    "extra,named",
+    [("[engine]\nreplicates = 50\n", "[engine] replicates"), ("[grpah]\nn = 64\n", "[grpah]")],
+    ids=["key", "section"],
+)
+def test_unknown_config_key_exits_2(tmp_path, capsys, extra, named):
+    cfg = _write(tmp_path / "c.cfg", RING_SWEEP + extra)
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", cfg, "--seed", "1", "--out", str(out)]) == 2
+    assert named in capsys.readouterr().err
+    assert not (out / "report.csv").exists()
+
+
+INT_KEYS = RING_SWEEP + "occupancy = 1\n\n[simulate]\nreplicates = 1\n"
+
+
+@pytest.mark.parametrize(
+    "subcommand,override,named",
+    [
+        ("simulate", "graph.n=64.7", "[graph] n"),
+        ("simulate", "graph.n=inf", "[graph] n"),
+        ("simulate", "simulate.replicates=3.9", "[simulate] replicates"),
+        ("sweep", "sweep.sizes=64,128.5,256", "[sweep] sizes"),
+        ("sweep", "sweep.occupancy=2.5", "[sweep] occupancy"),
+    ],
+)
+def test_integer_key_refuses_non_integral_value(tmp_path, capsys, subcommand, override, named):
+    cfg = _write(tmp_path / "c.cfg", INT_KEYS)
+    argv = [subcommand, "--config", cfg, "--out", str(tmp_path / "o"), "--set", override]
+    assert main(argv) == 2
+    assert named in capsys.readouterr().err
+
+
 def test_sweep_override(tmp_path):
     cfg = _write(tmp_path / "c.cfg", RING_SWEEP)
     out = tmp_path / "o"
@@ -370,6 +445,11 @@ def test_grammar_lists_every_config_key():
     assert len(read) > 30
     missing = sorted(f"[{sec}] {key}" for sec, key in read if key not in shown.get(sec, ()))
     assert not missing, f"keys the CLI reads but its grammar does not show: {missing}"
+    # The key table parse_config checks against is the grammar, both ways,
+    # and the CLI reads every key of it but [meta]'s.
+    table = {(sec, key) for sec, keys in cli._KEYS.items() for key in keys}
+    assert table == {(sec, key) for sec, keys in shown.items() for key in keys}
+    assert read == {(sec, key) for sec, key in table if sec != "meta"}
 
 
 def test_missing_config_is_error(tmp_path):

@@ -14,12 +14,8 @@ from agentspread.dominators import (
     ClusterProcessConfig,
     chain_sojourn_mean,
     conductance_chain,
-    diagonal_grid_clusters,
-    fpp_clusters,
-    line_clusters,
     run_cluster_process,
     sample_hitting_times,
-    two_phase_batch,
     two_phase_process,
 )
 from agentspread.errors import ConnectivityError, InvalidParameterError
@@ -34,7 +30,10 @@ def test_two_phase_homogeneous_phase1_mean():
     # 4 pieces of n/4 at L=1: phase 1 is the max of 4 Exp(1/4), mean 4*H_4.
     g = graphs.gen_ring(16)
     part = graphs.partition_ring(g)
-    runs = two_phase_batch(g, part, 1.0, "homogeneous", seed=3, replicates=20000)
+    runs = [
+        two_phase_process(g, part, 1.0, "homogeneous", seed=3, replicate=k)
+        for k in range(20000)
+    ]
     m = np.mean([r.phase1 for r in runs])
     assert m == pytest.approx(4 * (1 + 1 / 2 + 1 / 3 + 1 / 4), rel=0.03)
 
@@ -42,7 +41,10 @@ def test_two_phase_homogeneous_phase1_mean():
 def test_two_phase_sequential_phase1_mean():
     g = graphs.gen_ring(16)
     part = graphs.partition_ring(g)
-    runs = two_phase_batch(g, part, 1.0, "sequential", seed=4, replicates=20000)
+    runs = [
+        two_phase_process(g, part, 1.0, "sequential", seed=4, replicate=k)
+        for k in range(20000)
+    ]
     assert np.mean([r.phase1 for r in runs]) == pytest.approx(4.0, rel=0.03)
 
 
@@ -53,7 +55,10 @@ def test_two_phase_single_piece_path_phase2():
     part = graphs.Partition(
         pieces=(tuple(range(9)),), piece_sizes=(9,), piece_diameters=(8,)
     )
-    runs = two_phase_batch(g, part, 1.0, "sequential", seed=5, replicates=20000)
+    runs = [
+        two_phase_process(g, part, 1.0, "sequential", seed=5, replicate=k)
+        for k in range(20000)
+    ]
     assert all(r.piece_seeds == (0,) for r in runs[:10])
     assert np.mean([r.phase2 for r in runs]) == pytest.approx(8.0, rel=0.03)
 
@@ -172,7 +177,7 @@ def test_line_cluster_mean_curve():
     cfg = ClusterProcessConfig(
         growth="line", target_count=10**9, max_time=2.0, seed=9
     )
-    counts = [line_clusters(cfg, k).count_at(2.0) for k in range(20000)]
+    counts = [run_cluster_process(cfg, k).count_at(2.0) for k in range(20000)]
     assert np.mean(counts) == pytest.approx(8.0, rel=0.03)
 
 
@@ -181,7 +186,7 @@ def test_line_cluster_mean_curve_other_betas(beta, t):
     cfg = ClusterProcessConfig(
         growth="line", target_count=10**9, beta=beta, max_time=t, seed=10
     )
-    counts = [line_clusters(cfg, k).count_at(t) for k in range(20000)]
+    counts = [run_cluster_process(cfg, k).count_at(t) for k in range(20000)]
     assert np.mean(counts) == pytest.approx(beta * t * t + 2 * beta * t, rel=0.03)
 
 
@@ -191,14 +196,14 @@ def test_line_cluster_no_seeding_limit_is_poisson():
     cfg = ClusterProcessConfig(
         growth="line", target_count=10**9, seeding_rate=1e-12, max_time=2.0, seed=11
     )
-    counts = np.array([line_clusters(cfg, k).count_at(2.0) for k in range(20000)])
+    counts = np.array([run_cluster_process(cfg, k).count_at(2.0) for k in range(20000)])
     assert counts.mean() == pytest.approx(4.0, rel=0.05)
     assert counts.var() == pytest.approx(4.0, rel=0.08)
 
 
 def test_line_cluster_trace_invariants():
     cfg = ClusterProcessConfig(growth="line", target_count=500, seed=12)
-    tr = line_clusters(cfg)
+    tr = run_cluster_process(cfg)
     counts = [c for _, c in tr.total_count_path]
     assert counts == sorted(counts)
     births = tr.cluster_birth_times
@@ -310,7 +315,7 @@ def test_fpp_d1_single_cluster_is_poisson_pair():
     cfg = ClusterProcessConfig(
         growth="fpp", dim=1, target_count=10**9, seeding_rate=1e-12, max_time=t, seed=15
     )
-    sizes = np.array([fpp_clusters(cfg, k).count_at(t) - 1 for k in range(4000)])
+    sizes = np.array([run_cluster_process(cfg, k).count_at(t) - 1 for k in range(4000)])
     ref = np.random.Generator(np.random.Philox(key=np.array([1, 2], dtype=np.uint64)))
     poisson = ref.poisson(2 * t, size=4000)
     _, p = stats.ks_2samp(sizes, poisson)
@@ -319,7 +324,7 @@ def test_fpp_d1_single_cluster_is_poisson_pair():
 
 def test_fpp_counts_origin():
     cfg = ClusterProcessConfig(growth="fpp", dim=2, target_count=50, seed=16)
-    tr = fpp_clusters(cfg)
+    tr = run_cluster_process(cfg)
     assert tr.total_count_path[0] == (0.0, 1)
     counts = [c for _, c in tr.total_count_path]
     assert counts == sorted(counts)
@@ -329,7 +334,7 @@ def test_diagonal_first_jump_exp8():
     cfg = ClusterProcessConfig(
         growth="diagonal", target_count=2, seeding_rate=1e-12, mu_eff=1.0, seed=18
     )
-    first = [diagonal_grid_clusters(cfg, k).hitting_time for k in range(20000)]
+    first = [run_cluster_process(cfg, k).hitting_time for k in range(20000)]
     assert np.mean(first) == pytest.approx(1 / 8, rel=0.04)
 
 
@@ -337,7 +342,7 @@ def test_diagonal_occupancy_counts_points():
     cfg = ClusterProcessConfig(
         growth="diagonal", target_count=30, occupancy=5, seeding_rate=1e-6, seed=19
     )
-    tr = diagonal_grid_clusters(cfg)
+    tr = run_cluster_process(cfg)
     assert tr.total_count_path[0] == (0.0, 5)
     # 6 occupied sites reach 30 points
     assert tr.total_count_path[-1][1] == 30
