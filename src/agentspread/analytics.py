@@ -38,7 +38,7 @@ from .dominators import (
     two_phase_process,
 )
 from .engine import EngineConfig, finish_times, simulate_batch
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, integral
 from .graphs import Graph, Partition, canonical_partition, make_graph
 from .policies import PolicySpec, build_policy
 from .rng import CH_BOOTSTRAP, CH_DERIVE, stream, substream
@@ -147,7 +147,7 @@ class ExperimentPlan:
     output_dir: str | None = None  # when set, run_plan writes the report bundle there
 
     def __post_init__(self):
-        sizes = tuple(int(n) for n in self.sizes)
+        sizes = tuple(integral("sizes", n) for n in self.sizes)
         if any(b <= a for a, b in zip(sizes, sizes[1:])):
             raise InvalidParameterError("size sweep must be strictly increasing")
         if len(sizes) < 3:
@@ -157,6 +157,9 @@ class ExperimentPlan:
         if self.process != "simulate" and self.process not in _CLUSTER_GROWTH:
             raise InvalidParameterError(f"unknown process {self.process!r}")
         object.__setattr__(self, "sizes", sizes)
+        object.__setattr__(self, "dim", integral("dim", self.dim))
+        if self.occupancy != "logn":
+            object.__setattr__(self, "occupancy", integral("occupancy", self.occupancy))
 
 
 @dataclass
@@ -215,7 +218,7 @@ def _resolve_cluster_cfg(plan: ExperimentPlan, n: int) -> ClusterProcessConfig:
         beta=plan.beta,
         dim=plan.dim,
         mu_eff=float(mu),
-        occupancy=int(occ),
+        occupancy=occ,
         seed=derive_seed(plan.seed, (n << 2) | _P_PROCESS),
     )
 

@@ -105,6 +105,7 @@ from .errors import (
     NonTerminationError,
     PolicyContractError,
     SizeLimitError,
+    integral,
 )
 
 EXIT_OK = 0
@@ -236,10 +237,7 @@ def _get(cfg: dict, section: str, key: str, kind, default=_REQUIRED):
 
 def _int(value) -> int:
     """``int`` that refuses to truncate: 64.7 is an error, 64.0 reads as 64."""
-    n = int(value)
-    if n != value:
-        raise ValueError("not an integer")
-    return n
+    return integral("value", value)
 
 
 def _int_list(value) -> tuple[int, ...]:

@@ -28,7 +28,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import InvalidParameterError, positive
+from .errors import InvalidParameterError, integral, positive
 from .graphs import Graph, Partition, bfs_tree
 from .rng import CH_PROCESS, BufferedSampler, substream
 
@@ -167,6 +167,8 @@ class ClusterProcessConfig:
             raise InvalidParameterError(f"unknown growth kind {self.growth!r}")
         positive("seeding_rate", self.seeding_rate)
         positive("beta", self.beta)
+        for name in ("target_count", "dim", "occupancy"):
+            object.__setattr__(self, name, integral(name, getattr(self, name)))
         if self.target_count < 1:
             raise InvalidParameterError("target_count must be >= 1")
         if self.growth == "fpp" and self.dim not in (1, 2, 3):

@@ -17,6 +17,19 @@ def positive(name: str, value):
     return value
 
 
+def integral(name: str, value) -> int:
+    """Return ``value`` as an int if it is a whole number (64.0 reads as
+    64); otherwise raise InvalidParameterError naming the parameter (a
+    fractional, infinite or NaN value, or a string, included)."""
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or n != value:
+        raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+    return n
+
+
 class InvalidFamilyError(ValueError):
     """An operation was applied to a graph of the wrong family."""
 

@@ -24,7 +24,6 @@ construction.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 from .engine import InfectionState
@@ -303,6 +302,10 @@ class MobileAgents(Policy):
     cause, it relocates to a node chosen uniformly at random among the
     still-healthy ones, which keeps it productive for the rest of the
     run; with no healthy node left the agent stays put.
+
+    ``on_infect`` returns at once for a node no agent sits on (one
+    C-level scan of the positions), so the per-agent relocation loop and
+    its draws run only for infections that hit an agent.
     """
 
     kind = "mobile_agents"
@@ -325,7 +328,7 @@ class MobileAgents(Policy):
     def rate_of(self, node, state):
         if state.infected[node]:
             return 0.0
-        return self.rate * sum(1 for p in self._pos if p == node)
+        return self.rate * self._pos.count(node)
 
     def healthy_rate(self, state):
         return self.rate * self._live
@@ -338,6 +341,8 @@ class MobileAgents(Policy):
         return live[int(uni.draw() * len(live))]
 
     def on_infect(self, node, state):
+        if node not in self._pos:
+            return
         healthy = state.healthy
         if state.infected_count <= 1 or not healthy:
             # Initial seeding (nothing witnessed) or no healthy node left:
@@ -353,11 +358,17 @@ class GreedyFrontierAdversary(_TargetedBudget):
     """Heuristic adversary: the whole budget targets a healthy node at
     maximum hop distance from the infected set.
 
-    Distances to the infected set only shrink, so they are maintained by
-    decremental BFS relaxation from each newly infected node. The target
-    is ``dist.index(max(dist))``: infected nodes sit at distance 0 and
-    nodes no wave has reached (other components) at the sentinel n + 1,
-    so it is the lowest-id healthy node at the largest distance.
+    ``on_infect`` only records the node; the distances are relaxed once
+    per target query, from the nodes infected since the last query, by
+    one level-synchronous wave: the fresh nodes go to 0, and level d
+    lowers to d each neighbour of level d - 1 that was farther. This is
+    exact. Before and after a query ``dist`` is the hop distance to the
+    infected set (the sentinel n + 1 where none reaches), because a node
+    the wave cannot lower is already at distance <= d, so every node past
+    it is already as close as the wave would make it. The target is
+    ``dist.index(max(dist))``: infected nodes sit at 0 and unreached
+    nodes (other components) at n + 1, so it is the lowest-id healthy
+    node at the largest distance.
     """
 
     kind = "greedy_frontier_adversary"
@@ -365,22 +376,28 @@ class GreedyFrontierAdversary(_TargetedBudget):
     def reset(self, graph, state, replicate):
         self._adj = graph.adjacency
         self._dist = [graph.n + 1] * graph.n
+        self._fresh = []
 
     def _target(self, state) -> int:
-        return self._dist.index(max(self._dist))
-
-    def on_infect(self, node, state):
         dist = self._dist
         adj = self._adj
-        dist[node] = 0
-        wave = deque([node])
-        while wave:
-            u = wave.popleft()
-            du = dist[u] + 1
-            for w in adj[u]:
-                if du < dist[w]:
-                    dist[w] = du
-                    wave.append(w)
+        level, self._fresh = self._fresh, []
+        for v in level:
+            dist[v] = 0
+        d = 0
+        while level:
+            d += 1
+            nxt = []
+            for u in level:
+                for w in adj[u]:
+                    if d < dist[w]:
+                        dist[w] = d
+                        nxt.append(w)
+            level = nxt
+        return dist.index(max(dist))
+
+    def on_infect(self, node, state):
+        self._fresh.append(node)
 
 
 # ---------------------------------------------------------------------------

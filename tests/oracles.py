@@ -4,14 +4,16 @@ Everything here is deliberately naive and separate from the library's
 code paths: a phase-type expectation for the exact finish-time mean, a
 first-passage sampler built on Dijkstra over pre-drawn clocks, brute
 force subset enumeration for conductance, exhaustive small-graph
-enumeration up to isomorphism, and a reference copy of the event loop
-that queues every edge clock.
+enumeration up to isomorphism, a reference copy of the event loop
+that queues every edge clock, and a reference copy of the greedy
+adversary that relaxes its distances after every infection.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from collections import deque
 from heapq import heappop, heappush
 from itertools import combinations, permutations
 
@@ -19,6 +21,7 @@ import numpy as np
 
 from agentspread.engine import InfectionState
 from agentspread.errors import InvalidParameterError, NonTerminationError, PolicyContractError
+from agentspread.policies import _TargetedBudget
 from agentspread.rng import CH_ENGINE, substream
 
 
@@ -318,3 +321,38 @@ def reference_simulate(g, policy, cfg, replicate=0):
     rng = substream(cfg.seed, replicate, CH_ENGINE)
     _, events, finish = reference_run(g, policy, cfg, replicate, True, rng)
     return events, finish
+
+
+# ---------------------------------------------------------------------------
+#
+# The greedy frontier adversary as it stood before it relaxed its
+# distances once per target query: a deque wave from every newly infected
+# node, run inside ``on_infect``. Kept verbatim, so the lazy adversary can
+# be checked against it trace for trace.
+
+
+class ReferenceGreedyAdversary(_TargetedBudget):
+    """Whole budget on the lowest-id healthy node at maximum hop distance
+    from the infected set, with distances relaxed eagerly per infection."""
+
+    kind = "greedy_frontier_adversary"
+
+    def reset(self, graph, state, replicate):
+        self._adj = graph.adjacency
+        self._dist = [graph.n + 1] * graph.n
+
+    def _target(self, state) -> int:
+        return self._dist.index(max(self._dist))
+
+    def on_infect(self, node, state):
+        dist = self._dist
+        adj = self._adj
+        dist[node] = 0
+        wave = deque([node])
+        while wave:
+            u = wave.popleft()
+            du = dist[u] + 1
+            for w in adj[u]:
+                if du < dist[w]:
+                    dist[w] = du
+                    wave.append(w)

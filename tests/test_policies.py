@@ -10,10 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agentspread import dominators, engine, graphs, policies
+from agentspread.analytics import ExperimentPlan
 from agentspread.engine import EngineConfig, InfectionState, mean_finish_time
 from agentspread.errors import InvalidParameterError
 
-from oracles import ctmc_expected_finish
+from oracles import ReferenceGreedyAdversary, ctmc_expected_finish
 
 
 def fresh_state(g, policy, seed_node=0, replicate=0):
@@ -247,6 +248,46 @@ def test_mobile_agent_within_2x_of_random():
     assert 0.5 <= m_mob / m_rand <= 2.0
 
 
+MOBILE_GRAPHS = {
+    "ring": lambda: graphs.gen_ring(64),
+    "grid": lambda: graphs.gen_grid(64, 2),
+}
+
+# graph -> {(agents, seed): (finish_time, external events)} at rate 1 per
+# agent, with the policy and the engine both seeded by `seed`; recorded
+# while on_infect still scanned every agent on every infection.
+PINNED_MOBILE = {
+    "ring": {
+        (1, 3): (8.139806719577987, 10),
+        (1, 4): (8.40334475060772, 12),
+        (1, 5): (8.483281366368379, 10),
+        (3, 3): (4.927518773878386, 15),
+        (3, 4): (5.373935650583118, 22),
+        (3, 5): (5.364822174926216, 16),
+    },
+    "grid": {
+        (1, 3): (4.309450692259149, 6),
+        (1, 4): (3.9630686521709104, 2),
+        (1, 5): (4.2096501264670465, 1),
+        (3, 3): (3.1081283287158836, 14),
+        (3, 4): (2.5549120576149216, 8),
+        (3, 5): (2.8018834819769296, 7),
+    },
+}
+
+
+@pytest.mark.parametrize("family", sorted(PINNED_MOBILE))
+def test_mobile_stream_pinned(family):
+    g = MOBILE_GRAPHS[family]()
+    got = {}
+    for agents, seed in PINNED_MOBILE[family]:
+        policy = policies.MobileAgents(agents, 1.0, seed=seed)
+        trace = engine.simulate(g, policy, EngineConfig(seed=seed))
+        externals = sum(1 for _, _, cause in trace.events if cause == "external")
+        got[agents, seed] = (trace.finish_time, externals)
+    assert got == PINNED_MOBILE[family]
+
+
 # ---------------------------------------------------------------------------
 # Greedy frontier adversary
 # ---------------------------------------------------------------------------
@@ -297,6 +338,57 @@ def test_adversary_max_distance_replay(family):
         infected.add(node)
     assert externals > 0
     assert trace.finish_time is not None
+
+
+class _Lockstep:
+    """Runs the lazy adversary and the eager reference side by side: every
+    engine hook goes to the lazy one, and after each infection both must
+    give every node the same rate, so the lazy one flushes between
+    queries."""
+
+    def __init__(self, L):
+        self.lazy = policies.GreedyFrontierAdversary(L)
+        self.eager = ReferenceGreedyAdversary(L)
+        self.checks = 0
+
+    def __getattr__(self, name):
+        return getattr(self.lazy, name)
+
+    def reset(self, graph, state, replicate):
+        self.lazy.reset(graph, state, replicate)
+        self.eager.reset(graph, state, replicate)
+
+    def on_infect(self, node, state):
+        self.lazy.on_infect(node, state)
+        self.eager.on_infect(node, state)
+        nodes = range(state.n)
+        assert [self.lazy.rate_of(v, state) for v in nodes] == [
+            self.eager.rate_of(v, state) for v in nodes
+        ]
+        self.checks += 1
+
+
+@pytest.mark.parametrize("L", [1.0, 4.0, 64.0])
+@pytest.mark.parametrize("family", sorted(ADVERSARY_GRAPHS))
+def test_adversary_matches_eager_reference(family, L):
+    # Relaxing once per target query from the nodes infected since the
+    # last one gives the same targets as a wave after every infection, so
+    # the traces agree event for event, also under a cutoff.
+    g = ADVERSARY_GRAPHS[family]()
+    externals = 0
+    for seed in (19, 20, 21):
+        cfg = EngineConfig(seed=seed)
+        trace = engine.simulate(g, policies.GreedyFrontierAdversary(L), cfg)
+        assert trace.events == engine.simulate(g, ReferenceGreedyAdversary(L), cfg).events
+        lockstep = _Lockstep(L)
+        assert engine.simulate(g, lockstep, cfg) == trace
+        assert lockstep.checks == g.n
+        cut = dataclasses.replace(cfg, max_time=trace.finish_time / 2)
+        cut_trace = engine.simulate(g, policies.GreedyFrontierAdversary(L), cut)
+        assert cut_trace == engine.simulate(g, ReferenceGreedyAdversary(L), cut)
+        assert cut_trace.finish_time is None and cut_trace.events
+        externals += sum(1 for _, _, cause in trace.events if cause == "external")
+    assert externals > 0
 
 
 def _split_graph():
@@ -518,6 +610,41 @@ def test_engine_rejects_bad_max_time(max_time):
 def test_cluster_config_rejects_bad_max_time(max_time):
     with pytest.raises(InvalidParameterError, match="max_time"):
         dominators.ClusterProcessConfig(growth="line", target_count=8, max_time=max_time)
+
+
+# One construction per integer parameter of the library, each taking the
+# value; a whole float reads as its int, anything else is refused.
+INTEGER_PARAMETERS = {
+    "sizes": lambda v: ExperimentPlan(sizes=(v, 64, 256)),
+    "dim-plan": lambda v: ExperimentPlan(sizes=(16, 64, 256), dim=v),
+    "occupancy-plan": lambda v: ExperimentPlan(sizes=(16, 64, 256), occupancy=v),
+    "target_count": lambda v: dominators.ClusterProcessConfig(growth="line", target_count=v),
+    "dim": lambda v: dominators.ClusterProcessConfig(growth="fpp", target_count=8, dim=v),
+    "occupancy": lambda v: dominators.ClusterProcessConfig(
+        growth="diagonal", target_count=8, occupancy=v
+    ),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, math.nan, math.inf, "2"])
+@pytest.mark.parametrize("param", sorted(INTEGER_PARAMETERS))
+def test_fractional_integer_rejected(param, value):
+    with pytest.raises(InvalidParameterError, match=f"{param.split('-')[0]} must be an integer"):
+        INTEGER_PARAMETERS[param](value)
+
+
+@pytest.mark.parametrize("param", sorted(INTEGER_PARAMETERS))
+def test_whole_float_reads_as_int(param):
+    name = param.split("-")[0]
+    got = getattr(INTEGER_PARAMETERS[param](2.0), name)
+    if name == "sizes":
+        got = got[0]
+    assert got == 2 and type(got) is int
+
+
+def test_fpp_runs_with_whole_float_dim():
+    cfg = dominators.ClusterProcessConfig(growth="fpp", target_count=16, dim=2.0)
+    assert dominators.run_cluster_process(cfg).hitting_time > 0
 
 
 # ---------------------------------------------------------------------------
