@@ -156,10 +156,15 @@ class ExperimentPlan:
             raise InvalidParameterError(f"unknown log_correction {self.log_correction!r}")
         if self.process != "simulate" and self.process not in _CLUSTER_GROWTH:
             raise InvalidParameterError(f"unknown process {self.process!r}")
+        if isinstance(self.mu_eff, str) and self.mu_eff != "log2n":
+            raise InvalidParameterError(f"mu_eff must be a real or 'log2n', got {self.mu_eff!r}")
         object.__setattr__(self, "sizes", sizes)
-        object.__setattr__(self, "dim", integral("dim", self.dim))
+        for name in ("replicates", "dim", "initial_infected"):
+            object.__setattr__(self, name, integral(name, getattr(self, name)))
         if self.occupancy != "logn":
             object.__setattr__(self, "occupancy", integral("occupancy", self.occupancy))
+        if self.event_budget is not None:
+            object.__setattr__(self, "event_budget", integral("event_budget", self.event_budget))
 
 
 @dataclass
@@ -279,6 +284,10 @@ def run_plan(plan: ExperimentPlan) -> ScalingReport:
             # flush what finished so far as a partial report
             incomplete = True
             break
+        if size < 2:  # ln 1 = 0 would divide a fit by zero
+            raise InvalidParameterError(
+                f"size {n} realizes {size} node(s); a log-log fit needs at least 2"
+            )
         if rows and size <= rows[-1].n:
             raise InvalidParameterError(
                 f"size {n} realizes {size} nodes, no more than the size before it "

@@ -74,7 +74,23 @@ Values are integers, reals, comma lists, or bare strings. An empty
 value reads as an absent key, and a value of the wrong type is a
 configuration error naming its ``[section] key``; an integer key
 refuses a value with a fractional part. A section or key outside this
-grammar is a configuration error too. ``--set section.key=value``
+grammar, or a key given twice in one section, is a configuration error
+too; a repeated section header merges into the first.
+
+An absent key takes the default of the library constructor its section
+feeds, under the key's name: ``[graph]`` feeds ``graphs.make_graph``
+(``r = critical`` passes None, the critical radius) or, for ``family =
+file``, ``graphs.read_graph``; ``[policy]`` ``policies.PolicySpec``;
+``[engine]`` ``engine.EngineConfig``; ``[sweep]``
+``analytics.ExperimentPlan``, with ``[graph] family``, ``d`` as ``dim``
+and ``r`` as ``rgg_radius`` and ``[engine] beta`` and
+``initial_infected``; ``[dominate]`` ``analytics.dominance_check``, with
+``[policy] L`` read through ``PolicySpec`` and ``[engine] beta``;
+``[clusters]`` ``dominators.ClusterProcessConfig``, with ``target`` as
+``target_count``. Only the defaults no constructor has are set here:
+``[policy] kind = null`` and ``seed`` = the master seed, ``[simulate]
+replicates = 1``, ``[dominate] mode = homogeneous`` and ``replicates =
+1000``, and ``[clusters] replicates = 100``. ``--set section.key=value``
 overrides keys already present in the file. Every output directory
 receives a ``resolved.cfg`` that echoes the keys the file and ``--set``
 gave, plus ``[meta]`` with the master seed; it does not echo defaults.
@@ -85,8 +101,9 @@ Exit codes: 0 success, 2 configuration/usage error or bad input (such as
 a malformed graph file, a ring/line/grid file whose edges are not that
 family's, an RGG file whose edges are not the disk graph of its
 coordinates, an RGG radius that is NaN, infinite or negative, a
-disconnected partition piece, or a cluster run count below 1), 3 runtime
-guard (nontermination or exhausted event budget).
+disconnected partition piece, a cluster run count below 1, or a sweep
+size that realizes fewer than 2 nodes), 3 runtime guard (nontermination
+or exhausted event budget).
 """
 
 from __future__ import annotations
@@ -139,18 +156,57 @@ def _parse_value(raw: str):
     return raw
 
 
-# section -> its keys: the grammar of the module docstring, [meta] included
+def _int(value) -> int:
+    """``int`` that refuses to truncate: 64.7 is an error, 64.0 reads as 64."""
+    return integral("value", value)
+
+
+def _int_list(value) -> tuple[int, ...]:
+    return tuple(_int(x) for x in (value if isinstance(value, list) else [value]))
+
+
+def _or_name(kind, name: str):
+    """Converter that keeps the word ``name`` and converts other values by ``kind``."""
+    return lambda value: value if value == name else kind(value)
+
+
+def _radius(value) -> float | None:
+    """``[graph] r``: a real, or ``critical`` for make_graph's critical radius (None)."""
+    return None if value == "critical" else float(value)
+
+
+def _parse_links(raw) -> tuple[tuple[int, int], ...]:
+    links = []
+    for item in raw if isinstance(raw, list) else [raw]:
+        text = str(item).strip()
+        if "-" not in text:
+            raise ConfigError(f"link must look like 'u-v', got {text!r}")
+        u, _, v = text.partition("-")
+        links.append((int(u), int(v)))
+    return tuple(links)
+
+
+# section -> {key: converter}: the grammar of the module docstring, [meta]
+# included, and the one place each key's type is decided
 _KEYS = {
-    "graph": "family n d r path".split(),
-    "policy": "kind L links beta_link count rewire_rate agents rate_per_agent seed".split(),
-    "engine": "beta initial_infected max_time".split(),
-    "simulate": ["replicates"],
-    "sweep": (
-        "sizes replicates log_correction process seeding_rate mu_eff occupancy event_budget"
-    ).split(),
-    "dominate": ["mode", "replicates"],
-    "clusters": "growth target seeding_rate beta dim mu_eff occupancy replicates".split(),
-    "meta": ["master_seed", "subcommand"],
+    "graph": {"family": str, "n": _int, "d": _int, "r": _radius, "path": str},
+    "policy": {
+        "kind": str, "L": float, "links": _parse_links, "beta_link": float, "count": _int,
+        "rewire_rate": float, "agents": _int, "rate_per_agent": float, "seed": _int,
+    },
+    "engine": {"beta": float, "initial_infected": _int, "max_time": float},
+    "simulate": {"replicates": _int},
+    "sweep": {
+        "sizes": _int_list, "replicates": _int, "log_correction": str, "process": str,
+        "seeding_rate": float, "mu_eff": _or_name(float, "log2n"),
+        "occupancy": _or_name(_int, "logn"), "event_budget": _int,
+    },
+    "dominate": {"mode": str, "replicates": _int},
+    "clusters": {
+        "growth": str, "target": _int, "seeding_rate": float, "beta": float, "dim": _int,
+        "mu_eff": float, "occupancy": _int, "replicates": _int,
+    },
+    "meta": {"master_seed": _int, "subcommand": str},
 }
 
 
@@ -165,7 +221,7 @@ def parse_config(text: str) -> dict[str, dict[str, object]]:
             section = stripped[1:-1].strip()
             if section not in _KEYS:
                 raise ConfigError(f"line {lineno}: unknown section [{section}]")
-            sections.setdefault(section, {})
+            sections.setdefault(section, {})  # a repeated header merges
             continue
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {stripped!r}")
@@ -175,6 +231,8 @@ def parse_config(text: str) -> dict[str, dict[str, object]]:
         key = key.strip()
         if key not in _KEYS[section]:
             raise ConfigError(f"line {lineno}: unknown key [{section}] {key}")
+        if key in sections[section]:
+            raise ConfigError(f"line {lineno}: [{section}] {key} given twice")
         sections[section][key] = _parse_value(raw)
     return sections
 
@@ -218,35 +276,25 @@ def _load(path: str | None, overrides: list[str]) -> dict:
     return cfg
 
 
-_REQUIRED = object()
-
-
-def _get(cfg: dict, section: str, key: str, kind, default=_REQUIRED):
-    """Read ``[section] key`` converted by ``kind``; an empty value counts
-    as absent, and an absent key without a default is an error."""
-    value = cfg.get(section, {}).get(key)
-    if value is None:
-        if default is _REQUIRED:
-            raise ConfigError(f"missing [{section}] {key}")
-        return default
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError) as e:
-        raise ConfigError(f"[{section}] {key}: cannot read {value!r} ({e})") from e
-
-
-def _int(value) -> int:
-    """``int`` that refuses to truncate: 64.7 is an error, 64.0 reads as 64."""
-    return integral("value", value)
-
-
-def _int_list(value) -> tuple[int, ...]:
-    return tuple(_int(x) for x in (value if isinstance(value, list) else [value]))
-
-
-def _or_name(kind, name: str):
-    """Converter that keeps the word ``name`` and converts other values by ``kind``."""
-    return lambda value: value if value == name else kind(value)
+def _read(cfg: dict, section: str, *keys: str, required=(), rename=None) -> dict:
+    """Keyword arguments from ``[section]``: each of ``keys`` (by default
+    every key of the section) that is present and not empty, converted by
+    its ``_KEYS`` converter and named by ``rename`` or else by itself. An
+    absent key is left out, so the callee's default applies; an absent
+    ``required`` key is an error."""
+    given = cfg.get(section, {})
+    out = {}
+    for key in keys or _KEYS[section]:
+        value = given.get(key)
+        if value is None:
+            if key in required:
+                raise ConfigError(f"missing [{section}] {key}")
+            continue
+        try:
+            out[(rename or {}).get(key, key)] = _KEYS[section][key](value)
+        except (TypeError, ValueError, OverflowError) as e:
+            raise ConfigError(f"[{section}] {key}: cannot read {value!r} ({e})") from e
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -254,57 +302,20 @@ def _or_name(kind, name: str):
 # ---------------------------------------------------------------------------
 
 
-def _radius(cfg: dict) -> float | None:
-    """``[graph] r``: None (critical radius) when absent, empty or "critical"."""
-    r = _get(cfg, "graph", "r", _or_name(float, "critical"), "critical")
-    return None if r == "critical" else r
-
-
 def _build_graph(cfg: dict, seed: int) -> graphs.Graph:
-    family = _get(cfg, "graph", "family", str)
+    family = _read(cfg, "graph", "family", required=["family"])["family"]
     if family == "file":
-        return graphs.read_graph(_get(cfg, "graph", "path", str))
-    return graphs.make_graph(
-        family,
-        _get(cfg, "graph", "n", _int),
-        _get(cfg, "graph", "d", _int, 2),
-        _radius(cfg),
-        seed,
-    )
-
-
-def _parse_links(raw) -> tuple[tuple[int, int], ...]:
-    links = []
-    for item in raw if isinstance(raw, list) else [raw]:
-        text = str(item).strip()
-        if "-" not in text:
-            raise ConfigError(f"link must look like 'u-v', got {text!r}")
-        u, _, v = text.partition("-")
-        links.append((int(u), int(v)))
-    return tuple(links)
+        return graphs.read_graph(**_read(cfg, "graph", "path", required=["path"]))
+    shape = _read(cfg, "graph", "n", "d", "r", required=["n"])
+    return graphs.make_graph(family, seed=seed, **shape)
 
 
 def _policy_spec(cfg: dict, master_seed: int) -> policies.PolicySpec:
-    return policies.PolicySpec(
-        kind=_get(cfg, "policy", "kind", str, "null"),
-        L=_get(cfg, "policy", "L", float, 1.0),
-        links=_get(cfg, "policy", "links", _parse_links, ()),
-        beta_link=_get(cfg, "policy", "beta_link", float, 1.0),
-        count=_get(cfg, "policy", "count", _int, 1),
-        rewire_rate=_get(cfg, "policy", "rewire_rate", float, 0.0),
-        agents=_get(cfg, "policy", "agents", _int, 1),
-        rate_per_agent=_get(cfg, "policy", "rate_per_agent", float, 1.0),
-        seed=_get(cfg, "policy", "seed", _int, master_seed),
-    )
+    return policies.PolicySpec(**{"kind": "null", "seed": master_seed, **_read(cfg, "policy")})
 
 
 def _engine_config(cfg: dict, seed: int) -> engine.EngineConfig:
-    return engine.EngineConfig(
-        beta=_get(cfg, "engine", "beta", float, 1.0),
-        initial_infected=_get(cfg, "engine", "initial_infected", _int, 0),
-        max_time=_get(cfg, "engine", "max_time", float, None),
-        seed=seed,
-    )
+    return engine.EngineConfig(seed=seed, **_read(cfg, "engine"))
 
 
 def _ensure_outdir(out: str | None) -> str:
@@ -339,7 +350,7 @@ def _cmd_simulate(args) -> int:
     spec = _policy_spec(cfg, args.seed)
     handle = policies.build_policy(spec, g)
     ecfg = _engine_config(cfg, args.seed)
-    replicates = _get(cfg, "simulate", "replicates", _int, 1)
+    replicates = _read(cfg, "simulate").get("replicates", 1)
     summaries = engine.simulate_batch(g, handle, ecfg, replicates)
     engine.write_batch_csv(summaries, os.path.join(outdir, "batch.csv"))
     trace = engine.simulate(g, handle, ecfg)
@@ -355,21 +366,11 @@ def _cmd_simulate(args) -> int:
 
 def _plan_from_config(cfg: dict, args, outdir: str | None = None) -> analytics.ExperimentPlan:
     return analytics.ExperimentPlan(
-        sizes=_get(cfg, "sweep", "sizes", _int_list),
-        family=_get(cfg, "graph", "family", str, "ring"),
+        **_read(cfg, "sweep", required=["sizes"]),
+        **_read(cfg, "graph", "family", "d", "r", rename={"d": "dim", "r": "rgg_radius"}),
         policy=_policy_spec(cfg, args.seed),
-        replicates=_get(cfg, "sweep", "replicates", _int, 200),
-        beta=_get(cfg, "engine", "beta", float, 1.0),
+        **_read(cfg, "engine", "beta", "initial_infected"),
         seed=args.seed,
-        log_correction=_get(cfg, "sweep", "log_correction", str, "none"),
-        process=_get(cfg, "sweep", "process", str, "simulate"),
-        dim=_get(cfg, "graph", "d", _int, 2),
-        rgg_radius=_radius(cfg),
-        seeding_rate=_get(cfg, "sweep", "seeding_rate", float, 1.0),
-        mu_eff=_get(cfg, "sweep", "mu_eff", _or_name(float, "log2n"), 1.0),
-        occupancy=_get(cfg, "sweep", "occupancy", _or_name(_int, "logn"), 1),
-        initial_infected=_get(cfg, "engine", "initial_infected", _int, 0),
-        event_budget=_get(cfg, "sweep", "event_budget", _int, None),
         output_dir=outdir,
     )
 
@@ -392,20 +393,19 @@ def _cmd_sweep(args) -> int:
 def _cmd_dominate(args) -> int:
     cfg = _load(args.config, args.set or [])
     outdir = _ensure_outdir(args.out)
-    replicates = _get(cfg, "dominate", "replicates", _int, 1000)
+    run = {"mode": "homogeneous", "replicates": 1000, **_read(cfg, "dominate")}
     label, verdict = analytics.dominance_check(
         _build_graph(cfg, args.seed),
-        _get(cfg, "dominate", "mode", str, "homogeneous"),
-        _get(cfg, "policy", "L", float, 1.0),
-        replicates,
-        args.seed,
-        beta=_get(cfg, "engine", "beta", float, 1.0),
+        L=_policy_spec(cfg, args.seed).L,  # the mode picks the policy; [policy] gives its L
+        seed=args.seed,
+        **run,
+        **_read(cfg, "engine", "beta"),
     )
     payload = {
         "comparison": label,
         "verdict": verdict.verdict,
         **dataclasses.asdict(verdict),  # deciles_a, deciles_b, diffs, upper95, violations
-        "replicates": replicates,
+        "replicates": run["replicates"],
         "master_seed": args.seed,
     }
     with open(os.path.join(outdir, "verdict.json"), "w") as fh:
@@ -447,18 +447,9 @@ def _cmd_conductance(args) -> int:
 
 def _cmd_fpp(args) -> int:
     cfg = _load(args.config, args.set or [])
-    growth = _get(cfg, "clusters", "growth", str)
-    ccfg = dominators.ClusterProcessConfig(
-        growth=growth,
-        target_count=_get(cfg, "clusters", "target", _int),
-        seeding_rate=_get(cfg, "clusters", "seeding_rate", float, 1.0),
-        beta=_get(cfg, "clusters", "beta", float, 1.0),
-        dim=_get(cfg, "clusters", "dim", _int, 2),
-        mu_eff=_get(cfg, "clusters", "mu_eff", float, 1.0),
-        occupancy=_get(cfg, "clusters", "occupancy", _int, 1),
-        seed=args.seed,
-    )
-    replicates = _get(cfg, "clusters", "replicates", _int, 100)
+    kw = _read(cfg, "clusters", required=["growth", "target"], rename={"target": "target_count"})
+    replicates = kw.pop("replicates", 100)
+    ccfg = dominators.ClusterProcessConfig(seed=args.seed, **kw)
     if replicates < 1:
         raise ConfigError(f"[clusters] replicates must be >= 1, got {replicates}")
     outdir = _ensure_outdir(args.out)
@@ -471,7 +462,7 @@ def _cmd_fpp(args) -> int:
             if k == 0:
                 dominators.write_cluster_csv(trace, os.path.join(outdir, "path0.csv"))
     _echo(cfg, args, outdir)
-    print(f"{growth} clusters: {replicates} runs -> {outdir}/hitting.csv")
+    print(f"{ccfg.growth} clusters: {replicates} runs -> {outdir}/hitting.csv")
     return EXIT_OK
 
 

@@ -357,6 +357,7 @@ def fpp_clusters(cfg: ClusterProcessConfig, replicate: int = 0) -> ClusterTrace:
 
 def sample_hitting_times(cfg: ClusterProcessConfig, replicates: int) -> list[float]:
     """Hitting times over independent replicates (per-replicate streams)."""
+    replicates = integral("replicates", replicates)
     if replicates < 1:
         raise InvalidParameterError("replicates must be >= 1")
     out = []

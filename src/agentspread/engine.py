@@ -33,7 +33,13 @@ import math
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
-from .errors import InvalidParameterError, NonTerminationError, PolicyContractError, positive
+from .errors import (
+    InvalidParameterError,
+    NonTerminationError,
+    PolicyContractError,
+    integral,
+    positive,
+)
 from .graphs import Graph
 from .rng import CH_ENGINE, BufferedSampler, reseed, stream, substream
 
@@ -82,6 +88,9 @@ class EngineConfig:
 
     def __post_init__(self):
         positive("beta", self.beta)
+        object.__setattr__(
+            self, "initial_infected", integral("initial_infected", self.initial_infected)
+        )
         if self.max_time is not None and not self.max_time >= 0:
             raise InvalidParameterError(f"max_time must be nonnegative, got {self.max_time}")
 
@@ -242,6 +251,7 @@ def simulate_batch(
     Replicate k owns stream (cfg.seed, k) and a fresh policy state, so
     output is deterministic and ordered by replicate index.
     """
+    replicates = integral("replicates", replicates)
     if replicates < 1:
         raise InvalidParameterError(f"replicates must be >= 1, got {replicates}")
     out = []

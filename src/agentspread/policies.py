@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass, field
 
 from .engine import InfectionState
-from .errors import InvalidParameterError, positive
+from .errors import InvalidParameterError, integral, positive
 from .graphs import Graph, Partition, canonical_partition
 from .rng import CH_POLICY, BufferedSampler, substream
 
@@ -256,6 +256,7 @@ class DynamicLinks(_LinkRates):
     kind = "dynamic_links"
 
     def __init__(self, count: int, beta_link: float, rewire_rate: float, seed: int):
+        count = integral("count", count)
         if count < 1:
             raise InvalidParameterError(f"count must be >= 1, got {count}")
         positive("beta_link", beta_link)
@@ -311,6 +312,7 @@ class MobileAgents(Policy):
     kind = "mobile_agents"
 
     def __init__(self, agents: int, rate_per_agent: float, seed: int = 0):
+        agents = integral("agents", agents)
         if agents < 1:
             raise InvalidParameterError(f"agents must be >= 1, got {agents}")
         positive("rate_per_agent", rate_per_agent)

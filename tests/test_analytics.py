@@ -82,6 +82,12 @@ def test_plan_validates_sizes():
         ExperimentPlan(sizes=(16, 32))
 
 
+@pytest.mark.parametrize("mu_eff", ["log3n", "", "1.0"])
+def test_plan_refuses_unknown_mu_eff_word(mu_eff):
+    with pytest.raises(InvalidParameterError, match="mu_eff"):
+        ExperimentPlan(sizes=(16, 32, 64), process="diagonal_grid_clusters", mu_eff=mu_eff)
+
+
 def test_run_plan_paths_slope_one():
     # Pure SI on a path seeded at the end: mean T = n-1, slope -> 1.
     plan = ExperimentPlan(
@@ -164,6 +170,17 @@ def test_run_plan_rejects_repeated_realized_sizes():
     # 100, 110 and 120 all realize a 10x10 grid, so the fit would divide by 0.
     plan = ExperimentPlan(sizes=(100, 110, 120), family="grid", replicates=3, seed=1)
     with pytest.raises(InvalidParameterError, match="110 realizes 100"):
+        run_plan(plan)
+
+
+@pytest.mark.parametrize(
+    "sizes,process,family",
+    [((1, 4, 9), "line_clusters", "ring"), ((2, 16, 64), "simulate", "grid")],
+)
+def test_run_plan_rejects_size_below_two_nodes(sizes, process, family):
+    # ln 1 = 0 divides the log-corrected fit by zero; grid size 2 realizes 1 node.
+    plan = ExperimentPlan(sizes=sizes, process=process, family=family, replicates=5, seed=1)
+    with pytest.raises(InvalidParameterError, match=f"size {sizes[0]} realizes 1 node"):
         run_plan(plan)
 
 

@@ -1,13 +1,13 @@
 """End-to-end CLI behaviour: artifacts, determinism, exit codes."""
 
-import ast
+import inspect
 import json
 import math
 from pathlib import Path
 
 import pytest
 
-from agentspread import analytics, cli, graphs
+from agentspread import analytics, cli, dominators, engine, graphs, policies
 from agentspread.cli import main
 
 
@@ -162,8 +162,13 @@ def test_shipped_config_runs(tmp_path, path):
 
 @pytest.mark.parametrize(
     "extra,named",
-    [("[engine]\nreplicates = 50\n", "[engine] replicates"), ("[grpah]\nn = 64\n", "[grpah]")],
-    ids=["key", "section"],
+    [
+        ("[engine]\nreplicates = 50\n", "[engine] replicates"),
+        ("[grpah]\nn = 64\n", "[grpah]"),
+        ("replicates = 50\n", "[sweep] replicates given twice"),
+        ("[graph]\nn = 32\n", "[graph] n given twice"),
+    ],
+    ids=["key", "section", "repeated-key", "repeated-key-across-headers"],
 )
 def test_unknown_config_key_exits_2(tmp_path, capsys, extra, named):
     cfg = _write(tmp_path / "c.cfg", RING_SWEEP + extra)
@@ -218,6 +223,22 @@ def test_sweep_repeated_realized_sizes_exit_2(tmp_path, capsys):
     cfg = _write(tmp_path / "c.cfg", text.replace("8, 16, 32", "100, 110, 120"))
     assert main(["sweep", "--config", cfg, "--seed", "1", "--out", str(tmp_path / "o")]) == 2
     assert "110 realizes 100" in capsys.readouterr().err
+
+
+def test_repeated_section_header_merges(tmp_path):
+    cfg = _write(tmp_path / "c.cfg", RING_SWEEP + "\n[graph]\nd = 1\n")
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", cfg, "--seed", "1", "--out", str(out)]) == 0
+    assert cli.parse_config((out / "resolved.cfg").read_text())["graph"] == {
+        "family": "ring", "n": 64, "d": 1
+    }
+
+
+def test_sweep_size_below_two_nodes_exits_2(tmp_path, capsys):
+    cfg = _write(tmp_path / "c.cfg", RING_SWEEP.replace("8, 16, 32", "1, 2, 4"))
+    argv = ["sweep", "--config", cfg, "--seed", "1", "--out", str(tmp_path / "o")]
+    assert main(argv + ["--set", "sweep.process=line_clusters"]) == 2
+    assert "size 1 realizes 1 node" in capsys.readouterr().err
 
 
 def test_sweep_budget_exhausted_exit_3(tmp_path):
@@ -422,34 +443,128 @@ def test_sweep_gsi_on_rgg_with_empty_tiles(tmp_path):
 
 
 def test_grammar_lists_every_config_key():
-    # Every ``_get(cfg, "<section>", "<key>", ...)`` call of the CLI reads a
-    # key the module docstring's grammar shows as ``<key> =`` under
-    # ``[<section>]``.
-    source = Path(cli.__file__).read_text()
+    # The key table parse_config checks against and reads through is the
+    # grammar of the module docstring (its indented block), both ways.
     shown: dict[str, set[str]] = {}
     section = None
-    for line in (ast.get_docstring(ast.parse(source)) or "").splitlines():
-        line = line.strip()
+    for line in (cli.__doc__ or "").splitlines():
+        if not line.startswith("    "):
+            continue
+        line = line.split("#", 1)[0].strip()
         if line.startswith("[") and line.endswith("]"):
             section = shown.setdefault(line[1:-1], set())
-        elif section is not None and " = " in line and not line.startswith("#"):
-            section.add(line.split(" = ", 1)[0].strip())
-    read = {
-        (node.args[1].value, node.args[2].value)
-        for node in ast.walk(ast.parse(source))
-        if isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Name)
-        and node.func.id == "_get"
-        and all(isinstance(arg, ast.Constant) for arg in node.args[1:3])
-    }
-    assert len(read) > 30
-    missing = sorted(f"[{sec}] {key}" for sec, key in read if key not in shown.get(sec, ()))
-    assert not missing, f"keys the CLI reads but its grammar does not show: {missing}"
-    # The key table parse_config checks against is the grammar, both ways,
-    # and the CLI reads every key of it but [meta]'s.
+        elif section is not None and "=" in line:
+            section.add(line.split("=", 1)[0].strip())
     table = {(sec, key) for sec, keys in cli._KEYS.items() for key in keys}
     assert table == {(sec, key) for sec, keys in shown.items() for key in keys}
-    assert read == {(sec, key) for sec, key in table if sec != "meta"}
+
+
+# Every key but [meta]'s -> (callee, parameter, value): the call it must
+# reach, at a value that neither a library constructor nor the CLI
+# defaults to.
+EVERY_KEY = {
+    ("graph", "family"): ("make_graph", "family", "grid"),
+    ("graph", "n"): ("make_graph", "n", 30),
+    ("graph", "d"): ("make_graph", "d", 3),
+    ("graph", "r"): ("make_graph", "r", 0.7),
+    ("graph", "path"): ("read_graph", "path", "ring12.txt"),
+    ("policy", "kind"): ("PolicySpec", "kind", "dynamic_links"),
+    ("policy", "L"): ("PolicySpec", "L", 2.5),
+    ("policy", "links"): ("PolicySpec", "links", ((0, 5), (2, 9))),
+    ("policy", "beta_link"): ("PolicySpec", "beta_link", 1.5),
+    ("policy", "count"): ("PolicySpec", "count", 3),
+    ("policy", "rewire_rate"): ("PolicySpec", "rewire_rate", 0.25),
+    ("policy", "agents"): ("PolicySpec", "agents", 2),
+    ("policy", "rate_per_agent"): ("PolicySpec", "rate_per_agent", 0.75),
+    ("policy", "seed"): ("PolicySpec", "seed", 11),
+    ("engine", "beta"): ("EngineConfig", "beta", 1.25),
+    ("engine", "initial_infected"): ("EngineConfig", "initial_infected", 3),
+    ("engine", "max_time"): ("EngineConfig", "max_time", 50.0),
+    ("simulate", "replicates"): ("simulate_batch", "replicates", 4),
+    ("sweep", "sizes"): ("ExperimentPlan", "sizes", (16, 32, 64)),
+    ("sweep", "replicates"): ("ExperimentPlan", "replicates", 3),
+    ("sweep", "log_correction"): ("ExperimentPlan", "log_correction", "divide_by_log_n"),
+    ("sweep", "process"): ("ExperimentPlan", "process", "line_clusters"),
+    ("sweep", "seeding_rate"): ("ExperimentPlan", "seeding_rate", 2.0),
+    ("sweep", "mu_eff"): ("ExperimentPlan", "mu_eff", 2.5),
+    ("sweep", "occupancy"): ("ExperimentPlan", "occupancy", 2),
+    ("sweep", "event_budget"): ("ExperimentPlan", "event_budget", 100000),
+    ("dominate", "mode"): ("dominance_check", "mode", "sequential"),
+    ("dominate", "replicates"): ("dominance_check", "replicates", 100),
+    ("clusters", "growth"): ("ClusterProcessConfig", "growth", "diagonal"),
+    ("clusters", "target"): ("ClusterProcessConfig", "target_count", 40),
+    ("clusters", "seeding_rate"): ("ClusterProcessConfig", "seeding_rate", 0.5),
+    ("clusters", "beta"): ("ClusterProcessConfig", "beta", 2.0),
+    ("clusters", "dim"): ("ClusterProcessConfig", "dim", 3),
+    ("clusters", "mu_eff"): ("ClusterProcessConfig", "mu_eff", 3.5),
+    ("clusters", "occupancy"): ("ClusterProcessConfig", "occupancy", 2),
+    ("clusters", "replicates"): ("hitting.csv", "rows", 3),
+}
+
+# the keys a constructor takes from another section than its own
+CROSS_SECTION = [
+    ("ExperimentPlan", "family", "grid"),
+    ("ExperimentPlan", "dim", 3),
+    ("ExperimentPlan", "rgg_radius", 0.7),
+    ("ExperimentPlan", "beta", 1.25),
+    ("ExperimentPlan", "initial_infected", 3),
+    ("dominance_check", "L", 2.5),
+    ("dominance_check", "beta", 1.25),
+]
+
+
+def test_every_config_key_reaches_its_object(tmp_path, monkeypatch):
+    assert set(EVERY_KEY) == {
+        (sec, key) for sec, keys in cli._KEYS.items() if sec != "meta" for key in keys
+    }
+    seen = {}
+
+    def record(module, name):
+        real = getattr(module, name)
+        sig = inspect.signature(real)
+
+        def wrapper(*args, **kwargs):
+            bound = sig.bind(*args, **kwargs)
+            bound.apply_defaults()
+            seen.setdefault(name, []).append(bound.arguments)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+        return sig
+
+    sigs = {
+        "make_graph": record(graphs, "make_graph"),
+        "read_graph": record(graphs, "read_graph"),
+        "PolicySpec": record(policies, "PolicySpec"),
+        "EngineConfig": record(engine, "EngineConfig"),
+        "simulate_batch": record(engine, "simulate_batch"),
+        "ExperimentPlan": record(analytics, "ExperimentPlan"),
+        "dominance_check": record(analytics, "dominance_check"),
+        "ClusterProcessConfig": record(dominators, "ClusterProcessConfig"),
+    }
+    graphs.write_graph(graphs.gen_ring(12), str(tmp_path / "ring12.txt"))
+    text = ""
+    for (sec, key), (_, _, value) in EVERY_KEY.items():
+        if f"[{sec}]" not in text:
+            text += f"\n[{sec}]\n"
+        if key == "links":
+            value = ", ".join(f"{u}-{v}" for u, v in value)
+        elif key == "sizes":
+            value = ", ".join(map(str, value))
+        text += f"{key} = {value}\n"
+    cfg = _write(tmp_path / "every.cfg", text)
+    monkeypatch.chdir(tmp_path)
+    assert main(["conductance", "--config", cfg, "--set", "graph.family=file"]) == 0
+    del seen["make_graph"]  # read_graph checks a ring file against make_graph's ring
+    for argv in (["simulate"], ["sweep"], ["dominate"], ["fpp"]):
+        assert main(argv + ["--config", cfg, "--seed", "5", "--out", argv[0]]) == 0
+    rows = (tmp_path / "fpp" / "hitting.csv").read_text().splitlines()[1:]
+    seen["hitting.csv"] = [{"rows": len(rows)}]
+    for callee, param, value in list(EVERY_KEY.values()) + CROSS_SECTION:
+        for call in seen[callee]:
+            assert call[param] == value, (callee, param)
+        default = sigs[callee].parameters[param].default if callee in sigs else None
+        assert default != value, f"{callee} {param} defaults to the test value"
 
 
 def test_missing_config_is_error(tmp_path):

@@ -623,6 +623,23 @@ INTEGER_PARAMETERS = {
     "occupancy": lambda v: dominators.ClusterProcessConfig(
         growth="diagonal", target_count=8, occupancy=v
     ),
+    "replicates-plan": lambda v: ExperimentPlan(sizes=(16, 64, 256), replicates=v),
+    "initial_infected-plan": lambda v: ExperimentPlan(sizes=(16, 64, 256), initial_infected=v),
+    "event_budget": lambda v: ExperimentPlan(sizes=(16, 64, 256), event_budget=v),
+    "initial_infected": lambda v: EngineConfig(initial_infected=v),
+    "count": lambda v: policies.DynamicLinks(v, 1.0, 0.0, seed=1),
+    "agents": lambda v: policies.MobileAgents(v, 1.0),
+    # a batch function reads its count once: the length of its result
+    "replicates-batch": lambda v: types.SimpleNamespace(
+        replicates=len(
+            engine.simulate_batch(graphs.gen_ring(8), policies.NullPolicy(), EngineConfig(), v)
+        )
+    ),
+    "replicates-hitting": lambda v: types.SimpleNamespace(
+        replicates=len(
+            dominators.sample_hitting_times(dominators.ClusterProcessConfig("line", 8), v)
+        )
+    ),
 }
 
 
