@@ -11,6 +11,11 @@ the mean under random spreading on a d-dimensional lattice, which by
 space-time coverage is (n ln n)^(1/(d+1)); dividing by ln n therefore
 leaves a slope below 1/(d+1) at any finite n.
 
+A fit's 95% CI uses Student's t 0.975 quantile at df = points - 2. Up to
+df = 64 it is scipy's ``stdtrit`` value, written out as a table; beyond
+that it is solved from the closed-form t distribution for integer df
+(Abramowitz and Stegun 26.7.3/26.7.4). The package thus needs numpy alone.
+
 A dominance check runs a policy against the process that bounds it, as
 paired by the one table of ``sim dominate`` modes.
 
@@ -29,7 +34,6 @@ from dataclasses import asdict, dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import stdtrit
 
 from .dominators import (
     ClusterProcessConfig,
@@ -82,6 +86,63 @@ class ExponentFit:
     points: int
 
 
+# Student t 0.975 quantiles for df = 1..64, float(scipy.special.stdtrit(df,
+# 0.975)) written out: each repr round-trips, so a fit of up to 66 points
+# reads the value scipy gives.
+_T975 = (
+    12.706204736174694, 4.302652729749462, 3.1824463052837078, 2.7764451051977934,
+    2.5705818356363146, 2.4469118511449786, 2.364624251592784, 2.306004135204166,
+    2.262157162798205, 2.228138851986274, 2.200985160091639, 2.1788128296672284,
+    2.1603686564627913, 2.144786687917804, 2.131449545559776, 2.1199052992212546,
+    2.1098155778333156, 2.1009220402410382, 2.0930240544083087, 2.085963447265864,
+    2.0796138447276795, 2.0738730679040254, 2.0686576104190486, 2.0638985616280245,
+    2.0595385527532972, 2.0555294386428735, 2.0518305164802846, 2.0484071417952454,
+    2.045229642132703, 2.0422724563012378, 2.039513446396408, 2.0369333434601016,
+    2.0345152974493383, 2.0322445093177186, 2.030107928250343, 2.0280940009804502,
+    2.0261924630291093, 2.0243941639119694, 2.022690920036761, 2.021075390306273,
+    2.019540970441376, 2.0180817028184443, 2.016692199227824, 2.0153675744437636,
+    2.014103388880846, 2.012895598919429, 2.0117405137297655, 2.010634757624232,
+    2.0095752371292392, 2.008559112100761, 2.007583770315836, 2.006646805061688,
+    2.0057459953178687, 2.0048792881880564, 2.0040447832891455, 2.003240718847872,
+    2.002465459291007, 2.0017174841452356, 2.000995378088267, 2.0002978220142604,
+    1.999623584994939, 1.9989715170333788, 1.998340542520741, 1.997729654317693,
+)
+
+
+def _t_central_mass(theta: float, df: int) -> float:
+    """A(t | df) = P(|T| <= t) at theta = atan(t / sqrt(df)), in the closed
+    form for integer df: Abramowitz and Stegun 26.7.3 (odd) and 26.7.4
+    (even). Both sum cos(theta)^j over the j of df's parity up to df - 2,
+    each term the previous one times (j + 1) / (j + 2) cos(theta)^2."""
+    c2 = math.cos(theta) ** 2
+    j = df % 2
+    term = math.cos(theta) if j else 1.0
+    total = 0.0
+    while j <= df - 2:
+        total += term
+        term *= (j + 1) / (j + 2) * c2
+        j += 2
+    if df % 2:
+        return 2 / math.pi * (theta + math.sin(theta) * total)
+    return math.sin(theta) * total
+
+
+def _t_critical(df: int) -> float:
+    """Student t 0.975 quantile: the table up to df = 64, beyond it the root
+    of A(t | df) = 0.95, bisected in theta until the bracket stops shrinking."""
+    if df <= len(_T975):
+        return _T975[df - 1]
+    lo, hi = 0.0, math.pi / 2
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            return math.sqrt(df) * math.tan(mid)
+        if _t_central_mass(mid, df) < 0.95:
+            lo = mid
+        else:
+            hi = mid
+
+
 def exponent_fit(points) -> ExponentFit:
     """OLS of ln(y) on ln(n) with a t-based 95% CI from the residuals."""
     pts = [(float(n), float(y)) for n, y in points]
@@ -101,7 +162,7 @@ def exponent_fit(points) -> ExponentFit:
     df = m - 2
     s2 = float((resid**2).sum() / df)
     se = math.sqrt(s2 / sxx)
-    tcrit = float(stdtrit(df, 0.975))
+    tcrit = _t_critical(df)
     return ExponentFit(
         slope=slope,
         intercept=intercept,
@@ -161,6 +222,8 @@ class ExperimentPlan:
         object.__setattr__(self, "sizes", sizes)
         for name in ("replicates", "dim", "initial_infected"):
             object.__setattr__(self, name, integral(name, getattr(self, name)))
+        if self.replicates < 1:
+            raise InvalidParameterError(f"replicates must be >= 1, got {self.replicates}")
         if self.occupancy != "logn":
             object.__setattr__(self, "occupancy", integral("occupancy", self.occupancy))
         if self.event_budget is not None:

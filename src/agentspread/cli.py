@@ -34,9 +34,9 @@ Config files are whitespace-insensitive key-value text with sections::
     seed = 7             # policy-internal randomness
 
     [engine]
-    beta = 1.0
-    initial_infected = 0
-    max_time =           # empty = no cutoff
+    beta = 1.0           # simulate, sweep, dominate
+    initial_infected = 0 # simulate, sweep
+    max_time =           # simulate only; empty = no cutoff
 
     [simulate]
     replicates = 1
@@ -75,7 +75,11 @@ value reads as an absent key, and a value of the wrong type is a
 configuration error naming its ``[section] key``; an integer key
 refuses a value with a fractional part. A section or key outside this
 grammar, or a key given twice in one section, is a configuration error
-too; a repeated section header merges into the first.
+too; a repeated section header merges into the first. So is a value
+for an ``[engine]`` key the subcommand cannot honour: ``sim sweep`` and
+``sim dominate`` run every replicate to the end (a censored mean would
+bias the fit), so both refuse ``max_time``, and ``sim dominate`` refuses
+``initial_infected``, as its processes start with no node infected.
 
 An absent key takes the default of the library constructor its section
 feeds, under the key's name: ``[graph]`` feeds ``graphs.make_graph``
@@ -101,7 +105,7 @@ Exit codes: 0 success, 2 configuration/usage error or bad input (such as
 a malformed graph file, a ring/line/grid file whose edges are not that
 family's, an RGG file whose edges are not the disk graph of its
 coordinates, an RGG radius that is NaN, infinite or negative, a
-disconnected partition piece, a cluster run count below 1, or a sweep
+disconnected partition piece, a cluster or sweep run count below 1, a sweep
 size that realizes fewer than 2 nodes), 3 runtime guard (nontermination
 or exhausted event budget).
 """
@@ -276,6 +280,14 @@ def _load(path: str | None, overrides: list[str]) -> dict:
     return cfg
 
 
+def _refuse(cfg: dict, subcommand: str, section: str, *keys: str) -> None:
+    """Config error for each of ``keys`` that ``[section]`` gives a value
+    and ``sim subcommand`` would ignore."""
+    for key in keys:
+        if cfg.get(section, {}).get(key) is not None:
+            raise ConfigError(f"sim {subcommand} does not read [{section}] {key}")
+
+
 def _read(cfg: dict, section: str, *keys: str, required=(), rename=None) -> dict:
     """Keyword arguments from ``[section]``: each of ``keys`` (by default
     every key of the section) that is present and not empty, converted by
@@ -377,6 +389,7 @@ def _plan_from_config(cfg: dict, args, outdir: str | None = None) -> analytics.E
 
 def _cmd_sweep(args) -> int:
     cfg = _load(args.config, args.set or [])
+    _refuse(cfg, "sweep", "engine", "max_time")
     outdir = _ensure_outdir(args.out)
     plan = _plan_from_config(cfg, args, outdir)
     report = analytics.run_plan(plan)  # writes report.csv/json + loglog.dat
@@ -392,6 +405,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_dominate(args) -> int:
     cfg = _load(args.config, args.set or [])
+    _refuse(cfg, "dominate", "engine", "initial_infected", "max_time")
     outdir = _ensure_outdir(args.out)
     run = {"mode": "homogeneous", "replicates": 1000, **_read(cfg, "dominate")}
     label, verdict = analytics.dominance_check(

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from agentspread import analytics
 from agentspread.analytics import (
     ExperimentPlan,
     dominance_report,
@@ -52,14 +53,33 @@ def test_fit_rejects_nonpositive():
         exponent_fit([(1, 1.0), (2, -2.0), (3, 3.0)])
 
 
-def test_fit_t_quantile_matches_scipy_stats():
-    # exponent_fit takes its critical value from scipy.special.stdtrit so
-    # that importing the package does not load scipy.stats.
-    from scipy import stats
+def test_t_table_is_stdtrit_bit_for_bit():
+    # Fits of up to 66 points keep the CI that stdtrit gave them, bit for bit.
     from scipy.special import stdtrit
 
-    for df in range(1, 200):
-        assert float(stdtrit(df, 0.975)) == float(stats.t.ppf(0.975, df))
+    assert len(analytics._T975) == 64
+    for df in range(1, 65):
+        assert analytics._t_critical(df) == float(stdtrit(df, 0.975)), df
+
+
+def test_t_series_matches_stdtrit_beyond_the_table():
+    from scipy.special import stdtrit
+
+    for df in range(65, 401):
+        want = float(stdtrit(df, 0.975))
+        assert analytics._t_critical(df) == pytest.approx(want, rel=1e-13, abs=0), df
+
+
+def test_fit_past_the_table_matches_a_stdtrit_ci():
+    from scipy.special import stdtrit
+
+    rng = np.random.default_rng(5)
+    ns = np.arange(10, 77)  # 67 points: df = 65, the first past the table
+    fit = exponent_fit([(n, n**0.4 * math.exp(rng.normal(0, 0.05))) for n in ns])
+    half = float(stdtrit(65, 0.975)) * fit.stderr
+    assert fit.points == 67
+    assert fit.ci_low == pytest.approx(fit.slope - half, rel=1e-13, abs=0)
+    assert fit.ci_high == pytest.approx(fit.slope + half, rel=1e-13, abs=0)
 
 
 def test_fit_ci_covers_noise():
@@ -86,6 +106,12 @@ def test_plan_validates_sizes():
 def test_plan_refuses_unknown_mu_eff_word(mu_eff):
     with pytest.raises(InvalidParameterError, match="mu_eff"):
         ExperimentPlan(sizes=(16, 32, 64), process="diagonal_grid_clusters", mu_eff=mu_eff)
+
+
+@pytest.mark.parametrize("replicates", [0, -3])
+def test_plan_refuses_fewer_than_one_replicate(replicates):
+    with pytest.raises(InvalidParameterError, match="replicates must be >= 1"):
+        ExperimentPlan(sizes=(16, 32, 64), replicates=replicates, process="line_clusters")
 
 
 def test_run_plan_paths_slope_one():

@@ -241,6 +241,13 @@ def test_sweep_size_below_two_nodes_exits_2(tmp_path, capsys):
     assert "size 1 realizes 1 node" in capsys.readouterr().err
 
 
+def test_sweep_zero_replicates_exits_2(tmp_path, capsys):
+    cfg = _write(tmp_path / "c.cfg", RING_SWEEP)
+    argv = ["sweep", "--config", cfg, "--seed", "1", "--out", str(tmp_path / "o")]
+    assert main(argv + ["--set", "sweep.replicates=0"]) == 2
+    assert "replicates must be >= 1, got 0" in capsys.readouterr().err
+
+
 def test_sweep_budget_exhausted_exit_3(tmp_path):
     cfg = _write(tmp_path / "c.cfg", RING_SWEEP + "event_budget = 50\n")
     assert main(["sweep", "--config", cfg, "--seed", "1", "--out", str(tmp_path / "o")]) == 3
@@ -326,6 +333,26 @@ def test_dominate_unknown_mode_exits_2(tmp_path):
     cfg = _write(tmp_path / "d.cfg", DOMINATE)
     argv = ["dominate", "--config", cfg, "--out", str(tmp_path / "o")]
     assert main(argv + ["--set", "dominate.mode=parallel"]) == 2
+
+
+@pytest.mark.parametrize(
+    "subcommand,text,key",
+    [
+        ("sweep", RING_SWEEP, "max_time = 5"),
+        ("dominate", DOMINATE, "initial_infected = 2"),
+        ("dominate", DOMINATE, "max_time = 5"),
+    ],
+    ids=["sweep-max_time", "dominate-initial_infected", "dominate-max_time"],
+)
+def test_engine_key_the_subcommand_ignores_exits_2(tmp_path, capsys, subcommand, text, key):
+    # A sweep or dominance run goes to the end: a cutoff would censor its
+    # means, so the key is refused rather than silently dropped.
+    cfg = _write(tmp_path / "c.cfg", text + "\n[engine]\n" + key + "\n")
+    argv = [subcommand, "--config", cfg, "--seed", "1", "--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    name = key.split(" =")[0]
+    assert f"sim {subcommand} does not read [engine] {name}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_dominate_disconnected_piece_exits_2(tmp_path, capsys):
@@ -556,7 +583,13 @@ def test_every_config_key_reaches_its_object(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["conductance", "--config", cfg, "--set", "graph.family=file"]) == 0
     del seen["make_graph"]  # read_graph checks a ring file against make_graph's ring
-    for argv in (["simulate"], ["sweep"], ["dominate"], ["fpp"]):
+    # sweep and dominate refuse the [engine] keys they cannot honour
+    for argv in (
+        ["simulate"],
+        ["sweep", "--set", "engine.max_time="],
+        ["dominate", "--set", "engine.max_time=", "--set", "engine.initial_infected="],
+        ["fpp"],
+    ):
         assert main(argv + ["--config", cfg, "--seed", "5", "--out", argv[0]]) == 0
     rows = (tmp_path / "fpp" / "hitting.csv").read_text().splitlines()[1:]
     seen["hitting.csv"] = [{"rows": len(rows)}]

@@ -3,10 +3,13 @@ importing the package stays light."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from graphlib import TopologicalSorter
 from pathlib import Path
+
+import pytest
 
 import agentspread
 
@@ -38,24 +41,9 @@ def test_dominators_imports_only_the_substrate():
     assert _import_graph()["dominators"] == {"errors", "graphs", "rng"}
 
 
-def test_import_does_not_load_scipy_stats():
-    # scipy.stats takes most of a second to import and the package needs
-    # none of it.
-    code = "import sys, agentspread; print('scipy.stats' in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        check=True,
-        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
-    )
-    assert out.stdout.strip() == "False"
-
-
-def test_package_does_not_import_the_benchmark_references():
-    # rgg-fpp checks gen_rgg and partition_rgg against cKDTree pairs and
-    # csgraph diameters; those checks are independent only while the
-    # package computes both without these modules.
+def _imported_modules() -> set[str]:
+    """Absolute module names the package's source imports, at any nesting
+    level: a function-level import counts too."""
     imported = set()
     for path in PACKAGE.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -63,4 +51,48 @@ def test_package_does_not_import_the_benchmark_references():
                 imported.update(alias.name for alias in node.names)
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 imported.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return imported
+
+
+def test_import_loads_no_scipy():
+    # scipy.special alone was over half of `import agentspread`; the package
+    # needs numpy only.
+    code = (
+        "import sys, agentspread, agentspread.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+    )
+    assert out.stdout.strip() == "[]"
+
+
+def test_package_source_imports_no_scipy():
+    # A lazy import inside a function would keep the dependency and move
+    # its load into the timed work.
+    assert not {m for m in _imported_modules() if m.split(".")[0] == "scipy"}
+
+
+def test_dependencies_are_the_imported_third_party_modules():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())["project"]
+
+    def names(requirements):
+        return {re.match(r"[A-Za-z0-9_.-]+", r).group().lower() for r in requirements}
+
+    third_party = {m.split(".")[0] for m in _imported_modules()} - set(sys.stdlib_module_names)
+    assert third_party == {"numpy"}
+    assert names(project["dependencies"]) == third_party
+    assert "scipy" in names(project["optional-dependencies"]["test"])
+
+
+def test_package_does_not_import_the_benchmark_references():
+    # rgg-fpp checks gen_rgg and partition_rgg against cKDTree pairs and
+    # csgraph diameters; those checks are independent only while the
+    # package computes both without these modules.
+    imported = _imported_modules()
     assert not {m for m in imported if m.startswith(("scipy.spatial", "scipy.sparse.csgraph"))}
