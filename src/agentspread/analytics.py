@@ -148,8 +148,10 @@ def exponent_fit(points) -> ExponentFit:
     pts = [(float(n), float(y)) for n, y in points]
     if len(pts) < 3:
         raise InvalidParameterError(f"need >= 3 points, got {len(pts)}")
-    if any(y <= 0 for _, y in pts) or any(n <= 0 for n, _ in pts):
-        raise InvalidParameterError("exponent fit needs positive n and y")
+    if not all(0 < v < math.inf for pt in pts for v in pt):
+        raise InvalidParameterError("exponent fit needs finite positive n and y")
+    if len({n for n, _ in pts}) < 2:
+        raise InvalidParameterError("exponent fit needs >= 2 distinct n")
     x = np.log([n for n, _ in pts])
     y = np.log([v for _, v in pts])
     m = len(pts)
@@ -304,11 +306,8 @@ def _sample_times(plan: ExperimentPlan, n: int) -> tuple[int, list[float], int]:
         )
         summaries = simulate_batch(g, handle, ecfg, plan.replicates)
         return g.n, finish_times(summaries), sum(s.events for s in summaries)
-    cfg = _resolve_cluster_cfg(plan, n)
-    events = 0
-    times = []
-    for k in range(plan.replicates):
-        trace = run_cluster_process(cfg, k)
+    times, events = [], 0
+    for trace in run_cluster_process(_resolve_cluster_cfg(plan, n), plan.replicates):
         times.append(trace.hitting_time)
         events += trace.events
     return n, times, events
@@ -457,7 +456,7 @@ def dominance_report(sample_a, sample_b, *, seed: int = 0) -> DominanceVerdict:
 
 
 def _two_phase(g, partition, L, mode, seed, replicates, beta) -> list[float]:
-    runs = (two_phase_process(g, partition, L, mode, seed, k, beta) for k in range(replicates))
+    runs = two_phase_process(g, partition, L, mode, seed, replicates, beta)
     return [tp.finish_time for tp in runs]
 
 

@@ -15,10 +15,10 @@ Config files are whitespace-insensitive key-value text with sections::
     # comment
     [graph]
     family = ring        # ring | line | grid | rgg | file
-    n = 1024
+    n = 1024             # simulate, dominate, conductance; sweep takes sizes
     d = 2                # grid dimension
     r = critical         # rgg radius, or a real; critical = sqrt(5 ln n / n)
-    path = g.txt         # family = file
+    path = g.txt         # family = file; simulate, dominate, conductance
 
     [policy]
     kind = random_homogeneous   # null | random_homogeneous | gsi | static_links
@@ -76,10 +76,12 @@ configuration error naming its ``[section] key``; an integer key
 refuses a value with a fractional part. A section or key outside this
 grammar, or a key given twice in one section, is a configuration error
 too; a repeated section header merges into the first. So is a value
-for an ``[engine]`` key the subcommand cannot honour: ``sim sweep`` and
-``sim dominate`` run every replicate to the end (a censored mean would
-bias the fit), so both refuse ``max_time``, and ``sim dominate`` refuses
-``initial_infected``, as its processes start with no node infected.
+for a key the subcommand cannot honour: ``sim sweep`` builds its graphs
+from ``[sweep] sizes`` and refuses ``[graph] n`` and ``path``; ``sim
+sweep`` and ``sim dominate`` run every replicate to the end (a censored
+mean would bias the fit), so both refuse ``[engine] max_time``, and
+``sim dominate`` refuses ``initial_infected``, as its processes start
+with no node infected.
 
 An absent key takes the default of the library constructor its section
 feeds, under the key's name: ``[graph]`` feeds ``graphs.make_graph``
@@ -389,6 +391,7 @@ def _plan_from_config(cfg: dict, args, outdir: str | None = None) -> analytics.E
 
 def _cmd_sweep(args) -> int:
     cfg = _load(args.config, args.set or [])
+    _refuse(cfg, "sweep", "graph", "n", "path")
     _refuse(cfg, "sweep", "engine", "max_time")
     outdir = _ensure_outdir(args.out)
     plan = _plan_from_config(cfg, args, outdir)
@@ -464,13 +467,14 @@ def _cmd_fpp(args) -> int:
     kw = _read(cfg, "clusters", required=["growth", "target"], rename={"target": "target_count"})
     replicates = kw.pop("replicates", 100)
     ccfg = dominators.ClusterProcessConfig(seed=args.seed, **kw)
-    if replicates < 1:
-        raise ConfigError(f"[clusters] replicates must be >= 1, got {replicates}")
+    try:
+        traces = dominators.run_cluster_process(ccfg, replicates)
+    except InvalidParameterError as e:
+        raise ConfigError(f"[clusters] {e}") from e
     outdir = _ensure_outdir(args.out)
     with open(os.path.join(outdir, "hitting.csv"), "w") as fh:
         fh.write("replicate,hitting_time,events\n")
-        for k in range(replicates):
-            trace = dominators.run_cluster_process(ccfg, k)
+        for k, trace in enumerate(traces):
             ht = "" if trace.hitting_time is None else f"{trace.hitting_time:.17g}"
             fh.write(f"{k},{ht},{trace.events}\n")
             if k == 0:

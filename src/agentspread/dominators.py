@@ -15,6 +15,11 @@ on an exclusive infinite lattice, and a diagonal-grid tile process. The
 processes run without the engine or the policies;
 ``analytics.dominance_check`` pairs each with the policy it bounds.
 
+Each process takes a replicate count R and runs replicates 0..R-1 on
+the ``CH_PROCESS`` streams of ``rng.replicate_streams``. The cluster
+process yields its traces one at a time: a batch of long runs would not
+fit in memory.
+
 A lattice cluster keeps its sites in a hash set and its boundary edges
 in a swap-remove list, so there is no truncation boundary and a growth
 step costs O(degree). Cluster sites are packed into integers (21 bits
@@ -26,11 +31,11 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .errors import InvalidParameterError, integral, positive
 from .graphs import Graph, Partition, bfs_tree
-from .rng import CH_PROCESS, BufferedSampler, substream
+from .rng import CH_PROCESS, BufferedSampler, replicate_streams, substream
 
 _PATH_POINTS = 4096  # count-path export cap per run
 
@@ -59,10 +64,10 @@ def two_phase_process(
     L: float,
     mode: str,
     seed: int,
-    replicate: int = 0,
+    replicates: int = 1,
     beta: float = 1.0,
-) -> TwoPhaseTrace:
-    """Sample the two-phase dominating process once.
+) -> list[TwoPhaseTrace]:
+    """Sample the two-phase dominating process ``replicates`` times.
 
     Phase 1 infects one designated first node per piece: in
     ``homogeneous`` mode piece i is seeded at rate L*size_i/n
@@ -79,31 +84,31 @@ def two_phase_process(
         raise InvalidParameterError(f"unknown two-phase mode {mode!r}")
     positive("L", L)
     positive("beta", beta)
-    rng = substream(seed, replicate, CH_PROCESS)
-    exp = BufferedSampler(rng.standard_exponential)
-    uni = BufferedSampler(rng.random)
     n = g.n
-
-    seeds = []
-    if mode == "homogeneous":
+    out = []
+    for rng in replicate_streams(seed, CH_PROCESS, replicates):
+        exp = BufferedSampler(rng.standard_exponential)
+        uni = BufferedSampler(rng.random)
+        seeds = []
         t1 = 0.0
-        for piece in partition.pieces:
-            rate = L * len(piece) / n
-            t1 = max(t1, exp.draw() / rate)
-            seeds.append(piece[int(uni.draw() * len(piece))])
-    else:
-        t1 = 0.0
-        for piece in partition.pieces:
-            t1 += exp.draw() / L
-            seeds.append(piece[0])
+        if mode == "homogeneous":
+            for piece in partition.pieces:
+                rate = L * len(piece) / n
+                t1 = max(t1, exp.draw() / rate)
+                seeds.append(piece[int(uni.draw() * len(piece))])
+        else:
+            for piece in partition.pieces:
+                t1 += exp.draw() / L
+                seeds.append(piece[0])
 
-    t2 = 0.0
-    for piece, root in zip(partition.pieces, seeds):
-        arrival = {root: 0.0}
-        for v, u in bfs_tree(g, piece, root).parent.items():  # discovery order
-            arrival[v] = arrival[u] + exp.draw() / beta
-        t2 = max(t2, max(arrival.values()))
-    return TwoPhaseTrace(phase1=t1, phase2=t2, piece_seeds=tuple(seeds))
+        t2 = 0.0
+        for piece, root in zip(partition.pieces, seeds):
+            arrival = {root: 0.0}
+            for v, u in bfs_tree(g, piece, root).parent.items():  # discovery order
+                arrival[v] = arrival[u] + exp.draw() / beta
+            t2 = max(t2, max(arrival.values()))
+        out.append(TwoPhaseTrace(phase1=t1, phase2=t2, piece_seeds=tuple(seeds)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -111,27 +116,28 @@ def two_phase_process(
 # ---------------------------------------------------------------------------
 
 
-def _chain_rates(size: int, psi: float) -> list[float]:
-    # j -> j+1 at rate j*psi while j <= size/2, then (size-j)*psi.
-    return [
-        (j if 2 * j <= size else size - j) * psi for j in range(1, size)
-    ]
-
-
-def conductance_chain(piece_size: int, psi: float, seed: int, replicate: int = 0) -> float:
-    """Absorption time of the conductance-driven birth chain from 1 to size."""
-    if piece_size < 2:
-        raise InvalidParameterError(f"piece_size must be >= 2, got {piece_size}")
+def _chain_rates(piece_size: int, psi: float) -> list[float]:
+    """Rates of the chain's steps: j -> j+1 at rate j*psi while j <=
+    size/2, then (size-j)*psi."""
+    size = integral("piece_size", piece_size)
+    if size < 2:
+        raise InvalidParameterError(f"piece_size must be >= 2, got {size}")
     positive("psi", psi)
-    rng = substream(seed, replicate, CH_PROCESS)
-    exp = BufferedSampler(rng.standard_exponential)
-    return sum(exp.draw() / rate for rate in _chain_rates(piece_size, psi))
+    return [(j if 2 * j <= size else size - j) * psi for j in range(1, size)]
+
+
+def conductance_chain(piece_size: int, psi: float, seed: int, replicates: int = 1) -> list[float]:
+    """Absorption times of the conductance-driven birth chain from 1 to
+    size, one per replicate: one Exp(1) per step, drawn in step order."""
+    rates = _chain_rates(piece_size, psi)
+    return [
+        sum(e / rate for e, rate in zip(rng.standard_exponential(len(rates)).tolist(), rates))
+        for rng in replicate_streams(seed, CH_PROCESS, replicates)
+    ]
 
 
 def chain_sojourn_mean(piece_size: int, psi: float) -> float:
     """Exact expected absorption time: the sum of sojourn means."""
-    if piece_size < 2:
-        raise InvalidParameterError(f"piece_size must be >= 2, got {piece_size}")
     return sum(1.0 / rate for rate in _chain_rates(piece_size, psi))
 
 
@@ -277,22 +283,27 @@ _GROWTH = {
 }
 
 
-def run_cluster_process(cfg: ClusterProcessConfig, replicate: int = 0) -> ClusterTrace:
-    """One run of the growth ``cfg`` names: clusters arrive at the seeding
-    rate and every boundary edge fires at the edge rate, until the total
-    count reaches the target or time reaches ``max_time``.
+def run_cluster_process(cfg: ClusterProcessConfig, replicates: int = 1) -> Iterator[ClusterTrace]:
+    """Runs 0..R-1 of the growth ``cfg`` names, each trace yielded as its
+    run ends: clusters arrive at the seeding rate and every boundary edge
+    fires at the edge rate, until the total count reaches the target or
+    time reaches ``max_time``.
 
     Each event draws one exponential (its time) and one uniform (arrival,
     or which cluster's edge fired); a lattice growth draws its edge with a
     second uniform. The count path gets a point whenever the count changes.
     """
+    return (_cluster_run(cfg, rng) for rng in replicate_streams(cfg.seed, CH_PROCESS, replicates))
+
+
+def _cluster_run(cfg: ClusterProcessConfig, rng) -> ClusterTrace:
+    """One run of ``run_cluster_process`` on the stream ``rng``."""
     lattice, edge_rate, points = _GROWTH[cfg.growth](cfg)
     if lattice is None:
         frontier, seed_points, clusters = 2, 0, None
     else:
         deltas, origin = lattice
         frontier, seed_points, clusters = len(deltas), points, [_LatticeCluster(deltas, origin)]
-    rng = substream(cfg.seed, replicate, CH_PROCESS)
     exp = BufferedSampler(rng.standard_exponential)
     uni = BufferedSampler(rng.random)
     lam = cfg.seeding_rate
@@ -347,22 +358,20 @@ def run_cluster_process(cfg: ClusterProcessConfig, replicate: int = 0) -> Cluste
 
 
 def fpp_clusters(cfg: ClusterProcessConfig, replicate: int = 0) -> ClusterTrace:
-    """``run_cluster_process`` for an "fpp" growth. It stays only while
-    ``perfbench/workloads.py`` calls it; everything else calls
-    ``run_cluster_process``."""
+    """Replicate ``replicate`` of ``run_cluster_process`` for an "fpp"
+    growth, on its own stream. It stays only while
+    ``perfbench/workloads.py`` calls it one index at a time; everything
+    else calls ``run_cluster_process``."""
     if cfg.growth != "fpp":
         raise InvalidParameterError("cfg.growth must be 'fpp'")
-    return run_cluster_process(cfg, replicate)
+    return _cluster_run(cfg, substream(cfg.seed, replicate, CH_PROCESS))
 
 
 def sample_hitting_times(cfg: ClusterProcessConfig, replicates: int) -> list[float]:
-    """Hitting times over independent replicates (per-replicate streams)."""
-    replicates = integral("replicates", replicates)
-    if replicates < 1:
-        raise InvalidParameterError("replicates must be >= 1")
+    """Hitting times of runs 0..R-1 of ``run_cluster_process``; a run that
+    ``max_time`` cut off is refused."""
     out = []
-    for k in range(replicates):
-        trace = run_cluster_process(cfg, k)
+    for trace in run_cluster_process(cfg, replicates):
         if trace.hitting_time is None:
             raise InvalidParameterError(
                 "cluster run hit max_time before the target count"

@@ -41,7 +41,7 @@ from .errors import (
     positive,
 )
 from .graphs import Graph
-from .rng import CH_ENGINE, BufferedSampler, reseed, stream, substream
+from .rng import CH_ENGINE, BufferedSampler, replicate_streams, substream
 
 _ENVELOPE_SLACK = 1e-9
 
@@ -251,13 +251,8 @@ def simulate_batch(
     Replicate k owns stream (cfg.seed, k) and a fresh policy state, so
     output is deterministic and ordered by replicate index.
     """
-    replicates = integral("replicates", replicates)
-    if replicates < 1:
-        raise InvalidParameterError(f"replicates must be >= 1, got {replicates}")
     out = []
-    gen = stream(0, 0)  # rewound to each replicate's address before use
-    for k in range(replicates):
-        reseed(gen, cfg.seed, (k << 3) | CH_ENGINE)
+    for k, gen in enumerate(replicate_streams(cfg.seed, CH_ENGINE, replicates)):
         state, _, finish = _run(g, policy, cfg, k, keep_events=False, rng=gen)
         out.append(
             RunSummary(

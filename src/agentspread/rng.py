@@ -11,13 +11,19 @@ collide:
 Reproducibility is bit-exact across platforms for a fixed numpy version,
 and partial re-runs are possible because any stream can be reconstructed
 from its address alone.
+
+Every batch of replicates takes its streams, and has its count checked,
+in ``replicate_streams``.
 """
 
 from __future__ import annotations
 
 from itertools import chain
+from typing import Iterator
 
 import numpy as np
+
+from .errors import InvalidParameterError, integral
 
 _MASK64 = (1 << 64) - 1
 
@@ -59,6 +65,20 @@ def reseed(gen: np.random.Generator, seed: int, index: int) -> np.random.Generat
         "uinteger": 0,
     }
     return gen
+
+
+def replicate_streams(
+    seed: int, channel: int, replicates: int
+) -> Iterator[np.random.Generator]:
+    """The streams of replicates 0..R-1 of ``(seed, channel)``: one
+    Generator, rewound by ``reseed`` to ``substream(seed, k, channel)``'s
+    address before it is handed out as replicate k, so use each before
+    asking for the next. A bad count raises on the call."""
+    replicates = integral("replicates", replicates)
+    if replicates < 1:
+        raise InvalidParameterError(f"replicates must be >= 1, got {replicates}")
+    gen = stream(seed, channel)
+    return (reseed(gen, seed, (k << 3) | channel) for k in range(replicates))
 
 
 # First block of every BufferedSampler. Pinned: samplers sharing a

@@ -98,11 +98,11 @@ def test_c02_path_and_star_closed_forms():
 def test_c03_line_cluster_growth_law():
     reps = 100_000
     cfg = ClusterProcessConfig(growth="line", target_count=10**9, max_time=3.0, seed=13_000)
-    traces = [run_cluster_process(cfg, k) for k in range(reps)]
+    ts = (1.0, 2.0, 3.0)
+    counts = np.array([[tr.count_at(t) for t in ts] for tr in run_cluster_process(cfg, reps)])
     worst = 0.0
-    for t in (1.0, 2.0, 3.0):
+    for t, got in zip(ts, counts.mean(axis=0)):
         want = t * t + 2 * t
-        got = np.mean([tr.count_at(t) for tr in traces])
         worst = max(worst, abs(got - want) / want)
     report("C3", worst <= 0.02, f"worst |E[N_t]| error {worst:.2%} <= 2% at t in {{1,2,3}}")
 
@@ -227,8 +227,7 @@ def test_c07_dominance_suite():
             simulate_batch(g, a.RandomHomogeneous(1.0), EngineConfig(seed=401), reps)
         )
         upper = [
-            two_phase_process(g, part, 1.0, "homogeneous", seed=402, replicate=k).finish_time
-            for k in range(reps)
+            tp.finish_time for tp in two_phase_process(g, part, 1.0, "homogeneous", 402, reps)
         ]
         verdicts[f"random<=two_phase_hom n={n}"] = dominance_report(real, upper, seed=403)
 
@@ -236,8 +235,7 @@ def test_c07_dominance_suite():
             simulate_batch(g, a.GsiPolicy(part, 1.0), EngineConfig(seed=404), reps)
         )
         upper = [
-            two_phase_process(g, part, 1.0, "sequential", seed=405, replicate=k).finish_time
-            for k in range(reps)
+            tp.finish_time for tp in two_phase_process(g, part, 1.0, "sequential", 405, reps)
         ]
         verdicts[f"gsi<=two_phase_seq n={n}"] = dominance_report(real, upper, seed=406)
 
@@ -274,7 +272,7 @@ def test_c08_conductance_and_chain():
         for psi in (0.5, 1.0):
             want = chain_sojourn_mean(size, psi)
             seed = 14_000 + size * 10 + int(psi * 2)
-            got = np.mean([conductance_chain(size, psi, seed, k) for k in range(reps)])
+            got = np.mean(conductance_chain(size, psi, seed, reps))
             worst = max(worst, abs(got - want) / want)
     report(
         "C8",
@@ -292,10 +290,7 @@ def test_c08_conductance_and_chain():
 def test_c09_two_phase_coupon_phase1():
     g = a.gen_ring(16)
     part = a.partition_ring(g)  # 4 pieces of n/4
-    runs = [
-        two_phase_process(g, part, 1.0, "homogeneous", seed=15_000, replicate=k)
-        for k in range(100_000)
-    ]
+    runs = two_phase_process(g, part, 1.0, "homogeneous", seed=15_000, replicates=100_000)
     got = np.mean([r.phase1 for r in runs])
     want = 25 / 3
     err = abs(got - want) / want

@@ -53,6 +53,20 @@ def test_fit_rejects_nonpositive():
         exponent_fit([(1, 1.0), (2, -2.0), (3, 3.0)])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("axis", ["n", "y"])
+def test_fit_rejects_non_finite_point(axis, bad):
+    pts = [(8, 2.0), (64, 4.0), (512, 8.0)]
+    pts[1] = (bad, 4.0) if axis == "n" else (64, bad)
+    with pytest.raises(InvalidParameterError, match="finite positive n and y"):
+        exponent_fit(pts)
+
+
+def test_fit_rejects_one_distinct_n():
+    with pytest.raises(InvalidParameterError, match="2 distinct n"):
+        exponent_fit([(64, 1.0), (64, 2.0), (64.0, 3.0)])
+
+
 def test_t_table_is_stdtrit_bit_for_bit():
     # Fits of up to 66 points keep the CI that stdtrit gave them, bit for bit.
     from scipy.special import stdtrit

@@ -19,7 +19,6 @@ def _write(path, text):
 RING_SWEEP = """
 [graph]
 family = ring
-n = 64
 
 [policy]
 kind = random_homogeneous
@@ -31,6 +30,9 @@ replicates = 30
 log_correction = none
 process = simulate
 """
+
+# `sim simulate` builds one graph of [graph] n nodes; `sim sweep` refuses n
+SIMULATE_N = "\n[graph]\nn = 64\n"
 
 
 def test_gen_ring_file(tmp_path, capsys):
@@ -59,13 +61,13 @@ def test_gen_rgg_defaults_to_critical_radius(tmp_path):
 
 
 def test_simulate_non_finite_rate_exit_2(tmp_path):
-    cfg = _write(tmp_path / "c.cfg", RING_SWEEP)
+    cfg = _write(tmp_path / "c.cfg", RING_SWEEP + SIMULATE_N)
     out = str(tmp_path / "o")
     assert main(["simulate", "--config", cfg, "--set", "policy.L=nan", "--out", out]) == 2
 
 
 def test_simulate_wrong_type_exit_2(tmp_path, capsys):
-    cfg = _write(tmp_path / "c.cfg", RING_SWEEP)
+    cfg = _write(tmp_path / "c.cfg", RING_SWEEP + SIMULATE_N)
     out = str(tmp_path / "o")
     assert main(["simulate", "--config", cfg, "--set", "policy.L=abc", "--out", out]) == 2
     assert "[policy] L" in capsys.readouterr().err
@@ -96,7 +98,7 @@ def test_simulate_empty_radius_is_critical(tmp_path):
 def test_sweep_uses_radius_and_initial_infected(tmp_path):
     cfg = _write(
         tmp_path / "c.cfg",
-        RGG_SIMULATE.format(r="0.9")
+        RGG_SIMULATE.format(r="0.9").replace("n = 40\n", "")
         + "\n[engine]\ninitial_infected = 5\n\n[sweep]\nsizes = 16, 24, 32\nreplicates = 5\n",
     )
     out = tmp_path / "o"
@@ -166,7 +168,7 @@ def test_shipped_config_runs(tmp_path, path):
         ("[engine]\nreplicates = 50\n", "[engine] replicates"),
         ("[grpah]\nn = 64\n", "[grpah]"),
         ("replicates = 50\n", "[sweep] replicates given twice"),
-        ("[graph]\nn = 32\n", "[graph] n given twice"),
+        ("[graph]\nfamily = line\n", "[graph] family given twice"),
     ],
     ids=["key", "section", "repeated-key", "repeated-key-across-headers"],
 )
@@ -192,7 +194,7 @@ INT_KEYS = RING_SWEEP + "occupancy = 1\n\n[simulate]\nreplicates = 1\n"
     ],
 )
 def test_integer_key_refuses_non_integral_value(tmp_path, capsys, subcommand, override, named):
-    cfg = _write(tmp_path / "c.cfg", INT_KEYS)
+    cfg = _write(tmp_path / "c.cfg", INT_KEYS + (SIMULATE_N if subcommand == "simulate" else ""))
     argv = [subcommand, "--config", cfg, "--out", str(tmp_path / "o"), "--set", override]
     assert main(argv) == 2
     assert named in capsys.readouterr().err
@@ -230,7 +232,7 @@ def test_repeated_section_header_merges(tmp_path):
     out = tmp_path / "o"
     assert main(["sweep", "--config", cfg, "--seed", "1", "--out", str(out)]) == 0
     assert cli.parse_config((out / "resolved.cfg").read_text())["graph"] == {
-        "family": "ring", "n": 64, "d": 1
+        "family": "ring", "d": 1
     }
 
 
@@ -353,6 +355,17 @@ def test_engine_key_the_subcommand_ignores_exits_2(tmp_path, capsys, subcommand,
     name = key.split(" =")[0]
     assert f"sim {subcommand} does not read [engine] {name}" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("key", ["n = 64", "path = g.txt"])
+def test_sweep_refuses_graph_size_and_path(tmp_path, capsys, key):
+    # A sweep takes its sizes from [sweep] sizes and builds each graph from
+    # the family, so a size or a graph file would be silently dropped.
+    cfg = _write(tmp_path / "c.cfg", RING_SWEEP + "\n[graph]\n" + key + "\n")
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", cfg, "--seed", "1", "--out", str(out)]) == 2
+    assert f"sim sweep does not read [graph] {key.split(' =')[0]}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_dominate_disconnected_piece_exits_2(tmp_path, capsys):
@@ -583,10 +596,11 @@ def test_every_config_key_reaches_its_object(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["conductance", "--config", cfg, "--set", "graph.family=file"]) == 0
     del seen["make_graph"]  # read_graph checks a ring file against make_graph's ring
-    # sweep and dominate refuse the [engine] keys they cannot honour
+    # sweep refuses [graph] n and path, and sweep and dominate the [engine]
+    # keys they cannot honour
     for argv in (
         ["simulate"],
-        ["sweep", "--set", "engine.max_time="],
+        ["sweep", "--set", "engine.max_time=", "--set", "graph.n=", "--set", "graph.path="],
         ["dominate", "--set", "engine.max_time=", "--set", "engine.initial_infected="],
         ["fpp"],
     ):

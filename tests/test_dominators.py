@@ -30,10 +30,7 @@ def test_two_phase_homogeneous_phase1_mean():
     # 4 pieces of n/4 at L=1: phase 1 is the max of 4 Exp(1/4), mean 4*H_4.
     g = graphs.gen_ring(16)
     part = graphs.partition_ring(g)
-    runs = [
-        two_phase_process(g, part, 1.0, "homogeneous", seed=3, replicate=k)
-        for k in range(20000)
-    ]
+    runs = two_phase_process(g, part, 1.0, "homogeneous", seed=3, replicates=20000)
     m = np.mean([r.phase1 for r in runs])
     assert m == pytest.approx(4 * (1 + 1 / 2 + 1 / 3 + 1 / 4), rel=0.03)
 
@@ -41,10 +38,7 @@ def test_two_phase_homogeneous_phase1_mean():
 def test_two_phase_sequential_phase1_mean():
     g = graphs.gen_ring(16)
     part = graphs.partition_ring(g)
-    runs = [
-        two_phase_process(g, part, 1.0, "sequential", seed=4, replicate=k)
-        for k in range(20000)
-    ]
+    runs = two_phase_process(g, part, 1.0, "sequential", seed=4, replicates=20000)
     assert np.mean([r.phase1 for r in runs]) == pytest.approx(4.0, rel=0.03)
 
 
@@ -55,10 +49,7 @@ def test_two_phase_single_piece_path_phase2():
     part = graphs.Partition(
         pieces=(tuple(range(9)),), piece_sizes=(9,), piece_diameters=(8,)
     )
-    runs = [
-        two_phase_process(g, part, 1.0, "sequential", seed=5, replicate=k)
-        for k in range(20000)
-    ]
+    runs = two_phase_process(g, part, 1.0, "sequential", seed=5, replicates=20000)
     assert all(r.piece_seeds == (0,) for r in runs[:10])
     assert np.mean([r.phase2 for r in runs]) == pytest.approx(8.0, rel=0.03)
 
@@ -71,8 +62,9 @@ def test_two_phase_rejects_unknown_mode():
 
 
 # (graph, mode) -> (phase1, phase2, piece_seeds) at L = 1.3, beta = 0.7,
-# seed 8, replicate 2 on the canonical partition, recorded from the
-# two-phase process's own BFS that graphs.bfs_tree replaced.
+# seed 8, replicate 2 (the last of a batch of 3) on the canonical
+# partition, recorded from the two-phase process's own BFS that
+# graphs.bfs_tree replaced.
 PINNED_TWO_PHASE = [
     ("ring", "homogeneous", (8.578535063296915, 11.716560848841665, (5, 13, 18, 25, 33, 41, 47))),
     ("ring", "sequential", (4.7015791283001604, 15.627090030116829, (0, 7, 14, 21, 28, 35, 42))),
@@ -96,7 +88,7 @@ TWO_PHASE_GRAPHS = {
 def test_two_phase_stream_pinned(family, mode, want):
     g = TWO_PHASE_GRAPHS[family]()
     part = graphs.canonical_partition(g)
-    tr = two_phase_process(g, part, 1.3, mode, seed=8, replicate=2, beta=0.7)
+    tr = two_phase_process(g, part, 1.3, mode, seed=8, replicates=3, beta=0.7)[2]
     assert (tr.phase1, tr.phase2, tr.piece_seeds) == want
 
 
@@ -142,7 +134,7 @@ def test_dominance_check_rejects_unknown_mode():
 
 
 def test_chain_size2_is_exponential():
-    times = [conductance_chain(2, 1.0, seed=7, replicate=k) for k in range(20000)]
+    times = conductance_chain(2, 1.0, seed=7, replicates=20000)
     assert np.mean(times) == pytest.approx(1.0, rel=0.03)
 
 
@@ -156,8 +148,19 @@ def test_chain_sojourn_closed_form():
 
 def test_chain_mc_matches_sojourn_sum():
     want = chain_sojourn_mean(4, 1.0)
-    times = [conductance_chain(4, 1.0, seed=8, replicate=k) for k in range(20000)]
+    times = conductance_chain(4, 1.0, seed=8, replicates=20000)
     assert np.mean(times) == pytest.approx(want, rel=0.03)
+
+
+def test_chain_reads_whole_float_piece_size():
+    assert conductance_chain(4.0, 1.0, seed=8, replicates=3) == conductance_chain(
+        4, 1.0, seed=8, replicates=3
+    )
+    assert chain_sojourn_mean(4.0, 1.0) == chain_sojourn_mean(4, 1.0)
+    with pytest.raises(InvalidParameterError, match="piece_size must be an integer"):
+        conductance_chain(4.5, 1.0, seed=8)
+    with pytest.raises(InvalidParameterError, match="piece_size must be an integer"):
+        chain_sojourn_mean(4.5, 1.0)
 
 
 def test_chain_mean_linear_in_log_size():
@@ -177,7 +180,7 @@ def test_line_cluster_mean_curve():
     cfg = ClusterProcessConfig(
         growth="line", target_count=10**9, max_time=2.0, seed=9
     )
-    counts = [run_cluster_process(cfg, k).count_at(2.0) for k in range(20000)]
+    counts = [tr.count_at(2.0) for tr in run_cluster_process(cfg, 20000)]
     assert np.mean(counts) == pytest.approx(8.0, rel=0.03)
 
 
@@ -186,7 +189,7 @@ def test_line_cluster_mean_curve_other_betas(beta, t):
     cfg = ClusterProcessConfig(
         growth="line", target_count=10**9, beta=beta, max_time=t, seed=10
     )
-    counts = [run_cluster_process(cfg, k).count_at(t) for k in range(20000)]
+    counts = [tr.count_at(t) for tr in run_cluster_process(cfg, 20000)]
     assert np.mean(counts) == pytest.approx(beta * t * t + 2 * beta * t, rel=0.03)
 
 
@@ -196,14 +199,14 @@ def test_line_cluster_no_seeding_limit_is_poisson():
     cfg = ClusterProcessConfig(
         growth="line", target_count=10**9, seeding_rate=1e-12, max_time=2.0, seed=11
     )
-    counts = np.array([run_cluster_process(cfg, k).count_at(2.0) for k in range(20000)])
+    counts = np.array([tr.count_at(2.0) for tr in run_cluster_process(cfg, 20000)])
     assert counts.mean() == pytest.approx(4.0, rel=0.05)
     assert counts.var() == pytest.approx(4.0, rel=0.08)
 
 
 def test_line_cluster_trace_invariants():
     cfg = ClusterProcessConfig(growth="line", target_count=500, seed=12)
-    tr = run_cluster_process(cfg)
+    (tr,) = run_cluster_process(cfg)
     counts = [c for _, c in tr.total_count_path]
     assert counts == sorted(counts)
     births = tr.cluster_birth_times
@@ -234,7 +237,8 @@ def test_sample_hitting_times_deterministic():
 
 
 # (config, replicate) -> (hitting_time, events, clusters born), recorded from
-# the two separate line and lattice loops this one loop replaced.
+# the two separate line and lattice loops this one loop replaced; replicate
+# k is the last trace of a batch of k + 1.
 PINNED_RUNS = [
     (dict(growth="line", target_count=200, seed=3), 1, (14.406194537204446, 215, 16)),
     (dict(growth="fpp", dim=1, target_count=100, seed=4), 0, (11.970032414466512, 99, 9)),
@@ -257,7 +261,7 @@ PINNED_RUNS = [
 
 @pytest.mark.parametrize("kwargs,replicate,want", PINNED_RUNS)
 def test_cluster_stream_pinned(kwargs, replicate, want):
-    tr = run_cluster_process(ClusterProcessConfig(**kwargs), replicate)
+    *_, tr = run_cluster_process(ClusterProcessConfig(**kwargs), replicate + 1)
     assert (tr.hitting_time, tr.events, len(tr.cluster_birth_times)) == want
 
 
@@ -281,26 +285,27 @@ def cluster_configs(draw):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(cluster_configs(), st.integers(0, 50))
 def test_cluster_trace_invariants_all_growths(cfg, replicate):
-    tr = run_cluster_process(cfg, replicate)
-    path = tr.total_count_path
-    counts = [c for _, c in path]
-    assert all(a <= b for a, b in zip(counts, counts[1:]))
-    births = tr.cluster_birth_times
-    assert births[0] == 0.0 and births == sorted(births)
-    # every event is an arrival or a growth; a lattice cluster's seed site
-    # counts, a line cluster's does not, and each growth adds one site
-    arrivals = len(births) - 1
-    if cfg.growth == "line":
-        growths = counts[-1]
-    else:
-        points = cfg.occupancy if cfg.growth == "diagonal" else 1
-        growths = counts[-1] // points - len(births)
-    assert tr.events == arrivals + growths
-    if tr.hitting_time is None:
-        assert counts[-1] < cfg.target_count and path[-1][0] <= cfg.max_time
-    else:
-        assert counts[-1] >= cfg.target_count
-        assert tr.hitting_time == path[-1][0]
+    for tr in run_cluster_process(cfg, replicate + 1):
+        path = tr.total_count_path
+        counts = [c for _, c in path]
+        assert all(a <= b for a, b in zip(counts, counts[1:]))
+        births = tr.cluster_birth_times
+        assert births[0] == 0.0 and births == sorted(births)
+        # every event is an arrival or a growth; a lattice cluster's seed
+        # site counts, a line cluster's does not, and each growth adds one
+        # site
+        arrivals = len(births) - 1
+        if cfg.growth == "line":
+            growths = counts[-1]
+        else:
+            points = cfg.occupancy if cfg.growth == "diagonal" else 1
+            growths = counts[-1] // points - len(births)
+        assert tr.events == arrivals + growths
+        if tr.hitting_time is None:
+            assert counts[-1] < cfg.target_count and path[-1][0] <= cfg.max_time
+        else:
+            assert counts[-1] >= cfg.target_count
+            assert tr.hitting_time == path[-1][0]
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +320,7 @@ def test_fpp_d1_single_cluster_is_poisson_pair():
     cfg = ClusterProcessConfig(
         growth="fpp", dim=1, target_count=10**9, seeding_rate=1e-12, max_time=t, seed=15
     )
-    sizes = np.array([run_cluster_process(cfg, k).count_at(t) - 1 for k in range(4000)])
+    sizes = np.array([tr.count_at(t) - 1 for tr in run_cluster_process(cfg, 4000)])
     ref = np.random.Generator(np.random.Philox(key=np.array([1, 2], dtype=np.uint64)))
     poisson = ref.poisson(2 * t, size=4000)
     _, p = stats.ks_2samp(sizes, poisson)
@@ -324,7 +329,7 @@ def test_fpp_d1_single_cluster_is_poisson_pair():
 
 def test_fpp_counts_origin():
     cfg = ClusterProcessConfig(growth="fpp", dim=2, target_count=50, seed=16)
-    tr = run_cluster_process(cfg)
+    (tr,) = run_cluster_process(cfg)
     assert tr.total_count_path[0] == (0.0, 1)
     counts = [c for _, c in tr.total_count_path]
     assert counts == sorted(counts)
@@ -334,7 +339,7 @@ def test_diagonal_first_jump_exp8():
     cfg = ClusterProcessConfig(
         growth="diagonal", target_count=2, seeding_rate=1e-12, mu_eff=1.0, seed=18
     )
-    first = [run_cluster_process(cfg, k).hitting_time for k in range(20000)]
+    first = [tr.hitting_time for tr in run_cluster_process(cfg, 20000)]
     assert np.mean(first) == pytest.approx(1 / 8, rel=0.04)
 
 
@@ -342,7 +347,7 @@ def test_diagonal_occupancy_counts_points():
     cfg = ClusterProcessConfig(
         growth="diagonal", target_count=30, occupancy=5, seeding_rate=1e-6, seed=19
     )
-    tr = run_cluster_process(cfg)
+    (tr,) = run_cluster_process(cfg)
     assert tr.total_count_path[0] == (0.0, 5)
     # 6 occupied sites reach 30 points
     assert tr.total_count_path[-1][1] == 30

@@ -640,6 +640,28 @@ INTEGER_PARAMETERS = {
             dominators.sample_hitting_times(dominators.ClusterProcessConfig("line", 8), v)
         )
     ),
+    "replicates-two_phase": lambda v: types.SimpleNamespace(
+        replicates=len(
+            dominators.two_phase_process(
+                graphs.gen_ring(16), graphs.partition_ring(graphs.gen_ring(16)), 1.0,
+                "sequential", 0, replicates=v,
+            )
+        )
+    ),
+    "replicates-chain": lambda v: types.SimpleNamespace(
+        replicates=len(dominators.conductance_chain(4, 1.0, 0, replicates=v))
+    ),
+    "replicates-clusters": lambda v: types.SimpleNamespace(
+        replicates=len(
+            list(dominators.run_cluster_process(dominators.ClusterProcessConfig("line", 8), v))
+        )
+    ),
+    # the chain reads its size once, for its step rates (one per step from
+    # 1 to piece_size), which both conductance_chain and chain_sojourn_mean
+    # build
+    "piece_size": lambda v: types.SimpleNamespace(
+        piece_size=1 + len(dominators._chain_rates(v, 1.0))
+    ),
 }
 
 
@@ -661,7 +683,8 @@ def test_whole_float_reads_as_int(param):
 
 def test_fpp_runs_with_whole_float_dim():
     cfg = dominators.ClusterProcessConfig(growth="fpp", target_count=16, dim=2.0)
-    assert dominators.run_cluster_process(cfg).hitting_time > 0
+    (trace,) = dominators.run_cluster_process(cfg)
+    assert trace.hitting_time > 0
 
 
 # ---------------------------------------------------------------------------
