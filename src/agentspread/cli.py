@@ -81,7 +81,8 @@ from ``[sweep] sizes`` and refuses ``[graph] n`` and ``path``; ``sim
 sweep`` and ``sim dominate`` run every replicate to the end (a censored
 mean would bias the fit), so both refuse ``[engine] max_time``, and
 ``sim dominate`` refuses ``initial_infected``, as its processes start
-with no node infected.
+with no node infected. ``sim fpp`` reads only ``[clusters]`` and refuses
+every key of any other section but ``[meta]``.
 
 An absent key takes the default of the library constructor its section
 feeds, under the key's name: ``[graph]`` feeds ``graphs.make_graph``
@@ -464,6 +465,8 @@ def _cmd_conductance(args) -> int:
 
 def _cmd_fpp(args) -> int:
     cfg = _load(args.config, args.set or [])
+    for section in sorted(cfg.keys() - {"clusters", "meta"}):
+        _refuse(cfg, "fpp", section, *cfg[section])
     kw = _read(cfg, "clusters", required=["growth", "target"], rename={"target": "target_count"})
     replicates = kw.pop("replicates", 100)
     ccfg = dominators.ClusterProcessConfig(seed=args.seed, **kw)

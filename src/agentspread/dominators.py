@@ -16,9 +16,9 @@ processes run without the engine or the policies;
 ``analytics.dominance_check`` pairs each with the policy it bounds.
 
 Each process takes a replicate count R and runs replicates 0..R-1 on
-the ``CH_PROCESS`` streams of ``rng.replicate_streams``. The cluster
-process yields its traces one at a time: a batch of long runs would not
-fit in memory.
+the ``CH_PROCESS`` streams of ``rng.replicate_streams``, read through the
+sampler pair of ``rng.samplers``. The cluster process yields its traces
+one at a time: a batch of long runs would not fit in memory.
 
 A lattice cluster keeps its sites in a hash set and its boundary edges
 in a swap-remove list, so there is no truncation boundary and a growth
@@ -35,7 +35,7 @@ from typing import Iterator, NamedTuple
 
 from .errors import InvalidParameterError, integral, positive
 from .graphs import Graph, Partition, bfs_tree
-from .rng import CH_PROCESS, BufferedSampler, replicate_streams, substream
+from .rng import CH_PROCESS, BufferedSampler, replicate_streams, samplers, substream
 
 _PATH_POINTS = 4096  # count-path export cap per run
 
@@ -78,33 +78,39 @@ def two_phase_process(
     piece's ``graphs.bfs_tree`` from its seed, one Exp(beta) per tree edge
     drawn in discovery order, never across pieces, and ends when the
     slowest piece fills; a piece its seed cannot reach whole raises
-    ConnectivityError.
+    ConnectivityError. Sequential seeds do not vary, so that mode builds
+    its trees once per batch.
     """
     if mode not in ("homogeneous", "sequential"):
         raise InvalidParameterError(f"unknown two-phase mode {mode!r}")
     positive("L", L)
     positive("beta", beta)
     n = g.n
+    pieces = partition.pieces
+    streams = replicate_streams(seed, CH_PROCESS, replicates)
+    fixed_trees = None
+    if mode == "sequential":  # every piece is rooted at piece[0] in every run
+        fixed_trees = [bfs_tree(g, piece, piece[0]).parent for piece in pieces]
     out = []
-    for rng in replicate_streams(seed, CH_PROCESS, replicates):
-        exp = BufferedSampler(rng.standard_exponential)
-        uni = BufferedSampler(rng.random)
+    for rng in streams:
+        exp, uni = samplers(rng)
         seeds = []
         t1 = 0.0
         if mode == "homogeneous":
-            for piece in partition.pieces:
+            for piece in pieces:
                 rate = L * len(piece) / n
                 t1 = max(t1, exp.draw() / rate)
                 seeds.append(piece[int(uni.draw() * len(piece))])
         else:
-            for piece in partition.pieces:
+            for piece in pieces:
                 t1 += exp.draw() / L
                 seeds.append(piece[0])
 
         t2 = 0.0
-        for piece, root in zip(partition.pieces, seeds):
+        trees = fixed_trees or (bfs_tree(g, p, root).parent for p, root in zip(pieces, seeds))
+        for root, parent in zip(seeds, trees):
             arrival = {root: 0.0}
-            for v, u in bfs_tree(g, piece, root).parent.items():  # discovery order
+            for v, u in parent.items():  # discovery order
                 arrival[v] = arrival[u] + exp.draw() / beta
             t2 = max(t2, max(arrival.values()))
         out.append(TwoPhaseTrace(phase1=t1, phase2=t2, piece_seeds=tuple(seeds)))
@@ -304,8 +310,7 @@ def _cluster_run(cfg: ClusterProcessConfig, rng) -> ClusterTrace:
     else:
         deltas, origin = lattice
         frontier, seed_points, clusters = len(deltas), points, [_LatticeCluster(deltas, origin)]
-    exp = BufferedSampler(rng.standard_exponential)
-    uni = BufferedSampler(rng.random)
+    exp, uni = samplers(rng)
     lam = cfg.seeding_rate
     target = cfg.target_count
     max_time = math.inf if cfg.max_time is None else cfg.max_time

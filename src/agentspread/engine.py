@@ -25,6 +25,15 @@ for bit-level reproducibility, exact ties have measure zero.
 
 A run that has fired n^2 (1 + 1/beta) + 64 clocks, stale edge clocks
 included, stops with ``NonTerminationError``.
+
+``simulate`` and ``simulate_batch`` are one batch loop, ``_run``, over a
+sequence of streams: ``simulate`` is its one-run case, which keeps the
+events, and ``simulate_batch`` runs replicates 0..R-1 on the streams of
+``rng.replicate_streams``. What does not change between runs is done
+once per batch: the range check of ``initial_infected``, the horizon and
+the event budget, and binding the graph's adjacency and the policy's
+hooks. Each run gets its own samplers from ``rng.samplers``, a fresh
+``InfectionState`` and a ``policy.reset``.
 """
 
 from __future__ import annotations
@@ -41,7 +50,7 @@ from .errors import (
     positive,
 )
 from .graphs import Graph
-from .rng import CH_ENGINE, BufferedSampler, replicate_streams, substream
+from .rng import CH_ENGINE, replicate_streams, samplers, substream
 
 _ENVELOPE_SLACK = 1e-9
 
@@ -116,131 +125,140 @@ class RunSummary:
     seed_stream: int
 
 
-def _run(g: Graph, policy, cfg: EngineConfig, replicate: int, keep_events: bool, rng):
+def _run(
+    g: Graph, policy, cfg: EngineConfig, streams, first: int, events=None
+) -> list[RunSummary]:
+    """Run replicates first, first + 1, ... on the Generators ``streams``
+    yields, one each, and return their summaries. ``events``, if given,
+    receives every run's infection events."""
     n = g.n
     adj = g.adjacency
     beta = cfg.beta
+    seed_node = cfg.initial_infected
+    if not (0 <= seed_node < n):
+        raise InvalidParameterError(f"initial_infected {seed_node} out of range for n={n}")
     max_time = math.inf if cfg.max_time is None else cfg.max_time
-    if not (0 <= cfg.initial_infected < n):
-        raise InvalidParameterError(
-            f"initial_infected {cfg.initial_infected} out of range for n={n}"
-        )
+    # A firing time t is kept iff t < horizon, that is t <= max_time.
+    horizon = math.nextafter(max_time, math.inf)
+    budget = int(n * n * (1.0 + 1.0 / beta)) + 64
+    keep_events = events is not None
 
-    draw = BufferedSampler(rng.standard_exponential).draw
-    uni = BufferedSampler(rng.random)
-
-    state = InfectionState(n)
-    policy.reset(g, state, replicate)
+    reset = policy.reset
     l_max = policy.l_max
+    envelope = None if l_max is None else l_max * (1.0 + _ENVELOPE_SLACK) + 1e-12
     total_rate = policy.total_rate
     healthy_rate = policy.healthy_rate
     internal_rate = policy.internal_rate
     apply_internal = policy.apply_internal
     sample_target = policy.sample_target
     on_infect = policy.on_infect
-    infect = state.infect
-    infected = state.infected
 
-    events: list[tuple[float, int, str]] = []
-    # A firing time t is kept iff t < horizon, that is t <= max_time.
-    horizon = math.nextafter(max_time, math.inf)
-    # best[v] is v's earliest queued edge clock (horizon while none is):
-    # a later clock for v could only ever be popped stale, so it is drawn
-    # but not queued. The sentinel keeps heap[0] defined.
-    best = [horizon] * n
-    heap: list[tuple[float, int]] = [(math.inf, n)]
+    out = []
+    for replicate, rng in enumerate(streams, first):
+        exp, uni = samplers(rng)
+        draw = exp.draw
+        state = InfectionState(n)
+        reset(g, state, replicate)
+        infect = state.infect
+        infected = state.infected
+        # best[v] is v's earliest queued edge clock (horizon while none is):
+        # a later clock for v could only ever be popped stale, so it is
+        # drawn but not queued. The sentinel keeps heap[0] defined.
+        best = [horizon] * n
+        heap: list[tuple[float, int]] = [(math.inf, n)]
+        fired = 0
+        t, node, cause = 0.0, seed_node, "seed"
+        while True:
+            if node >= 0:
+                infect(node, t)
+                if keep_events:
+                    events.append((t, node, cause))
+                on_infect(node, state)
+                for v in adj[node]:
+                    if not infected[v]:
+                        tv = t + draw() / beta
+                        if tv < best[v]:
+                            best[v] = tv
+                            heappush(heap, (tv, v))
 
-    budget = int(n * n * (1.0 + 1.0 / beta)) + 64
-    fired = 0
-    t, node, cause = 0.0, cfg.initial_infected, "seed"
-    while True:
-        if node >= 0:
-            infect(node, t)
-            if keep_events:
-                events.append((t, node, cause))
-            on_infect(node, state)
-            for v in adj[node]:
-                if not infected[v]:
-                    tv = t + draw() / beta
-                    if tv < best[v]:
-                        best[v] = tv
-                        heappush(heap, (tv, v))
-
-        # Redraw the scalar clock: the earlier of the external and the
-        # internal clock, internal on a tie.
-        if l_max is not None:
-            total = total_rate(state)
-            if total > l_max * (1.0 + _ENVELOPE_SLACK) + 1e-12:
-                raise PolicyContractError(
-                    f"policy rate sum {total} exceeds declared L_max {l_max}"
-                )
-        t_clock = math.inf
-        if state.infected_count < n:
-            rate = healthy_rate(state)
+            # Redraw the scalar clock: the earlier of the external and the
+            # internal clock, internal on a tie.
+            if envelope is not None:
+                total = total_rate(state)
+                if total > envelope:
+                    raise PolicyContractError(
+                        f"policy rate sum {total} exceeds declared L_max {l_max}"
+                    )
+            t_clock = math.inf
+            if state.infected_count < n:
+                rate = healthy_rate(state)
+                if rate < 0.0:
+                    raise PolicyContractError(f"negative external rate sum {rate}")
+                if rate > 0.0:
+                    tc = t + draw() / rate
+                    if tc < horizon:
+                        t_clock = tc
+            internal = False
+            rate = internal_rate(state)
             if rate < 0.0:
-                raise PolicyContractError(f"negative external rate sum {rate}")
+                raise PolicyContractError(f"negative internal rate {rate}")
             if rate > 0.0:
                 tc = t + draw() / rate
-                if tc < horizon:
-                    t_clock = tc
-        internal = False
-        rate = internal_rate(state)
-        if rate < 0.0:
-            raise PolicyContractError(f"negative internal rate {rate}")
-        if rate > 0.0:
-            tc = t + draw() / rate
-            if tc < horizon and tc <= t_clock:
-                t_clock, internal = tc, True
-        if state.infected_count == n:
-            break
+                if tc < horizon and tc <= t_clock:
+                    t_clock, internal = tc, True
+            if state.infected_count == n:
+                break
 
-        # The next event: the scalar clock, or else the earliest edge clock
-        # whose node is still healthy.
-        while True:
-            t_edge, v = heap[0]
-            t = t_clock if t_clock <= t_edge else t_edge
-            if t == math.inf:
-                if cfg.max_time is None:
+            # The next event: the scalar clock, or else the earliest edge
+            # clock whose node is still healthy.
+            while True:
+                t_edge, v = heap[0]
+                t = t_clock if t_clock <= t_edge else t_edge
+                if t == math.inf:
+                    if cfg.max_time is None:
+                        raise NonTerminationError(
+                            "no pending events while nodes remain healthy "
+                            "(disconnected graph with zero external rates?)"
+                        )
+                    break
+                fired += 1
+                if fired > budget:
                     raise NonTerminationError(
-                        "no pending events while nodes remain healthy "
-                        "(disconnected graph with zero external rates?)"
+                        f"event budget {budget} exhausted at t={t} with "
+                        f"{state.infected_count}/{n} infected"
                     )
+                if t_clock <= t_edge:
+                    if internal:
+                        apply_internal(state)
+                        node = -1
+                    else:
+                        node = sample_target(state, uni)
+                        cause = "external"
+                    break
+                heappop(heap)
+                if not infected[v]:
+                    node, cause = v, "intrinsic"
+                    break
+            if t == math.inf:
                 break
-            fired += 1
-            if fired > budget:
-                raise NonTerminationError(
-                    f"event budget {budget} exhausted at t={t} with "
-                    f"{state.infected_count}/{n} infected"
-                )
-            if t_clock <= t_edge:
-                if internal:
-                    apply_internal(state)
-                    node = -1
-                else:
-                    node = sample_target(state, uni)
-                    cause = "external"
-                break
-            heappop(heap)
-            if not infected[v]:
-                node, cause = v, "intrinsic"
-                break
-        if t == math.inf:
-            break
 
-    finish = state.clock if state.infected_count == n else None
-    return state, events, finish
+        count = state.infected_count
+        finish = state.clock if count == n else None
+        out.append(RunSummary(replicate, finish, count, (replicate << 3) | CH_ENGINE))
+    return out
 
 
 def simulate(g: Graph, policy, cfg: EngineConfig, replicate: int = 0) -> Trace:
     """Run one replicate and return its full event trace.
 
     The event stream for replicate k is drawn from the counter-based
-    stream addressed by (cfg.seed, k); ``simulate`` is replicate 0 of
-    ``simulate_batch`` by construction.
+    stream addressed by (cfg.seed, k); ``simulate`` is replicate k of
+    ``simulate_batch`` by construction: both are the one batch loop.
     """
+    events: list[tuple[float, int, str]] = []
     rng = substream(cfg.seed, replicate, CH_ENGINE)
-    _, events, finish = _run(g, policy, cfg, replicate, keep_events=True, rng=rng)
-    return Trace(n=g.n, events=events, finish_time=finish)
+    (run,) = _run(g, policy, cfg, (rng,), replicate, events)
+    return Trace(n=g.n, events=events, finish_time=run.finish_time)
 
 
 def simulate_batch(
@@ -251,18 +269,7 @@ def simulate_batch(
     Replicate k owns stream (cfg.seed, k) and a fresh policy state, so
     output is deterministic and ordered by replicate index.
     """
-    out = []
-    for k, gen in enumerate(replicate_streams(cfg.seed, CH_ENGINE, replicates)):
-        state, _, finish = _run(g, policy, cfg, k, keep_events=False, rng=gen)
-        out.append(
-            RunSummary(
-                replicate=k,
-                finish_time=finish,
-                events=state.infected_count,
-                seed_stream=(k << 3) | CH_ENGINE,
-            )
-        )
-    return out
+    return _run(g, policy, cfg, replicate_streams(cfg.seed, CH_ENGINE, replicates), 0)
 
 
 def finish_times(summaries: list[RunSummary]) -> list[float]:

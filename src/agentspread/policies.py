@@ -5,7 +5,8 @@ reports per-node external rates (and fast aggregates), samples the target
 of an external infection, and may declare an internal transition rate for
 its own stochastic evolution (link rewiring). Handles are owned by a
 single run; ``reset`` rebuilds all per-run state, and stochastic policies
-derive their private stream from their own seed and the replicate index.
+rewind their private Generator with ``rng.reseed`` to the stream of their
+own seed and the replicate index.
 
 Rate conventions follow the homogeneous reading: an infected node may
 still carry external rate (it is simply wasted), so randomized policies
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field
 from .engine import InfectionState
 from .errors import InvalidParameterError, integral, positive
 from .graphs import Graph, Partition, canonical_partition
-from .rng import CH_POLICY, BufferedSampler, substream
+from .rng import CH_POLICY, BufferedSampler, reseed, stream
 
 
 class Policy:
@@ -270,9 +271,10 @@ class DynamicLinks(_LinkRates):
         self.seed = seed
         self.l_min = 0.0
         self.l_max = beta_link * count
+        self._rng = stream(seed, CH_POLICY)  # rewound by every reset
 
     def reset(self, graph, state, replicate):
-        self._rng = substream(self.seed, replicate, CH_POLICY)
+        reseed(self._rng, self.seed, (replicate << 3) | CH_POLICY)
         n = graph.n
         self._links = [
             (int(self._rng.integers(n)), int(self._rng.integers(n)))
@@ -321,9 +323,10 @@ class MobileAgents(Policy):
         self.seed = seed
         self.l_min = 0.0
         self.l_max = agents * rate_per_agent
+        self._rng = stream(seed, CH_POLICY)  # rewound by every reset
 
     def reset(self, graph, state, replicate):
-        self._rng = substream(self.seed, replicate, CH_POLICY)
+        reseed(self._rng, self.seed, (replicate << 3) | CH_POLICY)
         self._pos = [int(self._rng.integers(graph.n)) for _ in range(self.agents)]
         self._live = self.agents  # agents on healthy nodes
 

@@ -13,7 +13,11 @@ and partial re-runs are possible because any stream can be reconstructed
 from its address alone.
 
 Every batch of replicates takes its streams, and has its count checked,
-in ``replicate_streams``.
+in ``replicate_streams``, which rewinds one Generator with ``reseed``;
+each run reads its stream through the exponential/uniform pair that
+``samplers`` builds. The uniform sampler fills its first block lazily,
+at the place in the stream an eager one would, so a run that draws no
+uniform skips that fill and every value stays the same.
 """
 
 from __future__ import annotations
@@ -47,23 +51,33 @@ def substream(seed: int, replicate: int, channel: int) -> np.random.Generator:
     return stream(seed, (replicate << 3) | channel)
 
 
+# The state ``reseed`` writes: a fresh Philox counter and buffer, with
+# the key set in place on each call. The Generator copies the arrays when
+# the state is assigned, so one template serves every rewind (of one
+# thread at a time: a call writes the key, then assigns).
+_FRESH_STATE = {
+    "bit_generator": "Philox",
+    "state": {
+        "counter": np.zeros(4, dtype=np.uint64),
+        "key": np.zeros(2, dtype=np.uint64),
+    },
+    "buffer": np.zeros(4, dtype=np.uint64),
+    "buffer_pos": 4,
+    "has_uint32": 0,
+    "uinteger": 0,
+}
+_FRESH_KEY = _FRESH_STATE["state"]["key"]
+
+
 def reseed(gen: np.random.Generator, seed: int, index: int) -> np.random.Generator:
     """Rewind a Philox-backed Generator to the fresh state of ``(seed, index)``.
 
     Bit-identical to constructing ``stream(seed, index)`` but several
     times cheaper, which matters for batches of many short replicates.
     """
-    gen.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {
-            "counter": np.zeros(4, dtype=np.uint64),
-            "key": np.array([seed & _MASK64, index & _MASK64], dtype=np.uint64),
-        },
-        "buffer": np.zeros(4, dtype=np.uint64),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+    _FRESH_KEY[0] = seed & _MASK64
+    _FRESH_KEY[1] = index & _MASK64
+    gen.bit_generator.state = _FRESH_STATE
     return gen
 
 
@@ -87,10 +101,14 @@ _FIRST_BLOCK = 64
 _MAX_BLOCK = 4096
 
 
-def _blocks(fill, first):
-    """``first``, then blocks of 128, 256, ... up to 4096, 4096, ... from
-    ``fill``, each filled only when the one before it is used up."""
-    yield first
+def _blocks(fill, first, before_second):
+    """``first()``, then blocks of 128, 256, ... up to 4096, 4096, ... from
+    ``fill``, each filled only when the one before it is used up;
+    ``before_second()``, if given, runs just before the first of them is
+    filled."""
+    yield first()
+    if before_second is not None:
+        before_second()
     size = _FIRST_BLOCK
     while True:
         size = min(2 * size, _MAX_BLOCK)
@@ -103,16 +121,42 @@ class BufferedSampler:
     ``rng.random`` for uniform(0,1).
 
     ``draw()`` returns the next value. Values come off the stream in
-    blocks of 64 doubling to 4096, so short runs stay cheap: the first
-    block is filled on construction, each later one on the draw that
-    needs it. ``draw`` is the ``__next__`` of an ``itertools.chain`` over
-    the blocks, so a draw runs no Python code except once per block.
-    Samplers sharing one Generator, as the engine and the bounding
-    processes build them, take turns on it block by block, so their
-    values depend on the block sizes (a lone sampler's do not).
+    blocks of 64 doubling to 4096, so short runs stay cheap. The first
+    block is filled by ``fill_first()``: on the first draw, or earlier
+    when a caller asks for it. Each later block is filled on the draw
+    that needs it, the second just after ``before_second()`` runs.
+    ``draw`` is the ``__next__`` of an ``itertools.chain`` over the
+    blocks, so a draw runs no Python code except once per block. Samplers
+    sharing one Generator take turns on it block by block, so their
+    values depend on the block sizes (a lone sampler's do not);
+    ``samplers`` builds the pair the engine and the bounding processes
+    share.
     """
 
-    __slots__ = ("draw",)
+    __slots__ = ("draw", "fill_first")
 
-    def __init__(self, fill):
-        self.draw = chain.from_iterable(_blocks(fill, fill(_FIRST_BLOCK).tolist())).__next__
+    def __init__(self, fill, before_second=None):
+        block = None
+
+        def fill_first():
+            nonlocal block
+            if block is None:
+                block = fill(_FIRST_BLOCK).tolist()
+            return block
+
+        self.fill_first = fill_first
+        self.draw = chain.from_iterable(_blocks(fill, fill_first, before_second)).__next__
+
+
+def samplers(rng: np.random.Generator) -> tuple[BufferedSampler, BufferedSampler]:
+    """The exponential and the uniform sampler ``(exp, uni)`` of one
+    stream. The exponential's first block is filled here; the uniform's
+    on its first draw, or just before the exponential fills its second
+    block, whichever comes first. That is the place in the stream that
+    building both eagerly, exponential first, gives it, so every value
+    is the same, but a run that never draws a uniform never fills one.
+    """
+    uni = BufferedSampler(rng.random)
+    exp = BufferedSampler(rng.standard_exponential, before_second=uni.fill_first)
+    exp.fill_first()
+    return exp, uni

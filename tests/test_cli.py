@@ -468,6 +468,29 @@ def test_fpp_nonpositive_replicates_exit_2(tmp_path, capsys, replicates):
     assert not (out / "hitting.csv").exists()
 
 
+@pytest.mark.parametrize("section,key", [("engine", "max_time = 5"), ("graph", "n = 64")])
+def test_fpp_refuses_keys_outside_clusters(tmp_path, capsys, section, key):
+    # A cluster run reads [clusters] only: a cutoff or a graph size would be
+    # silently dropped.
+    text = f"[clusters]\ngrowth = fpp\ntarget = 100\n[{section}]\n{key}\n"
+    cfg = _write(tmp_path / "f.cfg", text)
+    out = tmp_path / "o"
+    assert main(["fpp", "--config", cfg, "--out", str(out)]) == 2
+    assert f"sim fpp does not read [{section}] {key.split(' =')[0]}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fpp_reads_its_resolved_config(tmp_path):
+    # resolved.cfg adds [meta], and an empty key elsewhere reads as absent.
+    text = "[clusters]\ngrowth = fpp\ntarget = 50\nreplicates = 2\n[engine]\nmax_time =\n"
+    cfg = _write(tmp_path / "f.cfg", text)
+    first, again = tmp_path / "a", tmp_path / "b"
+    assert main(["fpp", "--config", cfg, "--seed", "4", "--out", str(first)]) == 0
+    resolved = str(first / "resolved.cfg")
+    assert main(["fpp", "--config", resolved, "--seed", "4", "--out", str(again)]) == 0
+    assert (again / "hitting.csv").read_text() == (first / "hitting.csv").read_text()
+
+
 def test_sweep_gsi_on_rgg_with_empty_tiles(tmp_path):
     # Seed 9 meets an RGG with an empty partition tile; its chunks are
     # connected, so the sweep runs through.
@@ -596,13 +619,16 @@ def test_every_config_key_reaches_its_object(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["conductance", "--config", cfg, "--set", "graph.family=file"]) == 0
     del seen["make_graph"]  # read_graph checks a ring file against make_graph's ring
-    # sweep refuses [graph] n and path, and sweep and dominate the [engine]
-    # keys they cannot honour
+    # sweep refuses [graph] n and path, sweep and dominate the [engine]
+    # keys they cannot honour, and fpp every key outside [clusters]
+    blank_for_fpp = [
+        arg for sec, key in EVERY_KEY if sec != "clusters" for arg in ("--set", f"{sec}.{key}=")
+    ]
     for argv in (
         ["simulate"],
         ["sweep", "--set", "engine.max_time=", "--set", "graph.n=", "--set", "graph.path="],
         ["dominate", "--set", "engine.max_time=", "--set", "engine.initial_infected="],
-        ["fpp"],
+        ["fpp", *blank_for_fpp],
     ):
         assert main(argv + ["--config", cfg, "--seed", "5", "--out", argv[0]]) == 0
     rows = (tmp_path / "fpp" / "hitting.csv").read_text().splitlines()[1:]

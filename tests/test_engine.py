@@ -15,12 +15,14 @@ from agentspread.errors import (
     NonTerminationError,
     PolicyContractError,
 )
+from agentspread.rng import CH_ENGINE, substream
 
 from oracles import (
     ctmc_expected_finish,
     draw_edge_times,
     fpp_relax,
     percolation_finish_times,
+    reference_run,
     reference_simulate,
 )
 
@@ -206,6 +208,64 @@ def test_engine_trace_equals_reference_loop(run):
     events, finish = reference_simulate(g, policies.build_policy(spec, g), cfg, replicate)
     assert trace.events == events
     assert trace.finish_time == finish
+
+
+def reference_batch(g, spec, cfg, replicates):
+    """``simulate_batch`` on the reference loop: one handle, a fresh
+    substream per replicate."""
+    policy = policies.build_policy(spec, g)
+    out = []
+    for k in range(replicates):
+        rng = substream(cfg.seed, k, CH_ENGINE)
+        state, _, finish = reference_run(g, policy, cfg, k, False, rng)
+        out.append(engine.RunSummary(k, finish, state.infected_count, (k << 3) | CH_ENGINE))
+    return out
+
+
+BATCH_KINDS = [
+    "null", "random_homogeneous", "gsi", "static_links", "dynamic_links", "mobile_agents",
+    "greedy_frontier_adversary",
+]
+
+
+@pytest.mark.parametrize("kind", BATCH_KINDS)
+@pytest.mark.parametrize("max_time", [None, 1.5])
+def test_batch_summaries_equal_reference_loop(kind, max_time):
+    # Every replicate of a batch, not only the one ``simulate`` runs, sees
+    # the reference loop's stream and a freshly reset handle.
+    g = graphs.gen_ring(16)
+    spec = policies.PolicySpec(
+        kind=kind, L=1.5, links=((0, 8), (3, 11)), count=2, rewire_rate=0.5, agents=2, seed=4
+    )
+    cfg = EngineConfig(beta=0.7, initial_infected=5, max_time=max_time, seed=23)
+    got = engine.simulate_batch(g, policies.build_policy(spec, g), cfg, 25)
+    assert got == reference_batch(g, spec, cfg, 25)
+
+
+STAR = graphs.gen_custom(200, [(0, leaf) for leaf in range(1, 200)])
+
+
+@pytest.mark.parametrize("L", [0.1, 1.0, 50.0])
+@pytest.mark.parametrize("seed_node", [0, 7])
+def test_star_equals_reference_loop(L, seed_node):
+    # Seeded at the centre, a run draws 199 edge clocks at once, so the
+    # exponential sampler fills its second block before the first uniform
+    # draw: the uniform's first block must still come off the stream where
+    # an eagerly built sampler's would.
+    spec = policies.PolicySpec(kind="random_homogeneous", L=L)
+    cfg = EngineConfig(initial_infected=seed_node, seed=31)
+    trace = engine.simulate(STAR, policies.build_policy(spec), cfg, 3)
+    assert (trace.events, trace.finish_time) == reference_simulate(
+        STAR, policies.build_policy(spec), cfg, 3
+    )
+    got = engine.simulate_batch(STAR, policies.build_policy(spec), cfg, 12)
+    assert got == reference_batch(STAR, spec, cfg, 12)
+
+
+def test_run_summary_is_immutable():
+    (s,) = engine.simulate_batch(graphs.gen_ring(8), policies.NullPolicy(), EngineConfig(seed=2), 1)
+    with pytest.raises(AttributeError):
+        s.finish_time = 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,21 @@ def test_import_graph_has_no_cycle():
     list(TopologicalSorter(graph).static_order())  # raises CycleError on a cycle
 
 
+def test_one_event_loop():
+    # simulate and simulate_batch share one batch loop; a second function
+    # popping the event heap would be a second copy of it.
+    tree = ast.parse((PACKAGE / "engine.py").read_text())
+    popping = {
+        (fn.name, fn.lineno)
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "heappop"
+    }
+    assert len(popping) == 1, popping
+
+
 def test_dominators_imports_only_the_substrate():
     assert _import_graph()["dominators"] == {"errors", "graphs", "rng"}
 

@@ -8,6 +8,8 @@ from agentspread import rng
 from agentspread.errors import InvalidParameterError
 from agentspread.rng import BufferedSampler, replicate_streams, stream, substream
 
+from oracles import ReferenceSampler
+
 BLOCKS = [64, 128, 256, 512, 1024, 2048] + [4096] * 8  # 16,320 values
 
 
@@ -22,8 +24,8 @@ def turn_fills(gen):
 
 
 def test_samplers_sharing_a_generator_fill_in_turn():
-    # Two samplers on one Generator: each fills 64 on construction, in
-    # construction order, then 128, 256, ..., 4096, 4096 as each runs out.
+    # Two samplers on one Generator: each fills 64 on its first draw, then
+    # 128, 256, ..., 4096, 4096 as each runs out.
     gen = stream(3, 5)
     exp = BufferedSampler(gen.standard_exponential)
     uni = BufferedSampler(gen.random)
@@ -43,6 +45,33 @@ def test_samplers_interleaved_draw_by_draw():
     uni = BufferedSampler(gen.random)
     got = [(exp.draw(), uni.draw()) for _ in range(sum(BLOCKS))]
     assert got == list(zip(*turn_fills(stream(8, 1))))
+
+
+@pytest.mark.parametrize(
+    "exp_first,uni_first", [(0, 0), (1, 0), (64, 0), (65, 0), (300, 0), (0, 1)]
+)
+def test_sampler_pair_equals_two_eager_samplers(exp_first, uni_first):
+    # The pair's lazy uniform block comes off the stream where an eager
+    # uniform sampler, built after the exponential one, takes it: whether
+    # the first uniform draw comes before or after the exponential
+    # sampler's second block, or before any exponential draw.
+    gen = stream(6, exp_first)
+    exp, uni = rng.samplers(gen)
+    eager_gen = stream(6, exp_first)
+    eager = ReferenceSampler(eager_gen.standard_exponential), ReferenceSampler(eager_gen.random)
+    pattern = [1] * uni_first + [0] * exp_first + [0, 1, 0, 0, 1] * 2000
+    got = [(exp, uni)[i].draw() for i in pattern]
+    assert got == [eager[i].draw() for i in pattern]
+
+
+def test_sampler_pair_fills_no_uniform_block_before_it_is_needed():
+    gen = stream(2, 9)
+    exp, uni = rng.samplers(gen)
+    assert [exp.draw() for _ in range(64)] == stream(2, 9).standard_exponential(64).tolist()
+    # the stream gave its first block of exponentials and nothing else
+    fresh = stream(2, 9)
+    fresh.standard_exponential(64)
+    assert gen.random(5).tolist() == fresh.random(5).tolist()
 
 
 def test_lone_sampler_equals_one_fill():
