@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterator, NamedTuple
 
 from .errors import InvalidParameterError, integral, positive
@@ -204,8 +205,7 @@ class ClusterTrace:
 
     def count_at(self, t: float) -> int:
         """Step-function lookup of the total count at time t."""
-        times = [p[0] for p in self.total_count_path]
-        i = bisect_right(times, t)
+        i = bisect_right(self.total_count_path, t, key=itemgetter(0))
         return self.total_count_path[i - 1][1] if i else 0
 
 

@@ -34,11 +34,28 @@ once per batch: the range check of ``initial_infected``, the horizon and
 the event budget, and binding the graph's adjacency and the policy's
 hooks. Each run gets its own samplers from ``rng.samplers``, a fresh
 ``InfectionState`` and a ``policy.reset``.
+
+``simulate_batch`` runs its replicates on W >= 2 processes when all of
+these hold: the process may use W CPUs (``os.sched_getaffinity``, else
+``os.cpu_count``) and has ``os.fork``; the batch holds at least
+``_FORK_MIN_WORK`` node-replicates (``replicates * n``); no profiler or
+tracer is attached; and only one Python thread runs. It then splits
+0..R-1 into W contiguous ranges, forks one child for each range but the
+first, which it runs itself, and joins the children's summaries in range
+order. Each range takes its streams from ``rng.replicate_streams``, so
+the summaries are bit-identical to an in-process batch on any number of
+CPUs. When ranges fail, the batch raises the error of the earliest one,
+the error an in-process batch raises. Otherwise the batch runs
+in-process. Either way, the state a policy handle is left in after a
+batch is unspecified: ``reset`` is what readies it for its next run.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import sys
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
@@ -50,9 +67,14 @@ from .errors import (
     positive,
 )
 from .graphs import Graph
-from .rng import CH_ENGINE, replicate_streams, samplers, substream
+from .rng import CH_ENGINE, MAX_REPLICATES, replicate_streams, samplers, substream
 
 _ENVELOPE_SLACK = 1e-9
+
+# Fewest node-replicates (replicates * n) a batch forks for: a fork and
+# its collection cost a few ms, which a shorter batch does not win back.
+_FORK_MIN_WORK = 1 << 15
+_SIGKILL = 9  # POSIX, where os.fork exists
 
 
 class InfectionState:
@@ -255,6 +277,9 @@ def simulate(g: Graph, policy, cfg: EngineConfig, replicate: int = 0) -> Trace:
     stream addressed by (cfg.seed, k); ``simulate`` is replicate k of
     ``simulate_batch`` by construction: both are the one batch loop.
     """
+    replicate = integral("replicate", replicate)
+    if not 0 <= replicate < MAX_REPLICATES:
+        raise InvalidParameterError(f"replicate must be in [0, 2^61), got {replicate}")
     events: list[tuple[float, int, str]] = []
     rng = substream(cfg.seed, replicate, CH_ENGINE)
     (run,) = _run(g, policy, cfg, (rng,), replicate, events)
@@ -267,9 +292,97 @@ def simulate_batch(
     """Run independent replicates and return per-replicate summaries.
 
     Replicate k owns stream (cfg.seed, k) and a fresh policy state, so
-    output is deterministic and ordered by replicate index.
+    output is deterministic and ordered by replicate index, whether the
+    batch runs in-process or forks (see the module docstring).
     """
-    return _run(g, policy, cfg, replicate_streams(cfg.seed, CH_ENGINE, replicates), 0)
+    streams = replicate_streams(cfg.seed, CH_ENGINE, replicates)
+    replicates = int(replicates)  # a whole number: replicate_streams checked it
+    workers = _workers(replicates, g.n)
+    if workers == 1:
+        return _run(g, policy, cfg, streams, 0)
+    return _forked_batch(g, policy, cfg, replicates, workers)
+
+
+def _workers(replicates: int, n: int) -> int:
+    """The number of processes a batch runs on: 1 unless it may fork."""
+    if replicates * n < _FORK_MIN_WORK or not hasattr(os, "fork"):
+        return 1
+    if sys.getprofile() is not None or sys.gettrace() is not None:
+        return 1
+    monitoring = getattr(sys, "monitoring", None)  # Python 3.12+ tools
+    if monitoring is not None and any(monitoring.get_tool(i) for i in range(6)):
+        return 1
+    threading = sys.modules.get("threading")
+    if threading is not None and threading.active_count() > 1:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return min(cpus, replicates)
+
+
+def _forked_batch(
+    g: Graph, policy, cfg: EngineConfig, replicates: int, workers: int
+) -> list[RunSummary]:
+    """Run replicates 0..R-1 as ``workers`` contiguous ranges: the first
+    here, each other in a forked child that sends back its summaries, or
+    its error, through a pipe."""
+    bounds = [replicates * i // workers for i in range(workers + 1)]
+    children = []  # (pid, pipe's read end, first replicate) of unreaped children
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(read)
+                _child(g, policy, cfg, lo, hi, write)
+            os.close(write)
+            children.append((pid, open(read, "rb"), lo))
+        out = _run(g, policy, cfg, replicate_streams(cfg.seed, CH_ENGINE, bounds[1]), 0)
+        while children:
+            pid, pipe, lo = children[0]
+            data = pipe.read()
+            pipe.close()
+            _, status = os.waitpid(pid, 0)
+            children.pop(0)
+            if not data:
+                raise RuntimeError(
+                    f"the process running replicates from {lo} died (wait status {status})"
+                )
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            out.extend(value)
+        return out
+    finally:
+        for pid, pipe, _ in children:
+            pipe.close()
+            os.kill(pid, _SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _child(g: Graph, policy, cfg: EngineConfig, lo: int, hi: int, write: int):
+    """In a forked child: run replicates lo..hi-1, write ``(True,
+    summaries)`` or ``(False, error)`` to ``write`` pickled, and exit
+    without returning to the caller's code."""
+    try:
+        try:
+            streams = replicate_streams(cfg.seed, CH_ENGINE, hi, lo)
+            result = (True, _run(g, policy, cfg, streams, lo))
+        except BaseException as exc:  # interrupts too: the parent raises it
+            result = (False, exc)
+        try:
+            data = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
+            if not result[0]:
+                pickle.loads(data)
+        except Exception:  # an error that does not survive pickling
+            err = result[1]
+            data = pickle.dumps((False, RuntimeError(f"{type(err).__name__}: {err}")))
+        with open(write, "wb") as fh:
+            fh.write(data)
+    finally:
+        os._exit(0)
 
 
 def finish_times(summaries: list[RunSummary]) -> list[float]:

@@ -12,12 +12,14 @@ Reproducibility is bit-exact across platforms for a fixed numpy version,
 and partial re-runs are possible because any stream can be reconstructed
 from its address alone.
 
-Every batch of replicates takes its streams, and has its count checked,
-in ``replicate_streams``, which rewinds one Generator with ``reseed``;
-each run reads its stream through the exponential/uniform pair that
-``samplers`` builds. The uniform sampler fills its first block lazily,
-at the place in the stream an eager one would, so a run that draws no
-uniform skips that fill and every value stays the same.
+Every batch of replicates, and every contiguous range of one that a
+forked engine batch hands a child process, takes its streams, and has
+its count checked, in ``replicate_streams``, which rewinds one Generator
+with ``reseed``; each run reads its stream through the
+exponential/uniform pair that ``samplers`` builds. The uniform sampler
+fills its first block lazily, at the place in the stream an eager one
+would, so a run that draws no uniform skips that fill and every value
+stays the same.
 """
 
 from __future__ import annotations
@@ -30,6 +32,10 @@ import numpy as np
 from .errors import InvalidParameterError, integral
 
 _MASK64 = (1 << 64) - 1
+
+# Replicates 0..2^61-1 have distinct stream indices; past them the index
+# wraps at 64 bits onto another replicate's stream.
+MAX_REPLICATES = 1 << 61
 
 # Channel tags (low 3 bits of the stream index).
 CH_ENGINE = 0  # event clocks of one simulation replicate
@@ -82,17 +88,23 @@ def reseed(gen: np.random.Generator, seed: int, index: int) -> np.random.Generat
 
 
 def replicate_streams(
-    seed: int, channel: int, replicates: int
+    seed: int, channel: int, replicates: int, first: int = 0
 ) -> Iterator[np.random.Generator]:
-    """The streams of replicates 0..R-1 of ``(seed, channel)``: one
+    """The streams of replicates first..R-1 of ``(seed, channel)``: one
     Generator, rewound by ``reseed`` to ``substream(seed, k, channel)``'s
     address before it is handed out as replicate k, so use each before
-    asking for the next. A bad count raises on the call."""
+    asking for the next. A bad count R (below 1 or past ``MAX_REPLICATES``)
+    or a first replicate outside [0, R] raises on the call."""
     replicates = integral("replicates", replicates)
     if replicates < 1:
         raise InvalidParameterError(f"replicates must be >= 1, got {replicates}")
+    if replicates > MAX_REPLICATES:
+        raise InvalidParameterError(f"replicates must be <= 2^61, got {replicates}")
+    first = integral("first replicate", first)
+    if not 0 <= first <= replicates:
+        raise InvalidParameterError(f"first replicate {first} outside [0, {replicates}]")
     gen = stream(seed, channel)
-    return (reseed(gen, seed, (k << 3) | channel) for k in range(replicates))
+    return (reseed(gen, seed, (k << 3) | channel) for k in range(first, replicates))
 
 
 # First block of every BufferedSampler. Pinned: samplers sharing a

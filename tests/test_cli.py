@@ -3,6 +3,7 @@
 import inspect
 import json
 import math
+import os
 from pathlib import Path
 
 import pytest
@@ -278,6 +279,38 @@ replicates = 5
     assert len(batch) == 6
     assert (out / "trace.csv").exists()
     assert (out / "resolved.cfg").exists()
+
+
+def test_simulate_batch_csv_is_the_same_forked_or_in_process(tmp_path, monkeypatch):
+    cfg = _write(
+        tmp_path / "s.cfg",
+        """
+[graph]
+family = ring
+n = 256
+
+[policy]
+kind = mobile_agents
+agents = 3
+rate_per_agent = 0.5
+
+[simulate]
+replicates = 131
+""",
+    )
+    assert 131 * 256 >= engine._FORK_MIN_WORK
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    files = []
+    for cpus in (3, 1):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
+        out = tmp_path / f"cpus{cpus}"
+        assert main(["simulate", "--config", cfg, "--seed", "7", "--out", str(out)]) == 0
+        files.append((out / "batch.csv").read_bytes())
+    assert len(forks) == 2  # three processes, then none
+    assert files[0] == files[1]
+    assert files[0].count(b"\n") == 132
 
 
 def test_dominate_verdict(tmp_path):

@@ -204,6 +204,19 @@ def test_line_cluster_no_seeding_limit_is_poisson():
     assert counts.var() == pytest.approx(4.0, rel=0.08)
 
 
+def test_count_at_is_the_step_function_of_the_path():
+    # A bisection over the path's times: at a step time the count is the
+    # step's, before the first step it is 0.
+    cfg = ClusterProcessConfig(growth="line", target_count=60, seed=13)
+    for tr in run_cluster_process(cfg, 5):
+        path = tr.total_count_path
+        times = [t for t, _ in path]
+        probes = times + [(a + b) / 2 for a, b in zip(times, times[1:])] + [-1.0, times[-1] + 1]
+        for t in probes:
+            want = ([c for s, c in path if s <= t] or [0])[-1]
+            assert tr.count_at(t) == want
+
+
 def test_line_cluster_trace_invariants():
     cfg = ClusterProcessConfig(growth="line", target_count=500, seed=12)
     (tr,) = run_cluster_process(cfg)

@@ -1,6 +1,10 @@
 """Engine exactness, determinism, guards, and the coupling property."""
 
+import cProfile
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -269,6 +273,173 @@ def test_run_summary_is_immutable():
 
 
 # ---------------------------------------------------------------------------
+# Forked batches: the same summaries on any number of processes
+# ---------------------------------------------------------------------------
+
+
+def count_forks(monkeypatch, cpus):
+    """Let batches see ``cpus`` CPUs; return a list whose length counts
+    the children forked from here on."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    forks = []
+    fork = os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+FORK_RING = graphs.gen_ring(256)
+# Just enough replicates on FORK_RING to fork, and not a multiple of 3,
+# so three processes run uneven ranges.
+FORK_REPLICATES = engine._FORK_MIN_WORK // 256 + 2
+
+
+@pytest.mark.parametrize("kind", BATCH_KINDS)
+def test_forked_batch_equals_in_process_batch_and_reference_loop(kind, monkeypatch):
+    spec = policies.PolicySpec(
+        kind=kind, L=1.5, links=((0, 128), (3, 77)), count=2, rewire_rate=0.5, agents=3, seed=4
+    )
+    cfg = EngineConfig(beta=0.7, initial_infected=5, seed=29)
+    forks = count_forks(monkeypatch, 3)
+    forked = engine.simulate_batch(FORK_RING, policies.build_policy(spec, FORK_RING), cfg,
+                                   FORK_REPLICATES)
+    assert FORK_REPLICATES % 3 and len(forks) == 2
+    assert_no_child_left()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    in_process = engine.simulate_batch(FORK_RING, policies.build_policy(spec, FORK_RING), cfg,
+                                       FORK_REPLICATES)
+    assert len(forks) == 2
+    assert forked == in_process
+    assert forked == reference_batch(FORK_RING, spec, cfg, FORK_REPLICATES)
+
+
+class RefusesReplicates(policies.RandomHomogeneous):
+    """Raises from ``reset`` on the replicates in ``refused``; a run of
+    ``dies_at`` ends its process, unless that is the test's own."""
+
+    def __init__(self, refused=(), dies_at=None):
+        super().__init__(1.0)
+        self.refused = refused
+        self.dies_at = dies_at
+        self.test_pid = os.getpid()
+
+    def reset(self, graph, state, replicate):
+        if replicate == self.dies_at and os.getpid() != self.test_pid:
+            os._exit(3)
+        if replicate in self.refused:
+            raise PolicyContractError(f"replicate {replicate} refused")
+        super().reset(graph, state, replicate)
+
+
+@pytest.mark.parametrize(
+    "refused,raised",
+    [((25,), 25), ((15, 25), 15), ((5, 25), 5), ((), None)],
+    ids=["last-child", "earliest-child-wins", "own-range-first", "none"],
+)
+def test_forked_batch_raises_the_earliest_ranges_error(refused, raised, monkeypatch):
+    # 30 replicates on three processes: ranges 0-9 (this one), 10-19, 20-29.
+    monkeypatch.setattr(engine, "_FORK_MIN_WORK", 1)
+    forks = count_forks(monkeypatch, 3)
+    g, cfg = graphs.gen_ring(16), EngineConfig(seed=3)
+    if raised is None:
+        got = engine.simulate_batch(g, RefusesReplicates(), cfg, 30)
+        assert [s.replicate for s in got] == list(range(30))
+    else:
+        with pytest.raises(PolicyContractError, match=f"^replicate {raised} refused$"):
+            engine.simulate_batch(g, RefusesReplicates(refused), cfg, 30)
+    assert len(forks) == 2
+    assert_no_child_left()
+
+
+def test_forked_batch_reports_a_dead_child(monkeypatch):
+    monkeypatch.setattr(engine, "_FORK_MIN_WORK", 1)
+    forks = count_forks(monkeypatch, 3)
+    with pytest.raises(RuntimeError, match="replicates from 20 died"):
+        engine.simulate_batch(graphs.gen_ring(16), RefusesReplicates(dies_at=22),
+                              EngineConfig(seed=3), 30)
+    assert len(forks) == 2
+    assert_no_child_left()
+
+
+def test_forked_batch_reports_an_error_pickle_cannot_send(monkeypatch):
+    class LocalError(Exception):  # pickle finds no class by this name
+        pass
+
+    class Raises(policies.RandomHomogeneous):
+        def reset(self, graph, state, replicate):
+            if replicate == 25:
+                raise LocalError("replicate 25 refused")
+            super().reset(graph, state, replicate)
+
+    monkeypatch.setattr(engine, "_FORK_MIN_WORK", 1)
+    count_forks(monkeypatch, 3)
+    with pytest.raises(RuntimeError, match="^LocalError: replicate 25 refused$"):
+        engine.simulate_batch(graphs.gen_ring(16), Raises(1.0), EngineConfig(seed=3), 30)
+    assert_no_child_left()
+
+
+class CountsResets(policies.RandomHomogeneous):
+    def __init__(self):
+        super().__init__(1.0)
+        self.resets = 0
+
+    def reset(self, graph, state, replicate):
+        self.resets += 1
+        super().reset(graph, state, replicate)
+
+
+def profiled(run):
+    prof = cProfile.Profile()
+    prof.enable()
+    try:
+        run()
+    finally:
+        prof.disable()
+
+
+def traced(run):
+    sys.settrace(lambda frame, event, arg: None)
+    try:
+        run()
+    finally:
+        sys.settrace(None)
+
+
+def with_a_second_thread(run):
+    done = threading.Event()
+    other = threading.Thread(target=done.wait)
+    other.start()
+    try:
+        run()
+    finally:
+        done.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+
+
+@pytest.mark.parametrize("around", [profiled, traced, with_a_second_thread])
+def test_batch_stays_in_process_when_observed_or_threaded(around, monkeypatch):
+    # A profiler, a tracer or a policy wrapper in this process sees every
+    # run; forking under a second thread is unsafe.
+    monkeypatch.setattr(engine, "_FORK_MIN_WORK", 1)
+    forks = count_forks(monkeypatch, 3)
+    policy = CountsResets()
+    around(lambda: engine.simulate_batch(graphs.gen_ring(16), policy, EngineConfig(seed=3), 30))
+    assert policy.resets == 30 and not forks
+
+
+# ---------------------------------------------------------------------------
 # Guards
 # ---------------------------------------------------------------------------
 
@@ -330,6 +501,21 @@ def test_bad_replicates():
     g = graphs.gen_ring(8)
     with pytest.raises(InvalidParameterError):
         engine.simulate_batch(g, policies.NullPolicy(), EngineConfig(seed=1), 0)
+
+
+@pytest.mark.parametrize("replicate", [-1, 1.5, "2", 2**61])
+def test_simulate_refuses_a_bad_replicate(replicate):
+    # -1 would run on replicate 2^61 - 1's stream, its index wrapped at 64 bits.
+    with pytest.raises(InvalidParameterError, match="replicate"):
+        engine.simulate(graphs.gen_ring(8), policies.NullPolicy(), EngineConfig(seed=1), replicate)
+
+
+def test_simulate_reads_a_whole_float_replicate():
+    g, cfg = graphs.gen_ring(8), EngineConfig(seed=1)
+    assert engine.simulate(g, policies.NullPolicy(), cfg, 2.0) == engine.simulate(
+        g, policies.NullPolicy(), cfg, 2
+    )
+    engine.simulate(g, policies.NullPolicy(), cfg, 2**61 - 1)  # the last distinct stream
 
 
 def test_bad_beta():

@@ -112,3 +112,26 @@ def test_replicate_streams_checks_the_count_on_the_call(count, message):
     # The batch is refused when it is asked for, before any stream is used.
     with pytest.raises(InvalidParameterError, match=message):
         replicate_streams(11, rng.CH_ENGINE, count)
+
+
+def test_replicate_streams_from_a_first_replicate():
+    # A batch's later range: replicates 4..6 of a batch of 7, on the
+    # streams a whole batch hands them; a range may be empty.
+    got = [mixed_draws(gen) for gen in replicate_streams(11, rng.CH_POLICY, 7, 4)]
+    assert got == [mixed_draws(substream(11, k, rng.CH_POLICY)) for k in (4, 5, 6)]
+    assert list(replicate_streams(11, rng.CH_POLICY, 7, 7)) == []
+
+
+@pytest.mark.parametrize("first", [-1, 8, 1.5, "2"])
+def test_replicate_streams_refuses_a_first_replicate_outside_the_batch(first):
+    with pytest.raises(InvalidParameterError, match="first replicate"):
+        replicate_streams(11, rng.CH_ENGINE, 7, first)
+
+
+def test_replicate_streams_refuses_counts_whose_indices_wrap():
+    # Replicate 2^61 would share replicate 0's stream: (k << 3) | channel
+    # is taken modulo 2^64.
+    assert stream(11, (2**61 << 3) | rng.CH_ENGINE).random() == stream(11, 0).random()
+    replicate_streams(11, rng.CH_ENGINE, 2**61)
+    with pytest.raises(InvalidParameterError, match=r"replicates must be <= 2\^61"):
+        replicate_streams(11, rng.CH_ENGINE, 2**61 + 1)
