@@ -35,17 +35,20 @@ the event budget, and binding the graph's adjacency and the policy's
 hooks. Each run gets its own samplers from ``rng.samplers``, a fresh
 ``InfectionState`` and a ``policy.reset``.
 
-``simulate_batch`` runs its replicates on W >= 2 processes when all of
-these hold: the process may use W CPUs (``os.sched_getaffinity``, else
-``os.cpu_count``) and has ``os.fork``; the batch holds at least
-``_FORK_MIN_WORK`` node-replicates (``replicates * n``); no profiler or
-tracer is attached; and only one Python thread runs. It then splits
-0..R-1 into W contiguous ranges, forks one child for each range but the
-first, which it runs itself, and joins the children's summaries in range
-order. Each range takes its streams from ``rng.replicate_streams``, so
-the summaries are bit-identical to an in-process batch on any number of
-CPUs. When ranges fail, the batch raises the error of the earliest one,
-the error an in-process batch raises. Otherwise the batch runs
+``simulate_batch`` runs its replicates on W processes: the number of
+CPUs the process may use (``os.sched_getaffinity``, else
+``os.cpu_count``), lowered until each process gets a range of at least
+``_FORK_RANGE_WORK`` node-replicates (``replicates * n >= W *
+_FORK_RANGE_WORK``) and at least one replicate. It forks only when W >= 2, ``os.fork`` exists, no
+profiler or tracer is attached and only one Python thread runs. It then
+splits 0..R-1 into W contiguous ranges, forks one child for each range
+but the first, which it runs itself, and joins the children's summaries
+in range order. Each range takes its streams from
+``rng.replicate_streams``, so the summaries are bit-identical to an
+in-process batch on any number of CPUs. When ranges fail, the batch
+raises the error of the earliest one, the error an in-process batch
+raises. If no pipe or process can be had (a process or descriptor
+limit), it kills the children it has forked and runs the whole batch
 in-process. Either way, the state a policy handle is left in after a
 batch is unspecified: ``reset`` is what readies it for its next run.
 """
@@ -67,13 +70,23 @@ from .errors import (
     positive,
 )
 from .graphs import Graph
-from .rng import CH_ENGINE, MAX_REPLICATES, replicate_streams, samplers, substream
+from .rng import (
+    CH_ENGINE,
+    MAX_REPLICATES,
+    replicate_count,
+    replicate_streams,
+    samplers,
+    substream,
+)
 
 _ENVELOPE_SLACK = 1e-9
 
-# Fewest node-replicates (replicates * n) a batch forks for: a fork and
-# its collection cost a few ms, which a shorter batch does not win back.
-_FORK_MIN_WORK = 1 << 15
+# Fewest node-replicates (replicates * n) a batch gives each of its
+# processes: a fork and its collection cost a few ms, which a shorter
+# range does not win back. Measured on 2 CPUs, where ring 256 x 128
+# (2^15, two ranges of 2^14) took 89.5 ms in-process and 50.1 ms forked,
+# and ring 256 x 64 (2^14) 31.9 against 36.1.
+_FORK_RANGE_WORK = 1 << 14
 _SIGKILL = 9  # POSIX, where os.fork exists
 
 
@@ -295,17 +308,16 @@ def simulate_batch(
     output is deterministic and ordered by replicate index, whether the
     batch runs in-process or forks (see the module docstring).
     """
-    streams = replicate_streams(cfg.seed, CH_ENGINE, replicates)
-    replicates = int(replicates)  # a whole number: replicate_streams checked it
-    workers = _workers(replicates, g.n)
-    if workers == 1:
-        return _run(g, policy, cfg, streams, 0)
-    return _forked_batch(g, policy, cfg, replicates, workers)
+    replicates = replicate_count(replicates)
+    return _batch(g, policy, cfg, replicates, _workers(replicates, g.n))
 
 
 def _workers(replicates: int, n: int) -> int:
-    """The number of processes a batch runs on: 1 unless it may fork."""
-    if replicates * n < _FORK_MIN_WORK or not hasattr(os, "fork"):
+    """The number of processes a batch runs on: one per usable CPU, but
+    no more than give each range ``_FORK_RANGE_WORK`` node-replicates,
+    and 1 when the process may not fork."""
+    most = min(replicates, replicates * n // _FORK_RANGE_WORK)
+    if most < 2 or not hasattr(os, "fork"):
         return 1
     if sys.getprofile() is not None or sys.gettrace() is not None:
         return 1
@@ -319,26 +331,25 @@ def _workers(replicates: int, n: int) -> int:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:
         cpus = os.cpu_count() or 1
-    return min(cpus, replicates)
+    return min(cpus, most)
 
 
-def _forked_batch(
+def _batch(
     g: Graph, policy, cfg: EngineConfig, replicates: int, workers: int
 ) -> list[RunSummary]:
     """Run replicates 0..R-1 as ``workers`` contiguous ranges: the first
     here, each other in a forked child that sends back its summaries, or
-    its error, through a pipe."""
+    its error, through a pipe. With one worker, or when no pipe or
+    process can be had, every range runs here."""
     bounds = [replicates * i // workers for i in range(workers + 1)]
     children = []  # (pid, pipe's read end, first replicate) of unreaped children
     try:
-        for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            read, write = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                os.close(read)
-                _child(g, policy, cfg, lo, hi, write)
-            os.close(write)
-            children.append((pid, open(read, "rb"), lo))
+        try:
+            for lo, hi in zip(bounds[1:-1], bounds[2:]):
+                children.append(_fork(g, policy, cfg, lo, hi))
+        except OSError:  # a process or descriptor limit: forking only saves time
+            _kill(children)
+            bounds = [0, replicates]
         out = _run(g, policy, cfg, replicate_streams(cfg.seed, CH_ENGINE, bounds[1]), 0)
         while children:
             pid, pipe, lo = children[0]
@@ -356,10 +367,33 @@ def _forked_batch(
             out.extend(value)
         return out
     finally:
-        for pid, pipe, _ in children:
-            pipe.close()
-            os.kill(pid, _SIGKILL)
-            os.waitpid(pid, 0)
+        _kill(children)
+
+
+def _fork(g: Graph, policy, cfg: EngineConfig, lo: int, hi: int):
+    """Fork a child running replicates lo..hi-1; return its pid, the read
+    end of its pipe and ``lo``. OSError if no pipe or process can be had."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid == 0:
+        os.close(read)
+        _child(g, policy, cfg, lo, hi, write)
+    os.close(write)
+    return pid, open(read, "rb"), lo
+
+
+def _kill(children: list) -> None:
+    """Kill and reap the children still listed, and empty the list."""
+    for pid, pipe, _ in children:
+        pipe.close()
+        os.kill(pid, _SIGKILL)
+        os.waitpid(pid, 0)
+    children.clear()
 
 
 def _child(g: Graph, policy, cfg: EngineConfig, lo: int, hi: int, write: int):

@@ -15,7 +15,7 @@ from its address alone.
 Every batch of replicates, and every contiguous range of one that a
 forked engine batch hands a child process, takes its streams, and has
 its count checked, in ``replicate_streams``, which rewinds one Generator
-with ``reseed``; each run reads its stream through the
+with ``reseed``; ``replicate_count`` is that check alone. Each run reads its stream through the
 exponential/uniform pair that ``samplers`` builds. The uniform sampler
 fills its first block lazily, at the place in the stream an eager one
 would, so a run that draws no uniform skips that fill and every value
@@ -87,19 +87,26 @@ def reseed(gen: np.random.Generator, seed: int, index: int) -> np.random.Generat
     return gen
 
 
+def replicate_count(replicates) -> int:
+    """``replicates`` as an int if a batch may run that many: a whole
+    number in [1, ``MAX_REPLICATES``]; otherwise InvalidParameterError."""
+    replicates = integral("replicates", replicates)
+    if replicates < 1:
+        raise InvalidParameterError(f"replicates must be >= 1, got {replicates}")
+    if replicates > MAX_REPLICATES:
+        raise InvalidParameterError(f"replicates must be <= 2^61, got {replicates}")
+    return replicates
+
+
 def replicate_streams(
     seed: int, channel: int, replicates: int, first: int = 0
 ) -> Iterator[np.random.Generator]:
     """The streams of replicates first..R-1 of ``(seed, channel)``: one
     Generator, rewound by ``reseed`` to ``substream(seed, k, channel)``'s
     address before it is handed out as replicate k, so use each before
-    asking for the next. A bad count R (below 1 or past ``MAX_REPLICATES``)
-    or a first replicate outside [0, R] raises on the call."""
-    replicates = integral("replicates", replicates)
-    if replicates < 1:
-        raise InvalidParameterError(f"replicates must be >= 1, got {replicates}")
-    if replicates > MAX_REPLICATES:
-        raise InvalidParameterError(f"replicates must be <= 2^61, got {replicates}")
+    asking for the next. A bad count R (see ``replicate_count``) or a first
+    replicate outside [0, R] raises on the call."""
+    replicates = replicate_count(replicates)
     first = integral("first replicate", first)
     if not 0 <= first <= replicates:
         raise InvalidParameterError(f"first replicate {first} outside [0, {replicates}]")

@@ -295,10 +295,10 @@ agents = 3
 rate_per_agent = 0.5
 
 [simulate]
-replicates = 131
+replicates = 193
 """,
     )
-    assert 131 * 256 >= engine._FORK_MIN_WORK
+    assert 193 * 256 >= 3 * engine._FORK_RANGE_WORK
     forks = []
     fork = os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
@@ -310,7 +310,7 @@ replicates = 131
         files.append((out / "batch.csv").read_bytes())
     assert len(forks) == 2  # three processes, then none
     assert files[0] == files[1]
-    assert files[0].count(b"\n") == 132
+    assert files[0].count(b"\n") == 194
 
 
 def test_dominate_verdict(tmp_path):

@@ -1,6 +1,7 @@
 """Engine exactness, determinism, guards, and the coupling property."""
 
 import cProfile
+import errno
 import math
 import os
 import sys
@@ -300,9 +301,9 @@ def assert_no_child_left():
 
 
 FORK_RING = graphs.gen_ring(256)
-# Just enough replicates on FORK_RING to fork, and not a multiple of 3,
-# so three processes run uneven ranges.
-FORK_REPLICATES = engine._FORK_MIN_WORK // 256 + 2
+# Just enough replicates on FORK_RING to fork on three processes, and not
+# a multiple of 3, so their ranges are uneven.
+FORK_REPLICATES = 3 * engine._FORK_RANGE_WORK // 256 + 1
 
 
 @pytest.mark.parametrize("kind", BATCH_KINDS)
@@ -349,7 +350,7 @@ class RefusesReplicates(policies.RandomHomogeneous):
 )
 def test_forked_batch_raises_the_earliest_ranges_error(refused, raised, monkeypatch):
     # 30 replicates on three processes: ranges 0-9 (this one), 10-19, 20-29.
-    monkeypatch.setattr(engine, "_FORK_MIN_WORK", 1)
+    monkeypatch.setattr(engine, "_FORK_RANGE_WORK", 1)
     forks = count_forks(monkeypatch, 3)
     g, cfg = graphs.gen_ring(16), EngineConfig(seed=3)
     if raised is None:
@@ -363,7 +364,7 @@ def test_forked_batch_raises_the_earliest_ranges_error(refused, raised, monkeypa
 
 
 def test_forked_batch_reports_a_dead_child(monkeypatch):
-    monkeypatch.setattr(engine, "_FORK_MIN_WORK", 1)
+    monkeypatch.setattr(engine, "_FORK_RANGE_WORK", 1)
     forks = count_forks(monkeypatch, 3)
     with pytest.raises(RuntimeError, match="replicates from 20 died"):
         engine.simulate_batch(graphs.gen_ring(16), RefusesReplicates(dies_at=22),
@@ -382,7 +383,7 @@ def test_forked_batch_reports_an_error_pickle_cannot_send(monkeypatch):
                 raise LocalError("replicate 25 refused")
             super().reset(graph, state, replicate)
 
-    monkeypatch.setattr(engine, "_FORK_MIN_WORK", 1)
+    monkeypatch.setattr(engine, "_FORK_RANGE_WORK", 1)
     count_forks(monkeypatch, 3)
     with pytest.raises(RuntimeError, match="^LocalError: replicate 25 refused$"):
         engine.simulate_batch(graphs.gen_ring(16), Raises(1.0), EngineConfig(seed=3), 30)
@@ -432,11 +433,59 @@ def with_a_second_thread(run):
 def test_batch_stays_in_process_when_observed_or_threaded(around, monkeypatch):
     # A profiler, a tracer or a policy wrapper in this process sees every
     # run; forking under a second thread is unsafe.
-    monkeypatch.setattr(engine, "_FORK_MIN_WORK", 1)
+    monkeypatch.setattr(engine, "_FORK_RANGE_WORK", 1)
     forks = count_forks(monkeypatch, 3)
     policy = CountsResets()
     around(lambda: engine.simulate_batch(graphs.gen_ring(16), policy, EngineConfig(seed=3), 30))
     assert policy.resets == 30 and not forks
+
+
+@pytest.mark.parametrize(
+    "replicates,n,workers",
+    [(128, 256, 2), (127, 256, 1), (191, 256, 2), (192, 256, 3), (1, 1 << 20, 1),
+     (10, 1 << 20, 10), (4096, 1024, 64)],
+)
+def test_every_range_gets_the_measured_work(replicates, n, workers, monkeypatch):
+    # However many CPUs there are, a forked range holds at least the
+    # node-replicates that were measured to win back a fork.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+    assert engine._workers(replicates, n) == workers
+    if workers > 1:
+        assert replicates * n // workers >= engine._FORK_RANGE_WORK
+
+
+@pytest.mark.parametrize("fails", ["pipe", "first-fork", "second-fork"])
+def test_batch_runs_in_process_when_no_process_can_be_had(fails, monkeypatch):
+    # A process or descriptor limit costs the batch its speed-up, not its
+    # result: the children already forked are killed and every range runs
+    # here.
+    monkeypatch.setattr(engine, "_FORK_RANGE_WORK", 1)
+    forks = count_forks(monkeypatch, 3)
+    fork, calls = os.fork, []
+
+    def limited_fork():
+        calls.append(1)
+        if fails == "first-fork" or len(calls) == 2:
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+        return fork()
+
+    def no_pipe():
+        raise OSError(errno.EMFILE, "Too many open files")
+
+    monkeypatch.setattr(os, "fork", limited_fork)
+    if fails == "pipe":
+        monkeypatch.setattr(os, "pipe", no_pipe)
+    g, cfg = graphs.gen_ring(16), EngineConfig(seed=3)
+    fds = len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+    policy = CountsResets()
+    got = engine.simulate_batch(g, policy, cfg, 30)
+    assert len(forks) == (fails == "second-fork")
+    assert_no_child_left()
+    if fds is not None:
+        assert len(os.listdir("/proc/self/fd")) == fds
+    assert policy.resets == 30
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert got == engine.simulate_batch(g, CountsResets(), cfg, 30)
 
 
 # ---------------------------------------------------------------------------
