@@ -37,8 +37,8 @@ import numpy as np
 
 from .dominators import (
     ClusterProcessConfig,
-    run_cluster_process,
     sample_hitting_times,
+    sample_hits,
     two_phase_process,
 )
 from .engine import EngineConfig, finish_times, simulate_batch
@@ -306,11 +306,8 @@ def _sample_times(plan: ExperimentPlan, n: int) -> tuple[int, list[float], int]:
         )
         summaries = simulate_batch(g, handle, ecfg, plan.replicates)
         return g.n, finish_times(summaries), sum(s.events for s in summaries)
-    times, events = [], 0
-    for trace in run_cluster_process(_resolve_cluster_cfg(plan, n), plan.replicates):
-        times.append(trace.hitting_time)
-        events += trace.events
-    return n, times, events
+    times, events = sample_hits(_resolve_cluster_cfg(plan, n), plan.replicates)
+    return n, times, sum(events)
 
 
 def summarize(n: int, times, events: int) -> SweepRow:
@@ -411,6 +408,23 @@ class DominanceVerdict:
         return "violation-at-deciles[" + ",".join(map(str, self.violations)) + "]"
 
 
+def _sorted_deciles(rows: np.ndarray) -> np.ndarray:
+    """The ``DECILES`` of each row of ``rows``, which are sorted, one row of
+    deciles each: numpy's ``linear`` quantile rule read straight off the two
+    order statistics a <= b around (n - 1) q, with gamma its fractional
+    part. The value is a + (b - a) gamma, or b - (b - a) (1 - gamma) where
+    gamma >= 0.5, the arithmetic ``np.quantile`` does, so every value is
+    the same. Needs n >= 2."""
+    pos = (rows.shape[1] - 1) * np.asarray(DECILES)
+    below = np.floor(pos)
+    gamma = pos - below
+    at = below.astype(np.intp)
+    a = rows[:, at]
+    b = rows[:, at + 1]
+    diff = b - a
+    return np.where(gamma >= 0.5, b - diff * (1 - gamma), a + diff * gamma)
+
+
 def dominance_report(sample_a, sample_b, *, seed: int = 0) -> DominanceVerdict:
     """One-sided bootstrap check that sample_a <=_st sample_b by deciles.
 
@@ -438,10 +452,7 @@ def dominance_report(sample_a, sample_b, *, seed: int = 0) -> DominanceVerdict:
         idx = rng.integers(0, high, size=(min(rows, _N_BOOT - lo), na + nb))
         ra = np.sort(a[idx[:, :na]], axis=1)
         rb = np.sort(b[idx[:, na:]], axis=1)
-        boot[lo : lo + len(idx)] = (
-            np.quantile(rb, DECILES, axis=1, method="linear")
-            - np.quantile(ra, DECILES, axis=1, method="linear")
-        ).T
+        boot[lo : lo + len(idx)] = _sorted_deciles(rb) - _sorted_deciles(ra)
     upper = np.quantile(boot, 0.95, axis=0)
     violations = tuple(
         int(round(DECILES[i] * 100)) for i in range(len(DECILES)) if upper[i] < 0

@@ -17,8 +17,15 @@ processes run without the engine or the policies;
 
 Each process takes a replicate count R and runs replicates 0..R-1 on
 the ``CH_PROCESS`` streams of ``rng.replicate_streams``, read through the
-sampler pair of ``rng.samplers``. The cluster process yields its traces
-one at a time: a batch of long runs would not fit in memory.
+sampler pair of ``rng.samplers``. ``run_cluster_process`` yields whole
+traces one at a time and in-process: a batch of long runs would not fit
+in memory. A trace keeps its count path as two columns, the times of the
+count's changes and a ``range`` of counts, since every change adds the
+same number of points. ``sample_hits`` and ``sample_hitting_times`` keep
+only each run's hitting time and event count, and run contiguous ranges
+of replicates on every CPU through ``rng.fork_ranges``, their work told
+as ``replicates * target_count`` points; their values are the same on
+any number of CPUs.
 
 A lattice cluster keeps its sites in a hash set and its boundary edges
 in a swap-remove list, so there is no truncation boundary and a growth
@@ -31,14 +38,23 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Iterator, NamedTuple
 
 from .errors import InvalidParameterError, integral, positive
 from .graphs import Graph, Partition, bfs_tree
-from .rng import CH_PROCESS, BufferedSampler, replicate_streams, samplers, substream
+from .rng import (
+    CH_PROCESS,
+    BufferedSampler,
+    fork_ranges,
+    replicate_count,
+    replicate_streams,
+    samplers,
+    substream,
+)
 
-_PATH_POINTS = 4096  # count-path export cap per run
+# Most points a trace keeps of its count path: a longer path is cut down to
+# this many, evenly spread, and its counts become a list.
+_PATH_POINTS = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -196,26 +212,38 @@ class ClusterProcessConfig:
 
 @dataclass
 class ClusterTrace:
-    """Outcome of one cluster-process run."""
+    """Outcome of one cluster-process run. Its count path is two columns:
+    the total count became ``path_counts[i]`` at time ``path_times[i]``.
+    Every point of a path adds the same number of points to the count, so
+    ``path_counts`` is a ``range``, or the list of the counts kept when the
+    path was cut down to ``_PATH_POINTS`` points."""
 
     cluster_birth_times: list[float]
-    total_count_path: list[tuple[float, int]]
+    path_times: list[float]
+    path_counts: range | list[int]
     hitting_time: float | None
     events: int = 0
 
     def count_at(self, t: float) -> int:
         """Step-function lookup of the total count at time t."""
-        i = bisect_right(self.total_count_path, t, key=itemgetter(0))
-        return self.total_count_path[i - 1][1] if i else 0
+        i = bisect_right(self.path_times, t)
+        return self.path_counts[i - 1] if i else 0
 
 
-def _downsample(path: list[tuple[float, int]]) -> list[tuple[float, int]]:
-    if len(path) <= _PATH_POINTS:
-        return path
-    stride = (len(path) - 1) / (_PATH_POINTS - 1)
-    out = [path[int(round(i * stride))] for i in range(_PATH_POINTS - 1)]
-    out.append(path[-1])
-    return out
+def _count_path(
+    times: list[float], first: int, step: int
+) -> tuple[list[float], range | list[int]]:
+    """The two columns of a count path whose count is ``first`` at
+    ``times[0]`` and rises by ``step`` at each later time; a path of more
+    than ``_PATH_POINTS`` points keeps that many, evenly spread, its first
+    and last among them."""
+    m = len(times)
+    if m <= _PATH_POINTS:
+        return times, range(first, first + m * step, step)
+    stride = (m - 1) / (_PATH_POINTS - 1)
+    kept = [int(round(i * stride)) for i in range(_PATH_POINTS - 1)]
+    kept.append(m - 1)
+    return [times[i] for i in kept], [first + i * step for i in kept]
 
 
 # Site packing: 21 bits per axis, offset-binary so coordinates may be negative.
@@ -312,17 +340,20 @@ def _cluster_run(cfg: ClusterProcessConfig, rng) -> ClusterTrace:
         frontier, seed_points, clusters = len(deltas), points, [_LatticeCluster(deltas, origin)]
     exp, uni = samplers(rng)
     lam = cfg.seeding_rate
-    target = cfg.target_count
     max_time = math.inf if cfg.max_time is None else cfg.max_time
 
     bounds = [frontier]  # boundary edges per cluster
     total = frontier
-    count = seed_points
     t = 0.0
     births = [0.0]
-    path = [(0.0, count)]
+    # Each point of the count path after the first adds ``points``: a
+    # lattice birth adds its seed site, worth ``seed_points == points``, and
+    # a line birth adds nothing and makes no point. So the path is its
+    # times alone, and the run needs ``left`` more points to hit the target.
+    times = [0.0]
+    left = max(0, (cfg.target_count - seed_points + points - 1) // points)
     events = 0
-    while count < target:
+    while left:
         rate = lam + edge_rate * total
         t += exp.draw() / rate
         if t > max_time:
@@ -334,30 +365,28 @@ def _cluster_run(cfg: ClusterProcessConfig, rng) -> ClusterTrace:
             births.append(t)
             bounds.append(frontier)
             total += frontier
-            if clusters is not None:
-                clusters.append(_LatticeCluster(deltas, origin))
-            added = seed_points
-        else:
-            if clusters is not None:
-                # the cluster owning the fired edge, by boundary edge counts
-                x = (x - lam) / edge_rate
-                acc = 0
-                for i, b in enumerate(bounds):
-                    acc += b
-                    if acc > x:
-                        break
-                grown = clusters[i].grow(uni)
-                total += grown - bounds[i]
-                bounds[i] = grown
-            added = points
-        if added:
-            count += added
-            path.append((t, count))
-    hitting = t if count >= target else None
+            if clusters is None:
+                continue
+            clusters.append(_LatticeCluster(deltas, origin))
+        elif clusters is not None:
+            # the cluster owning the fired edge, by boundary edge counts
+            x = (x - lam) / edge_rate
+            acc = 0
+            for i, b in enumerate(bounds):
+                acc += b
+                if acc > x:
+                    break
+            grown = clusters[i].grow(uni)
+            total += grown - bounds[i]
+            bounds[i] = grown
+        times.append(t)
+        left -= 1
+    path_times, path_counts = _count_path(times, seed_points, points)
     return ClusterTrace(
         cluster_birth_times=births,
-        total_count_path=_downsample(path),
-        hitting_time=hitting,
+        path_times=path_times,
+        path_counts=path_counts,
+        hitting_time=None if left else t,
         events=events,
     )
 
@@ -372,21 +401,35 @@ def fpp_clusters(cfg: ClusterProcessConfig, replicate: int = 0) -> ClusterTrace:
     return _cluster_run(cfg, substream(cfg.seed, replicate, CH_PROCESS))
 
 
+def sample_hits(cfg: ClusterProcessConfig, replicates: int) -> tuple[list[float], list[int]]:
+    """Hitting times and event counts of runs 0..R-1 of
+    ``run_cluster_process``, run as contiguous ranges on every CPU by
+    ``rng.fork_ranges``; a run that ``max_time`` cut off is refused."""
+    replicates = replicate_count(replicates)
+
+    def run_range(lo: int, hi: int) -> tuple[list[float], list[int]]:
+        times, events = [], []
+        for k, rng in enumerate(replicate_streams(cfg.seed, CH_PROCESS, hi, lo), lo):
+            trace = _cluster_run(cfg, rng)
+            if trace.hitting_time is None:
+                raise InvalidParameterError(
+                    f"cluster run {k} hit max_time before the target count"
+                )
+            times.append(trace.hitting_time)
+            events.append(trace.events)
+        return times, events
+
+    ranges = fork_ranges(run_range, replicates, replicates * cfg.target_count)
+    return [t for times, _ in ranges for t in times], [e for _, events in ranges for e in events]
+
+
 def sample_hitting_times(cfg: ClusterProcessConfig, replicates: int) -> list[float]:
-    """Hitting times of runs 0..R-1 of ``run_cluster_process``; a run that
-    ``max_time`` cut off is refused."""
-    out = []
-    for trace in run_cluster_process(cfg, replicates):
-        if trace.hitting_time is None:
-            raise InvalidParameterError(
-                "cluster run hit max_time before the target count"
-            )
-        out.append(trace.hitting_time)
-    return out
+    """The hitting times of ``sample_hits``."""
+    return sample_hits(cfg, replicates)[0]
 
 
 def write_cluster_csv(trace: ClusterTrace, path: str) -> None:
     with open(path, "w") as fh:
         fh.write("t,N\n")
-        for t, n in trace.total_count_path:
+        for t, n in zip(trace.path_times, trace.path_counts):
             fh.write(f"{t:.17g},{n}\n")

@@ -35,30 +35,19 @@ the event budget, and binding the graph's adjacency and the policy's
 hooks. Each run gets its own samplers from ``rng.samplers``, a fresh
 ``InfectionState`` and a ``policy.reset``.
 
-``simulate_batch`` runs its replicates on W processes: the number of
-CPUs the process may use (``os.sched_getaffinity``, else
-``os.cpu_count``), lowered until each process gets a range of at least
-``_FORK_RANGE_WORK`` node-replicates (``replicates * n >= W *
-_FORK_RANGE_WORK``) and at least one replicate. It forks only when W >= 2, ``os.fork`` exists, no
-profiler or tracer is attached and only one Python thread runs. It then
-splits 0..R-1 into W contiguous ranges, forks one child for each range
-but the first, which it runs itself, and joins the children's summaries
-in range order. Each range takes its streams from
+``simulate_batch`` runs contiguous ranges of its replicates on every
+CPU through ``rng.fork_ranges``, which it tells a batch's work as
+``replicates * n`` node-replicates. Each range takes its streams from
 ``rng.replicate_streams``, so the summaries are bit-identical to an
-in-process batch on any number of CPUs. When ranges fail, the batch
-raises the error of the earliest one, the error an in-process batch
-raises. If no pipe or process can be had (a process or descriptor
-limit), it kills the children it has forked and runs the whole batch
-in-process. Either way, the state a policy handle is left in after a
-batch is unspecified: ``reset`` is what readies it for its next run.
+in-process batch on any number of CPUs, and a failing batch raises the
+error an in-process batch raises. Forked or not, the state a policy
+handle is left in after a batch is unspecified: ``reset`` is what
+readies it for its next run.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import pickle
-import sys
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
@@ -73,6 +62,7 @@ from .graphs import Graph
 from .rng import (
     CH_ENGINE,
     MAX_REPLICATES,
+    fork_ranges,
     replicate_count,
     replicate_streams,
     samplers,
@@ -80,14 +70,6 @@ from .rng import (
 )
 
 _ENVELOPE_SLACK = 1e-9
-
-# Fewest node-replicates (replicates * n) a batch gives each of its
-# processes: a fork and its collection cost a few ms, which a shorter
-# range does not win back. Measured on 2 CPUs, where ring 256 x 128
-# (2^15, two ranges of 2^14) took 89.5 ms in-process and 50.1 ms forked,
-# and ring 256 x 64 (2^14) 31.9 against 36.1.
-_FORK_RANGE_WORK = 1 << 14
-_SIGKILL = 9  # POSIX, where os.fork exists
 
 
 class InfectionState:
@@ -309,114 +291,11 @@ def simulate_batch(
     batch runs in-process or forks (see the module docstring).
     """
     replicates = replicate_count(replicates)
-    return _batch(g, policy, cfg, replicates, _workers(replicates, g.n))
 
+    def run_range(lo: int, hi: int) -> list[RunSummary]:
+        return _run(g, policy, cfg, replicate_streams(cfg.seed, CH_ENGINE, hi, lo), lo)
 
-def _workers(replicates: int, n: int) -> int:
-    """The number of processes a batch runs on: one per usable CPU, but
-    no more than give each range ``_FORK_RANGE_WORK`` node-replicates,
-    and 1 when the process may not fork."""
-    most = min(replicates, replicates * n // _FORK_RANGE_WORK)
-    if most < 2 or not hasattr(os, "fork"):
-        return 1
-    if sys.getprofile() is not None or sys.gettrace() is not None:
-        return 1
-    monitoring = getattr(sys, "monitoring", None)  # Python 3.12+ tools
-    if monitoring is not None and any(monitoring.get_tool(i) for i in range(6)):
-        return 1
-    threading = sys.modules.get("threading")
-    if threading is not None and threading.active_count() > 1:
-        return 1
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:
-        cpus = os.cpu_count() or 1
-    return min(cpus, most)
-
-
-def _batch(
-    g: Graph, policy, cfg: EngineConfig, replicates: int, workers: int
-) -> list[RunSummary]:
-    """Run replicates 0..R-1 as ``workers`` contiguous ranges: the first
-    here, each other in a forked child that sends back its summaries, or
-    its error, through a pipe. With one worker, or when no pipe or
-    process can be had, every range runs here."""
-    bounds = [replicates * i // workers for i in range(workers + 1)]
-    children = []  # (pid, pipe's read end, first replicate) of unreaped children
-    try:
-        try:
-            for lo, hi in zip(bounds[1:-1], bounds[2:]):
-                children.append(_fork(g, policy, cfg, lo, hi))
-        except OSError:  # a process or descriptor limit: forking only saves time
-            _kill(children)
-            bounds = [0, replicates]
-        out = _run(g, policy, cfg, replicate_streams(cfg.seed, CH_ENGINE, bounds[1]), 0)
-        while children:
-            pid, pipe, lo = children[0]
-            data = pipe.read()
-            pipe.close()
-            _, status = os.waitpid(pid, 0)
-            children.pop(0)
-            if not data:
-                raise RuntimeError(
-                    f"the process running replicates from {lo} died (wait status {status})"
-                )
-            ok, value = pickle.loads(data)
-            if not ok:
-                raise value
-            out.extend(value)
-        return out
-    finally:
-        _kill(children)
-
-
-def _fork(g: Graph, policy, cfg: EngineConfig, lo: int, hi: int):
-    """Fork a child running replicates lo..hi-1; return its pid, the read
-    end of its pipe and ``lo``. OSError if no pipe or process can be had."""
-    read, write = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read)
-        os.close(write)
-        raise
-    if pid == 0:
-        os.close(read)
-        _child(g, policy, cfg, lo, hi, write)
-    os.close(write)
-    return pid, open(read, "rb"), lo
-
-
-def _kill(children: list) -> None:
-    """Kill and reap the children still listed, and empty the list."""
-    for pid, pipe, _ in children:
-        pipe.close()
-        os.kill(pid, _SIGKILL)
-        os.waitpid(pid, 0)
-    children.clear()
-
-
-def _child(g: Graph, policy, cfg: EngineConfig, lo: int, hi: int, write: int):
-    """In a forked child: run replicates lo..hi-1, write ``(True,
-    summaries)`` or ``(False, error)`` to ``write`` pickled, and exit
-    without returning to the caller's code."""
-    try:
-        try:
-            streams = replicate_streams(cfg.seed, CH_ENGINE, hi, lo)
-            result = (True, _run(g, policy, cfg, streams, lo))
-        except BaseException as exc:  # interrupts too: the parent raises it
-            result = (False, exc)
-        try:
-            data = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
-            if not result[0]:
-                pickle.loads(data)
-        except Exception:  # an error that does not survive pickling
-            err = result[1]
-            data = pickle.dumps((False, RuntimeError(f"{type(err).__name__}: {err}")))
-        with open(write, "wb") as fh:
-            fh.write(data)
-    finally:
-        os._exit(0)
+    return [s for part in fork_ranges(run_range, replicates, replicates * g.n) for s in part]
 
 
 def finish_times(summaries: list[RunSummary]) -> list[float]:

@@ -13,17 +13,28 @@ and partial re-runs are possible because any stream can be reconstructed
 from its address alone.
 
 Every batch of replicates, and every contiguous range of one that a
-forked engine batch hands a child process, takes its streams, and has
-its count checked, in ``replicate_streams``, which rewinds one Generator
-with ``reseed``; ``replicate_count`` is that check alone. Each run reads its stream through the
-exponential/uniform pair that ``samplers`` builds. The uniform sampler
-fills its first block lazily, at the place in the stream an eager one
-would, so a run that draws no uniform skips that fill and every value
-stays the same.
+forked batch hands a child process, takes its streams, and has its count
+checked, in ``replicate_streams``, which rewinds one Generator with
+``reseed``; ``replicate_count`` is that check alone. Each run reads its
+stream through the exponential/uniform pair that ``samplers`` builds.
+The uniform sampler fills its first block lazily, at the place in the
+stream an eager one would, so a run that draws no uniform skips that
+fill and every value stays the same.
+
+``fork_ranges`` is the one runner of replicate batches on every CPU: the
+engine's batches and the cluster processes' hitting-time batches give it
+a function over a contiguous range of replicates and an estimate of the
+batch's work, and it forks a child per range where that pays. A range
+whose function takes its streams from ``replicate_streams`` gives the
+same values forked or not. The runner needs only ``os``, ``sys`` and
+``pickle``, which numpy has already loaded.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+import sys
 from itertools import chain
 from typing import Iterator
 
@@ -179,3 +190,145 @@ def samplers(rng: np.random.Generator) -> tuple[BufferedSampler, BufferedSampler
     exp = BufferedSampler(rng.standard_exponential, before_second=uni.fill_first)
     exp.fill_first()
     return exp, uni
+
+
+# ---------------------------------------------------------------------------
+# Forked batches
+# ---------------------------------------------------------------------------
+
+# Fewest units of work a forked batch gives each of its processes: a fork
+# and its collection cost a few ms, which a shorter range does not win
+# back. An engine batch counts node-replicates (replicates * n), a cluster
+# batch the points its runs grow to (replicates * target_count), and both
+# were measured to pay off from 2^14 per range on 2 CPUs. Ring 256 x 128
+# (2^15, two ranges of 2^14) took 89.5 ms in-process and 50.1 ms forked,
+# and ring 256 x 64 (2^14) 31.9 against 36.1. Line clusters, the cheapest
+# growth per point, took 21.1 ms in-process and 14.4 ms forked at target
+# 1024 x 32 replicates (2^15), and 8.5 against 9.4 at 512 x 32 (2^14).
+_FORK_RANGE_WORK = 1 << 14
+_SIGKILL = 9  # POSIX, where os.fork exists
+
+
+def fork_ranges(task, replicates: int, work: int) -> list:
+    """The results of ``task(lo, hi)`` over contiguous ranges lo..hi-1 of
+    replicates 0..R-1, in range order; ``work`` estimates the batch's cost
+    in the units of ``_FORK_RANGE_WORK``.
+
+    The batch runs on W processes: the CPUs the process may use
+    (``os.sched_getaffinity``, else ``os.cpu_count``), lowered until each
+    range gets ``_FORK_RANGE_WORK`` units of work and at least one
+    replicate. It forks only when W >= 2, ``os.fork`` exists, no profiler
+    or tracer is attached and only one Python thread runs; it then runs
+    the first range here and each other in a forked child, which sends
+    back its result, or its error, pickled through a pipe. When ranges
+    fail, the earliest one's error is raised, the error an in-process
+    batch raises first. If no pipe or process can be had (a process or
+    descriptor limit), the children already forked are killed and the
+    whole batch runs here as one range. No child outlives the call. A task
+    that takes its streams from ``replicate_streams(seed, channel, hi,
+    lo)`` returns the same values on any number of CPUs.
+    """
+    return _batch(task, replicates, _workers(replicates, work))
+
+
+def _workers(replicates: int, work: int) -> int:
+    """The number of processes a batch runs on: one per usable CPU, but
+    no more than give each range ``_FORK_RANGE_WORK`` units of work, and
+    1 when the process may not fork."""
+    most = min(replicates, work // _FORK_RANGE_WORK)
+    if most < 2 or not hasattr(os, "fork"):
+        return 1
+    if sys.getprofile() is not None or sys.gettrace() is not None:
+        return 1
+    monitoring = getattr(sys, "monitoring", None)  # Python 3.12+ tools
+    if monitoring is not None and any(monitoring.get_tool(i) for i in range(6)):
+        return 1
+    threading = sys.modules.get("threading")
+    if threading is not None and threading.active_count() > 1:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return min(cpus, most)
+
+
+def _batch(task, replicates: int, workers: int) -> list:
+    """Run replicates 0..R-1 as ``workers`` contiguous ranges: the first
+    here, each other in a forked child. With one worker, or when no pipe
+    or process can be had, every replicate runs here as one range."""
+    bounds = [replicates * i // workers for i in range(workers + 1)]
+    children = []  # (pid, pipe's read end, first replicate) of unreaped children
+    try:
+        try:
+            for lo, hi in zip(bounds[1:-1], bounds[2:]):
+                children.append(_fork(task, lo, hi))
+        except OSError:  # a process or descriptor limit: forking only saves time
+            _kill(children)
+            bounds = [0, replicates]
+        out = [task(0, bounds[1])]
+        while children:
+            pid, pipe, lo = children[0]
+            data = pipe.read()
+            pipe.close()
+            _, status = os.waitpid(pid, 0)
+            children.pop(0)
+            if not data:
+                raise RuntimeError(
+                    f"the process running replicates from {lo} died (wait status {status})"
+                )
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            out.append(value)
+        return out
+    finally:
+        _kill(children)
+
+
+def _fork(task, lo: int, hi: int):
+    """Fork a child running ``task(lo, hi)``; return its pid, the read end
+    of its pipe and ``lo``. OSError if no pipe or process can be had."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid == 0:
+        os.close(read)
+        _child(task, lo, hi, write)
+    os.close(write)
+    return pid, open(read, "rb"), lo
+
+
+def _kill(children: list) -> None:
+    """Kill and reap the children still listed, and empty the list."""
+    for pid, pipe, _ in children:
+        pipe.close()
+        os.kill(pid, _SIGKILL)
+        os.waitpid(pid, 0)
+    children.clear()
+
+
+def _child(task, lo: int, hi: int, write: int):
+    """In a forked child: write ``(True, task(lo, hi))`` or ``(False,
+    error)`` to ``write`` pickled, and exit without returning to the
+    caller's code."""
+    try:
+        try:
+            result = (True, task(lo, hi))
+        except BaseException as exc:  # interrupts too: the parent raises it
+            result = (False, exc)
+        try:
+            data = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
+            if not result[0]:
+                pickle.loads(data)
+        except Exception:  # an error that does not survive pickling
+            err = result[1]
+            data = pickle.dumps((False, RuntimeError(f"{type(err).__name__}: {err}")))
+        with open(write, "wb") as fh:
+            fh.write(data)
+    finally:
+        os._exit(0)

@@ -310,6 +310,16 @@ def test_dominance_report_pinned():
     assert verdict.verdict == "violation-at-deciles[70,80,90]"
 
 
+@pytest.mark.parametrize("n", [2, 3, 10, 100, 137, 411, 997, 1000])
+def test_sorted_deciles_are_numpys_linear_quantiles(n):
+    # the reference: np.quantile's own partition and interpolation
+    rng = np.random.default_rng(n)
+    rows = np.sort(rng.exponential(1.0, (50, n)), axis=1)
+    rows[0] = 1.0  # ties: every order statistic equal
+    want = np.quantile(rows, analytics.DECILES, axis=1, method="linear").T
+    assert np.array_equal(analytics._sorted_deciles(rows), want)
+
+
 def test_dominance_rejects_small_samples():
     with pytest.raises(InvalidParameterError):
         dominance_report([1.0] * 50, [1.0] * 500)

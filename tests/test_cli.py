@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from agentspread import analytics, cli, dominators, engine, graphs, policies
+from agentspread import analytics, cli, dominators, engine, graphs, policies, rng
 from agentspread.cli import main
 
 
@@ -298,7 +298,7 @@ rate_per_agent = 0.5
 replicates = 193
 """,
     )
-    assert 193 * 256 >= 3 * engine._FORK_RANGE_WORK
+    assert 193 * 256 >= 3 * rng._FORK_RANGE_WORK
     forks = []
     fork = os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())

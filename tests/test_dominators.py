@@ -1,7 +1,11 @@
 """Two-phase process, conductance chain, and cluster-growth processes."""
 
 import dataclasses
+import gc
+import hashlib
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,16 +13,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from agentspread import analytics, graphs
+from agentspread import analytics, graphs, rng
 from agentspread.dominators import (
+    _PATH_POINTS,
     ClusterProcessConfig,
     chain_sojourn_mean,
     conductance_chain,
     run_cluster_process,
     sample_hitting_times,
+    sample_hits,
     two_phase_process,
 )
 from agentspread.errors import ConnectivityError, InvalidParameterError
+
+from forking import (
+    LIMITS,
+    OBSERVERS,
+    assert_no_child_left,
+    count_forks,
+    open_fds,
+    refuse,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +224,8 @@ def test_count_at_is_the_step_function_of_the_path():
     # step's, before the first step it is 0.
     cfg = ClusterProcessConfig(growth="line", target_count=60, seed=13)
     for tr in run_cluster_process(cfg, 5):
-        path = tr.total_count_path
-        times = [t for t, _ in path]
+        path = list(zip(tr.path_times, tr.path_counts))
+        times = tr.path_times
         probes = times + [(a + b) / 2 for a, b in zip(times, times[1:])] + [-1.0, times[-1] + 1]
         for t in probes:
             want = ([c for s, c in path if s <= t] or [0])[-1]
@@ -220,11 +235,11 @@ def test_count_at_is_the_step_function_of_the_path():
 def test_line_cluster_trace_invariants():
     cfg = ClusterProcessConfig(growth="line", target_count=500, seed=12)
     (tr,) = run_cluster_process(cfg)
-    counts = [c for _, c in tr.total_count_path]
+    counts = list(tr.path_counts)
     assert counts == sorted(counts)
     births = tr.cluster_birth_times
     assert births == sorted(births)
-    assert tr.hitting_time == tr.total_count_path[-1][0]
+    assert tr.hitting_time == tr.path_times[-1]
 
 
 def test_line_hitting_slope_half():
@@ -299,8 +314,10 @@ def cluster_configs(draw):
 @given(cluster_configs(), st.integers(0, 50))
 def test_cluster_trace_invariants_all_growths(cfg, replicate):
     for tr in run_cluster_process(cfg, replicate + 1):
-        path = tr.total_count_path
-        counts = [c for _, c in path]
+        # at most 300 points: the whole path, its counts a range
+        assert isinstance(tr.path_counts, range)
+        path = list(zip(tr.path_times, tr.path_counts))
+        counts = list(tr.path_counts)
         assert all(a <= b for a, b in zip(counts, counts[1:]))
         births = tr.cluster_birth_times
         assert births[0] == 0.0 and births == sorted(births)
@@ -319,6 +336,198 @@ def test_cluster_trace_invariants_all_growths(cfg, replicate):
         else:
             assert counts[-1] >= cfg.target_count
             assert tr.hitting_time == path[-1][0]
+
+
+def path_digest(tr):
+    """The first 16 hex digits of the sha256 of the repr of a trace's
+    (time, count) list."""
+    path = list(zip(tr.path_times, tr.path_counts))
+    return hashlib.sha256(repr(path).encode()).hexdigest()[:16]
+
+
+# config -> (points kept, hitting time, events, path digest) of runs 0 and
+# 1, recorded from the (time, count) tuples each path was before it became
+# two columns. Only the line run is short enough to keep its whole path.
+PINNED_PATHS = {
+    "line-cut": (
+        dict(growth="line", target_count=10**6, max_time=30.0, seed=31),
+        [(662, None, 684, "c2aa27fa589bd5ec"), (865, None, 888, "85ecccf8c7ab42ee")],
+    ),
+    "fpp-d1": (
+        dict(growth="fpp", dim=1, target_count=9000, seed=32),
+        [
+            (4096, 86.71793845937157, 8999, "b5b2e203f9f8cdba"),
+            (4096, 96.38828294010065, 8999, "a2f723896952145e"),
+        ],
+    ),
+    "fpp-d2": (
+        dict(growth="fpp", dim=2, target_count=9000, seed=33),
+        [
+            (4096, 11.443408007547001, 8999, "bed2a866f8e952a8"),
+            (4096, 12.680269662254661, 8999, "cbc470d27bfddef9"),
+        ],
+    ),
+    "fpp-d3": (
+        dict(growth="fpp", dim=3, target_count=9000, seed=34),
+        [
+            (4096, 3.5699128293589424, 8999, "a00837d7818cae70"),
+            (4096, 4.631805651361451, 8999, "7270701e1af7b69a"),
+        ],
+    ),
+    "diagonal-occupancy-3": (
+        dict(growth="diagonal", target_count=15000, occupancy=3, mu_eff=0.5, seed=35),
+        [
+            (4096, 7.04197973482705, 4999, "193260792bb9fdb9"),
+            (4096, 7.704622997996026, 4999, "4600174c05107e3a"),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_PATHS)
+def test_count_path_pinned(name):
+    kwargs, want = PINNED_PATHS[name]
+    traces = list(run_cluster_process(ClusterProcessConfig(**kwargs), 2))
+    got = [(len(tr.path_times), tr.hitting_time, tr.events, path_digest(tr)) for tr in traces]
+    assert got == want
+    for tr in traces:
+        assert len(tr.path_counts) == len(tr.path_times)
+        assert isinstance(tr.path_counts, range) == (name == "line-cut")
+
+
+@pytest.mark.parametrize("target,counts", [(_PATH_POINTS, range), (_PATH_POINTS + 1, list)])
+def test_path_counts_are_a_range_up_to_the_cap(target, counts):
+    # An fpp path has one point per site; one past the cap is cut down to
+    # the cap, its last point kept.
+    cfg = ClusterProcessConfig(growth="fpp", dim=2, target_count=target, seed=36)
+    (tr,) = run_cluster_process(cfg)
+    assert len(tr.path_times) == len(tr.path_counts) == _PATH_POINTS
+    assert type(tr.path_counts) is counts
+    assert (tr.path_times[-1], tr.path_counts[-1]) == (tr.hitting_time, target)
+    assert (tr.path_times[0], tr.path_counts[0]) == (0.0, 1)
+
+
+# Bytes a held fpp trace may cost per point of its count path, fixed before
+# the first run: a float and its list slot take 32 B, where the (time,
+# count) tuples the path was before took about 120 B.
+BYTES_PER_PATH_POINT = 48
+
+
+def test_held_traces_cost_at_most_48_bytes_per_path_point():
+    cfg = ClusterProcessConfig(growth="fpp", dim=2, target_count=4096, seed=37)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        traces = list(run_cluster_process(cfg, 20))
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    points = sum(len(tr.path_times) for tr in traces)
+    print(f"20 fpp traces (d=2, target 4096): {held / points:.1f} B per path point")
+    assert points == 20 * 4096
+    assert held <= BYTES_PER_PATH_POINT * points
+
+
+# ---------------------------------------------------------------------------
+# Forked hitting-time batches: the same values on any number of processes
+# ---------------------------------------------------------------------------
+
+LINE = ClusterProcessConfig(growth="line", target_count=200, seed=41)
+FPP = ClusterProcessConfig(growth="fpp", dim=2, target_count=100, seed=42)
+# A diagonal sweep of 3 sizes: a batch of 31 replicates per size
+SWEEP = analytics.ExperimentPlan(
+    sizes=(64, 128, 256), process="diagonal_grid_clusters", replicates=31, seed=43
+)
+
+
+def plan_rows():
+    rep = analytics.run_plan(SWEEP)
+    return rep.rows, rep.fit_raw
+
+
+# caller -> (its batch, the children it forks on 3 CPUs); 31 replicates
+# split unevenly into 3 ranges
+FORK_CALLERS = {
+    "line": (lambda: sample_hits(LINE, 31), 2),
+    "fpp": (lambda: sample_hits(FPP, 31), 2),
+    "plan": (plan_rows, 2 * len(SWEEP.sizes)),
+}
+
+
+@pytest.mark.parametrize("caller", FORK_CALLERS)
+def test_forked_hitting_times_equal_in_process(caller, monkeypatch):
+    batch, children = FORK_CALLERS[caller]
+    monkeypatch.setattr(rng, "_FORK_RANGE_WORK", 1)
+    forks = count_forks(monkeypatch, 3)
+    forked = batch()
+    assert len(forks) == children
+    assert_no_child_left()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert batch() == forked
+    assert len(forks) == children
+
+
+@pytest.mark.parametrize("cfg", [LINE, FPP], ids=["line", "fpp"])
+def test_hitting_times_are_the_traces_hitting_times(cfg):
+    times, events = sample_hits(cfg, 31)
+    traces = list(run_cluster_process(cfg, 31))
+    assert times == [tr.hitting_time for tr in traces] == sample_hitting_times(cfg, 31)
+    assert events == [tr.events for tr in traces]
+
+
+# growth -> a config whose max_time cuts runs 14, 15, 18 and 27 (line) or
+# 10, 12 and 23 (fpp) of 30: the first in the second of 3 ranges (10-19),
+# another in the third
+CUT_RUNS = {
+    "line": (dict(growth="line", target_count=200, max_time=16.5, seed=45), 14),
+    "fpp": (dict(growth="fpp", dim=2, target_count=100, max_time=3.2, seed=42), 10),
+}
+
+
+@pytest.mark.parametrize("growth", CUT_RUNS)
+def test_forked_hitting_times_raise_the_earliest_ranges_error(growth, monkeypatch):
+    kwargs, first_cut = CUT_RUNS[growth]
+    cfg = ClusterProcessConfig(**kwargs)
+    cut = [k for k, tr in enumerate(run_cluster_process(cfg, 30)) if tr.hitting_time is None]
+    assert cut[0] == first_cut and cut[-1] >= 20
+    monkeypatch.setattr(rng, "_FORK_RANGE_WORK", 1)
+    forks = count_forks(monkeypatch, 3)
+    with pytest.raises(InvalidParameterError, match=f"^cluster run {first_cut} hit max_time"):
+        sample_hitting_times(cfg, 30)
+    assert len(forks) == 2
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("caller", FORK_CALLERS)
+@pytest.mark.parametrize("around", OBSERVERS)
+def test_hitting_times_stay_in_process_when_observed_or_threaded(around, caller, monkeypatch):
+    batch, _ = FORK_CALLERS[caller]
+    monkeypatch.setattr(rng, "_FORK_RANGE_WORK", 1)
+    forks = count_forks(monkeypatch, 3)
+    got = []
+    around(lambda: got.append(batch()))
+    assert not forks
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert got == [batch()]
+
+
+@pytest.mark.parametrize("caller", FORK_CALLERS)
+@pytest.mark.parametrize("fails", LIMITS)
+def test_hitting_times_run_in_process_when_no_process_can_be_had(fails, caller, monkeypatch):
+    batch, children = FORK_CALLERS[caller]
+    monkeypatch.setattr(rng, "_FORK_RANGE_WORK", 1)
+    forks = count_forks(monkeypatch, 3)
+    refuse(monkeypatch, fails)
+    fds = open_fds()
+    got = batch()
+    # only the second fork fails on a limit to forks, every one to pipes
+    assert len(forks) == (children - 1 if fails == "second-fork" else 0)
+    assert_no_child_left()
+    assert open_fds() == fds
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert got == batch()
 
 
 # ---------------------------------------------------------------------------
@@ -343,8 +552,8 @@ def test_fpp_d1_single_cluster_is_poisson_pair():
 def test_fpp_counts_origin():
     cfg = ClusterProcessConfig(growth="fpp", dim=2, target_count=50, seed=16)
     (tr,) = run_cluster_process(cfg)
-    assert tr.total_count_path[0] == (0.0, 1)
-    counts = [c for _, c in tr.total_count_path]
+    assert (tr.path_times[0], tr.path_counts[0]) == (0.0, 1)
+    counts = list(tr.path_counts)
     assert counts == sorted(counts)
 
 
@@ -361,9 +570,9 @@ def test_diagonal_occupancy_counts_points():
         growth="diagonal", target_count=30, occupancy=5, seeding_rate=1e-6, seed=19
     )
     (tr,) = run_cluster_process(cfg)
-    assert tr.total_count_path[0] == (0.0, 5)
+    assert (tr.path_times[0], tr.path_counts[0]) == (0.0, 5)
     # 6 occupied sites reach 30 points
-    assert tr.total_count_path[-1][1] == 30
+    assert tr.path_counts[-1] == 30
     assert tr.events == 5
 
 

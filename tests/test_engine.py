@@ -1,11 +1,7 @@
 """Engine exactness, determinism, guards, and the coupling property."""
 
-import cProfile
-import errno
 import math
 import os
-import sys
-import threading
 
 import numpy as np
 import pytest
@@ -13,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from agentspread import engine, graphs, policies
+from agentspread import engine, graphs, policies, rng
 from agentspread.engine import EngineConfig, finish_times, mean_finish_time
 from agentspread.errors import (
     InvalidParameterError,
@@ -22,6 +18,14 @@ from agentspread.errors import (
 )
 from agentspread.rng import CH_ENGINE, substream
 
+from forking import (
+    LIMITS,
+    OBSERVERS,
+    assert_no_child_left,
+    count_forks,
+    open_fds,
+    refuse,
+)
 from oracles import (
     ctmc_expected_finish,
     draw_edge_times,
@@ -278,32 +282,10 @@ def test_run_summary_is_immutable():
 # ---------------------------------------------------------------------------
 
 
-def count_forks(monkeypatch, cpus):
-    """Let batches see ``cpus`` CPUs; return a list whose length counts
-    the children forked from here on."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    forks = []
-    fork = os.fork
-
-    def counting_fork():
-        pid = fork()
-        if pid:
-            forks.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counting_fork)
-    return forks
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 FORK_RING = graphs.gen_ring(256)
 # Just enough replicates on FORK_RING to fork on three processes, and not
 # a multiple of 3, so their ranges are uneven.
-FORK_REPLICATES = 3 * engine._FORK_RANGE_WORK // 256 + 1
+FORK_REPLICATES = 3 * rng._FORK_RANGE_WORK // 256 + 1
 
 
 @pytest.mark.parametrize("kind", BATCH_KINDS)
@@ -350,7 +332,7 @@ class RefusesReplicates(policies.RandomHomogeneous):
 )
 def test_forked_batch_raises_the_earliest_ranges_error(refused, raised, monkeypatch):
     # 30 replicates on three processes: ranges 0-9 (this one), 10-19, 20-29.
-    monkeypatch.setattr(engine, "_FORK_RANGE_WORK", 1)
+    monkeypatch.setattr(rng, "_FORK_RANGE_WORK", 1)
     forks = count_forks(monkeypatch, 3)
     g, cfg = graphs.gen_ring(16), EngineConfig(seed=3)
     if raised is None:
@@ -364,7 +346,7 @@ def test_forked_batch_raises_the_earliest_ranges_error(refused, raised, monkeypa
 
 
 def test_forked_batch_reports_a_dead_child(monkeypatch):
-    monkeypatch.setattr(engine, "_FORK_RANGE_WORK", 1)
+    monkeypatch.setattr(rng, "_FORK_RANGE_WORK", 1)
     forks = count_forks(monkeypatch, 3)
     with pytest.raises(RuntimeError, match="replicates from 20 died"):
         engine.simulate_batch(graphs.gen_ring(16), RefusesReplicates(dies_at=22),
@@ -383,7 +365,7 @@ def test_forked_batch_reports_an_error_pickle_cannot_send(monkeypatch):
                 raise LocalError("replicate 25 refused")
             super().reset(graph, state, replicate)
 
-    monkeypatch.setattr(engine, "_FORK_RANGE_WORK", 1)
+    monkeypatch.setattr(rng, "_FORK_RANGE_WORK", 1)
     count_forks(monkeypatch, 3)
     with pytest.raises(RuntimeError, match="^LocalError: replicate 25 refused$"):
         engine.simulate_batch(graphs.gen_ring(16), Raises(1.0), EngineConfig(seed=3), 30)
@@ -400,40 +382,11 @@ class CountsResets(policies.RandomHomogeneous):
         super().reset(graph, state, replicate)
 
 
-def profiled(run):
-    prof = cProfile.Profile()
-    prof.enable()
-    try:
-        run()
-    finally:
-        prof.disable()
-
-
-def traced(run):
-    sys.settrace(lambda frame, event, arg: None)
-    try:
-        run()
-    finally:
-        sys.settrace(None)
-
-
-def with_a_second_thread(run):
-    done = threading.Event()
-    other = threading.Thread(target=done.wait)
-    other.start()
-    try:
-        run()
-    finally:
-        done.set()
-        other.join(timeout=10)
-    assert not other.is_alive()
-
-
-@pytest.mark.parametrize("around", [profiled, traced, with_a_second_thread])
+@pytest.mark.parametrize("around", OBSERVERS)
 def test_batch_stays_in_process_when_observed_or_threaded(around, monkeypatch):
     # A profiler, a tracer or a policy wrapper in this process sees every
     # run; forking under a second thread is unsafe.
-    monkeypatch.setattr(engine, "_FORK_RANGE_WORK", 1)
+    monkeypatch.setattr(rng, "_FORK_RANGE_WORK", 1)
     forks = count_forks(monkeypatch, 3)
     policy = CountsResets()
     around(lambda: engine.simulate_batch(graphs.gen_ring(16), policy, EngineConfig(seed=3), 30))
@@ -449,40 +402,26 @@ def test_every_range_gets_the_measured_work(replicates, n, workers, monkeypatch)
     # However many CPUs there are, a forked range holds at least the
     # node-replicates that were measured to win back a fork.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
-    assert engine._workers(replicates, n) == workers
+    assert rng._workers(replicates, replicates * n) == workers
     if workers > 1:
-        assert replicates * n // workers >= engine._FORK_RANGE_WORK
+        assert replicates * n // workers >= rng._FORK_RANGE_WORK
 
 
-@pytest.mark.parametrize("fails", ["pipe", "first-fork", "second-fork"])
+@pytest.mark.parametrize("fails", LIMITS)
 def test_batch_runs_in_process_when_no_process_can_be_had(fails, monkeypatch):
     # A process or descriptor limit costs the batch its speed-up, not its
     # result: the children already forked are killed and every range runs
     # here.
-    monkeypatch.setattr(engine, "_FORK_RANGE_WORK", 1)
+    monkeypatch.setattr(rng, "_FORK_RANGE_WORK", 1)
     forks = count_forks(monkeypatch, 3)
-    fork, calls = os.fork, []
-
-    def limited_fork():
-        calls.append(1)
-        if fails == "first-fork" or len(calls) == 2:
-            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
-        return fork()
-
-    def no_pipe():
-        raise OSError(errno.EMFILE, "Too many open files")
-
-    monkeypatch.setattr(os, "fork", limited_fork)
-    if fails == "pipe":
-        monkeypatch.setattr(os, "pipe", no_pipe)
+    refuse(monkeypatch, fails)
     g, cfg = graphs.gen_ring(16), EngineConfig(seed=3)
-    fds = len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+    fds = open_fds()
     policy = CountsResets()
     got = engine.simulate_batch(g, policy, cfg, 30)
     assert len(forks) == (fails == "second-fork")
     assert_no_child_left()
-    if fds is not None:
-        assert len(os.listdir("/proc/self/fd")) == fds
+    assert open_fds() == fds
     assert policy.resets == 30
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     assert got == engine.simulate_batch(g, CountsResets(), cfg, 30)
