@@ -471,17 +471,16 @@ def _cmd_fpp(args) -> int:
     replicates = kw.pop("replicates", 100)
     ccfg = dominators.ClusterProcessConfig(seed=args.seed, **kw)
     try:
-        traces = dominators.run_cluster_process(ccfg, replicates)
+        times, events = dominators.sample_hits(ccfg, replicates)
     except InvalidParameterError as e:
         raise ConfigError(f"[clusters] {e}") from e
     outdir = _ensure_outdir(args.out)
     with open(os.path.join(outdir, "hitting.csv"), "w") as fh:
         fh.write("replicate,hitting_time,events\n")
-        for k, trace in enumerate(traces):
-            ht = "" if trace.hitting_time is None else f"{trace.hitting_time:.17g}"
-            fh.write(f"{k},{ht},{trace.events}\n")
-            if k == 0:
-                dominators.write_cluster_csv(trace, os.path.join(outdir, "path0.csv"))
+        for k, (ht, ev) in enumerate(zip(times, events)):
+            fh.write(f"{k},{'' if ht is None else f'{ht:.17g}'},{ev}\n")
+    (trace,) = dominators.run_cluster_process(ccfg, 1)
+    dominators.write_cluster_csv(trace, os.path.join(outdir, "path0.csv"))
     _echo(cfg, args, outdir)
     print(f"{ccfg.growth} clusters: {replicates} runs -> {outdir}/hitting.csv")
     return EXIT_OK

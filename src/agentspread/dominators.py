@@ -15,17 +15,17 @@ on an exclusive infinite lattice, and a diagonal-grid tile process. The
 processes run without the engine or the policies;
 ``analytics.dominance_check`` pairs each with the policy it bounds.
 
-Each process takes a replicate count R and runs replicates 0..R-1 on
-the ``CH_PROCESS`` streams of ``rng.replicate_streams``, read through the
+Each process takes a replicate count R and runs replicates 0..R-1 on the
+``CH_PROCESS`` streams of ``rng.replicate_streams``, read through the
 sampler pair of ``rng.samplers``. ``run_cluster_process`` yields whole
 traces one at a time and in-process: a batch of long runs would not fit
 in memory. A trace keeps its count path as two columns, the times of the
 count's changes and a ``range`` of counts, since every change adds the
-same number of points. ``sample_hits`` and ``sample_hitting_times`` keep
-only each run's hitting time and event count, and run contiguous ranges
-of replicates on every CPU through ``rng.fork_ranges``, their work told
-as ``replicates * target_count`` points; their values are the same on
-any number of CPUs.
+same number of points. Every other batch (``two_phase_process``,
+``conductance_chain``, and ``sample_hits``, which keeps only each run's
+hitting time and event count) runs contiguous ranges of its replicates
+on every CPU through ``rng.run_batch``, with the same values on any
+number of CPUs.
 
 A lattice cluster keeps its sites in a hash set and its boundary edges
 in a swap-remove list, so there is no truncation boundary and a growth
@@ -42,15 +42,7 @@ from typing import Iterator, NamedTuple
 
 from .errors import InvalidParameterError, integral, positive
 from .graphs import Graph, Partition, bfs_tree
-from .rng import (
-    CH_PROCESS,
-    BufferedSampler,
-    fork_ranges,
-    replicate_count,
-    replicate_streams,
-    samplers,
-    substream,
-)
+from .rng import CH_PROCESS, BufferedSampler, replicate_streams, run_batch, samplers, substream
 
 # Most points a trace keeps of its count path: a longer path is cut down to
 # this many, evenly spread, and its counts become a list.
@@ -95,43 +87,48 @@ def two_phase_process(
     piece's ``graphs.bfs_tree`` from its seed, one Exp(beta) per tree edge
     drawn in discovery order, never across pieces, and ends when the
     slowest piece fills; a piece its seed cannot reach whole raises
-    ConnectivityError. Sequential seeds do not vary, so that mode builds
-    its trees once per batch.
+    ConnectivityError. The pieces must cover the graph's nodes, each once
+    (``Partition.piece_of``). Sequential seeds do not vary, so that mode
+    builds its trees once per batch.
     """
     if mode not in ("homogeneous", "sequential"):
         raise InvalidParameterError(f"unknown two-phase mode {mode!r}")
     positive("L", L)
     positive("beta", beta)
     n = g.n
+    partition.piece_of(n)
     pieces = partition.pieces
-    streams = replicate_streams(seed, CH_PROCESS, replicates)
     fixed_trees = None
     if mode == "sequential":  # every piece is rooted at piece[0] in every run
         fixed_trees = [bfs_tree(g, piece, piece[0]).parent for piece in pieces]
-    out = []
-    for rng in streams:
-        exp, uni = samplers(rng)
-        seeds = []
-        t1 = 0.0
-        if mode == "homogeneous":
-            for piece in pieces:
-                rate = L * len(piece) / n
-                t1 = max(t1, exp.draw() / rate)
-                seeds.append(piece[int(uni.draw() * len(piece))])
-        else:
-            for piece in pieces:
-                t1 += exp.draw() / L
-                seeds.append(piece[0])
 
-        t2 = 0.0
-        trees = fixed_trees or (bfs_tree(g, p, root).parent for p, root in zip(pieces, seeds))
-        for root, parent in zip(seeds, trees):
-            arrival = {root: 0.0}
-            for v, u in parent.items():  # discovery order
-                arrival[v] = arrival[u] + exp.draw() / beta
-            t2 = max(t2, max(arrival.values()))
-        out.append(TwoPhaseTrace(phase1=t1, phase2=t2, piece_seeds=tuple(seeds)))
-    return out
+    def run(streams, first: int) -> list[TwoPhaseTrace]:
+        out = []
+        for rng in streams:
+            exp, uni = samplers(rng)
+            seeds = []
+            t1 = 0.0
+            if mode == "homogeneous":
+                for piece in pieces:
+                    rate = L * len(piece) / n
+                    t1 = max(t1, exp.draw() / rate)
+                    seeds.append(piece[int(uni.draw() * len(piece))])
+            else:
+                for piece in pieces:
+                    t1 += exp.draw() / L
+                    seeds.append(piece[0])
+
+            t2 = 0.0
+            trees = fixed_trees or (bfs_tree(g, p, root).parent for p, root in zip(pieces, seeds))
+            for root, parent in zip(seeds, trees):
+                arrival = {root: 0.0}
+                for v, u in parent.items():  # discovery order
+                    arrival[v] = arrival[u] + exp.draw() / beta
+                t2 = max(t2, max(arrival.values()))
+            out.append(TwoPhaseTrace(phase1=t1, phase2=t2, piece_seeds=tuple(seeds)))
+        return out
+
+    return run_batch(run, seed, CH_PROCESS, replicates, n)
 
 
 # ---------------------------------------------------------------------------
@@ -153,10 +150,17 @@ def conductance_chain(piece_size: int, psi: float, seed: int, replicates: int = 
     """Absorption times of the conductance-driven birth chain from 1 to
     size, one per replicate: one Exp(1) per step, drawn in step order."""
     rates = _chain_rates(piece_size, psi)
-    return [
-        sum(e / rate for e, rate in zip(rng.standard_exponential(len(rates)).tolist(), rates))
-        for rng in replicate_streams(seed, CH_PROCESS, replicates)
-    ]
+
+    def run(streams, first: int) -> list[float]:
+        return [
+            sum(e / rate for e, rate in zip(rng.standard_exponential(len(rates)).tolist(), rates))
+            for rng in streams
+        ]
+
+    # Cost 16 + steps / 8, measured on 2 CPUs: forking paid off at 2048
+    # replicates of 3 steps (13.5 ms in-process, 12.5 forked), 1024 of 64
+    # (13.7, 12.1) and 256 of 1024 (31.9, 22.4), not at 128 of 1024 (15.4, 21.6).
+    return run_batch(run, seed, CH_PROCESS, replicates, 16 + len(rates) // 8)
 
 
 def chain_sojourn_mean(piece_size: int, psi: float) -> float:
@@ -401,31 +405,29 @@ def fpp_clusters(cfg: ClusterProcessConfig, replicate: int = 0) -> ClusterTrace:
     return _cluster_run(cfg, substream(cfg.seed, replicate, CH_PROCESS))
 
 
-def sample_hits(cfg: ClusterProcessConfig, replicates: int) -> tuple[list[float], list[int]]:
+def sample_hits(
+    cfg: ClusterProcessConfig, replicates: int
+) -> tuple[list[float | None], list[int]]:
     """Hitting times and event counts of runs 0..R-1 of
-    ``run_cluster_process``, run as contiguous ranges on every CPU by
-    ``rng.fork_ranges``; a run that ``max_time`` cut off is refused."""
-    replicates = replicate_count(replicates)
+    ``run_cluster_process`` (time None for a run ``max_time`` cut off),
+    run as contiguous ranges on every CPU by ``rng.run_batch``."""
 
-    def run_range(lo: int, hi: int) -> tuple[list[float], list[int]]:
-        times, events = [], []
-        for k, rng in enumerate(replicate_streams(cfg.seed, CH_PROCESS, hi, lo), lo):
-            trace = _cluster_run(cfg, rng)
-            if trace.hitting_time is None:
-                raise InvalidParameterError(
-                    f"cluster run {k} hit max_time before the target count"
-                )
-            times.append(trace.hitting_time)
-            events.append(trace.events)
-        return times, events
+    def run(streams, first: int) -> list[tuple[float | None, int]]:
+        return [(tr.hitting_time, tr.events) for tr in (_cluster_run(cfg, rng) for rng in streams)]
 
-    ranges = fork_ranges(run_range, replicates, replicates * cfg.target_count)
-    return [t for times, _ in ranges for t in times], [e for _, events in ranges for e in events]
+    hits = run_batch(run, cfg.seed, CH_PROCESS, replicates, cfg.target_count)
+    return [t for t, _ in hits], [e for _, e in hits]
 
 
 def sample_hitting_times(cfg: ClusterProcessConfig, replicates: int) -> list[float]:
-    """The hitting times of ``sample_hits``."""
-    return sample_hits(cfg, replicates)[0]
+    """The hitting times of ``sample_hits``; a run that ``max_time`` cut
+    off is refused, the earliest one named."""
+    times = sample_hits(cfg, replicates)[0]
+    if None in times:
+        raise InvalidParameterError(
+            f"cluster run {times.index(None)} hit max_time before the target count"
+        )
+    return times
 
 
 def write_cluster_csv(trace: ClusterTrace, path: str) -> None:

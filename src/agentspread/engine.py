@@ -28,27 +28,24 @@ included, stops with ``NonTerminationError``.
 
 ``simulate`` and ``simulate_batch`` are one batch loop, ``_run``, over a
 sequence of streams: ``simulate`` is its one-run case, which keeps the
-events, and ``simulate_batch`` runs replicates 0..R-1 on the streams of
-``rng.replicate_streams``. What does not change between runs is done
-once per batch: the range check of ``initial_infected``, the horizon and
-the event budget, and binding the graph's adjacency and the policy's
-hooks. Each run gets its own samplers from ``rng.samplers``, a fresh
-``InfectionState`` and a ``policy.reset``.
+events, and ``simulate_batch`` runs replicates 0..R-1 on every CPU
+through ``rng.run_batch``, a replicate's cost told as its n nodes. What
+does not change between runs is done once per batch: the range check of
+``initial_infected``, the horizon and the event budget, and binding the
+graph's adjacency and the policy's hooks. Each run gets its own samplers
+from ``rng.samplers``, a fresh ``InfectionState`` and a ``policy.reset``.
 
-``simulate_batch`` runs contiguous ranges of its replicates on every
-CPU through ``rng.fork_ranges``, which it tells a batch's work as
-``replicates * n`` node-replicates. Each range takes its streams from
-``rng.replicate_streams``, so the summaries are bit-identical to an
-in-process batch on any number of CPUs, and a failing batch raises the
-error an in-process batch raises. Forked or not, the state a policy
-handle is left in after a batch is unspecified: ``reset`` is what
-readies it for its next run.
+A forked batch's summaries are bit-identical to an in-process batch's,
+and a failing batch raises the error an in-process batch raises. Forked
+or not, the state a policy handle is left in after a batch is
+unspecified: ``reset`` is what readies it for its next run.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from heapq import heappop, heappush
 
 from .errors import (
@@ -59,15 +56,7 @@ from .errors import (
     positive,
 )
 from .graphs import Graph
-from .rng import (
-    CH_ENGINE,
-    MAX_REPLICATES,
-    fork_ranges,
-    replicate_count,
-    replicate_streams,
-    samplers,
-    substream,
-)
+from .rng import CH_ENGINE, MAX_REPLICATES, run_batch, samplers, substream
 
 _ENVELOPE_SLACK = 1e-9
 
@@ -290,12 +279,7 @@ def simulate_batch(
     output is deterministic and ordered by replicate index, whether the
     batch runs in-process or forks (see the module docstring).
     """
-    replicates = replicate_count(replicates)
-
-    def run_range(lo: int, hi: int) -> list[RunSummary]:
-        return _run(g, policy, cfg, replicate_streams(cfg.seed, CH_ENGINE, hi, lo), lo)
-
-    return [s for part in fork_ranges(run_range, replicates, replicates * g.n) for s in part]
+    return run_batch(partial(_run, g, policy, cfg), cfg.seed, CH_ENGINE, replicates, g.n)
 
 
 def finish_times(summaries: list[RunSummary]) -> list[float]:

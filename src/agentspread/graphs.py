@@ -94,11 +94,18 @@ class Partition:
         return len(self.pieces)
 
     def piece_of(self, n: int) -> list[int]:
-        """Node-to-piece index lookup table."""
+        """Node-to-piece index lookup table of nodes 0..n-1; raises
+        InvalidParameterError unless the pieces cover each of them once."""
         out = [-1] * n
         for i, piece in enumerate(self.pieces):
             for v in piece:
+                if not 0 <= v < n:
+                    raise InvalidParameterError(f"piece {i} holds node {v}, outside 0..{n - 1}")
+                if out[v] >= 0:
+                    raise InvalidParameterError(f"node {v} is in pieces {out[v]} and {i}")
                 out[v] = i
+        if -1 in out:
+            raise InvalidParameterError(f"node {out.index(-1)} is in no piece")
         return out
 
 

@@ -21,13 +21,13 @@ The uniform sampler fills its first block lazily, at the place in the
 stream an eager one would, so a run that draws no uniform skips that
 fill and every value stays the same.
 
-``fork_ranges`` is the one runner of replicate batches on every CPU: the
-engine's batches and the cluster processes' hitting-time batches give it
-a function over a contiguous range of replicates and an estimate of the
-batch's work, and it forks a child per range where that pays. A range
-whose function takes its streams from ``replicate_streams`` gives the
-same values forked or not. The runner needs only ``os``, ``sys`` and
-``pickle``, which numpy has already loaded.
+``run_batch`` is the one runner of replicate batches on every CPU: each
+batch gives it a function over the streams of a contiguous range of
+replicates and one replicate's estimated cost, and it forks a child per
+range where that pays. Each range gets its streams from
+``replicate_streams``, so a batch gives the same values forked or not.
+The runner needs only ``os``, ``sys`` and ``pickle``, which numpy has
+already loaded.
 """
 
 from __future__ import annotations
@@ -198,21 +198,24 @@ def samplers(rng: np.random.Generator) -> tuple[BufferedSampler, BufferedSampler
 
 # Fewest units of work a forked batch gives each of its processes: a fork
 # and its collection cost a few ms, which a shorter range does not win
-# back. An engine batch counts node-replicates (replicates * n), a cluster
-# batch the points its runs grow to (replicates * target_count), and both
-# were measured to pay off from 2^14 per range on 2 CPUs. Ring 256 x 128
-# (2^15, two ranges of 2^14) took 89.5 ms in-process and 50.1 ms forked,
-# and ring 256 x 64 (2^14) 31.9 against 36.1. Line clusters, the cheapest
-# growth per point, took 21.1 ms in-process and 14.4 ms forked at target
-# 1024 x 32 replicates (2^15), and 8.5 against 9.4 at 512 x 32 (2^14).
+# back. A batch's work is its replicates times each one's cost: n nodes for
+# an engine or a two-phase run, the points a cluster run grows to
+# (target_count); a chain counts its own. Each was measured to pay off from
+# 2^14 per range on 2 CPUs. Ring 256 x 128 (2^15, two ranges of 2^14) took
+# 89.5 ms in-process and 50.1 ms forked, and ring 256 x 64 (2^14) 31.9
+# against 36.1; its sequential two-phase batch, the cheapest per node, 19.0
+# against 15.1. Line clusters, the cheapest growth per point, took 21.1 ms
+# in-process and 14.4 ms forked at target 1024 x 32 replicates (2^15), and
+# 8.5 against 9.4 at 512 x 32 (2^14).
 _FORK_RANGE_WORK = 1 << 14
 _SIGKILL = 9  # POSIX, where os.fork exists
 
 
-def fork_ranges(task, replicates: int, work: int) -> list:
-    """The results of ``task(lo, hi)`` over contiguous ranges lo..hi-1 of
-    replicates 0..R-1, in range order; ``work`` estimates the batch's cost
-    in the units of ``_FORK_RANGE_WORK``.
+def run_batch(run, seed: int, channel: int, replicates, cost: int) -> list:
+    """``run(replicate_streams(seed, channel, hi, lo), lo)``, a list of one
+    result per replicate, over contiguous ranges lo..hi-1 of replicates
+    0..R-1 (``replicate_count`` checks R), concatenated in replicate order;
+    ``cost`` is one replicate's work in the units of ``_FORK_RANGE_WORK``.
 
     The batch runs on W processes: the CPUs the process may use
     (``os.sched_getaffinity``, else ``os.cpu_count``), lowered until each
@@ -220,15 +223,19 @@ def fork_ranges(task, replicates: int, work: int) -> list:
     replicate. It forks only when W >= 2, ``os.fork`` exists, no profiler
     or tracer is attached and only one Python thread runs; it then runs
     the first range here and each other in a forked child, which sends
-    back its result, or its error, pickled through a pipe. When ranges
+    back its results, or its error, pickled through a pipe. When ranges
     fail, the earliest one's error is raised, the error an in-process
     batch raises first. If no pipe or process can be had (a process or
     descriptor limit), the children already forked are killed and the
-    whole batch runs here as one range. No child outlives the call. A task
-    that takes its streams from ``replicate_streams(seed, channel, hi,
-    lo)`` returns the same values on any number of CPUs.
+    whole batch runs here as one range. No child outlives the call, and
+    the results are the same on any number of CPUs.
     """
-    return _batch(task, replicates, _workers(replicates, work))
+    replicates = replicate_count(replicates)
+
+    def task(lo: int, hi: int) -> list:
+        return run(replicate_streams(seed, channel, hi, lo), lo)
+
+    return _batch(task, replicates, _workers(replicates, replicates * cost))
 
 
 def _workers(replicates: int, work: int) -> int:
@@ -254,9 +261,9 @@ def _workers(replicates: int, work: int) -> int:
 
 
 def _batch(task, replicates: int, workers: int) -> list:
-    """Run replicates 0..R-1 as ``workers`` contiguous ranges: the first
-    here, each other in a forked child. With one worker, or when no pipe
-    or process can be had, every replicate runs here as one range."""
+    """The lists ``task(lo, hi)`` returns for ``workers`` contiguous ranges
+    of 0..R-1, concatenated: the first run here, each other in a forked
+    child; with one worker, or no pipe or process, all here as one range."""
     bounds = [replicates * i // workers for i in range(workers + 1)]
     children = []  # (pid, pipe's read end, first replicate) of unreaped children
     try:
@@ -266,7 +273,7 @@ def _batch(task, replicates: int, workers: int) -> list:
         except OSError:  # a process or descriptor limit: forking only saves time
             _kill(children)
             bounds = [0, replicates]
-        out = [task(0, bounds[1])]
+        out = task(0, bounds[1])
         while children:
             pid, pipe, lo = children[0]
             data = pipe.read()
@@ -280,7 +287,7 @@ def _batch(task, replicates: int, workers: int) -> list:
             ok, value = pickle.loads(data)
             if not ok:
                 raise value
-            out.append(value)
+            out.extend(value)
         return out
     finally:
         _kill(children)

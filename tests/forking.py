@@ -1,4 +1,4 @@
-"""Helpers for the tests of forked replicate batches (``rng.fork_ranges``):
+"""Helpers for the tests of forked replicate batches (``rng.run_batch``):
 how many CPUs a batch sees, how many children it forks, whether it left
 one behind, and the observers and limits that keep it in-process."""
 

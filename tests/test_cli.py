@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour: artifacts, determinism, exit codes."""
 
+import functools
 import inspect
 import json
 import math
@@ -487,6 +488,36 @@ replicates = 5
     assert lines[0] == "replicate,hitting_time,events"
     assert len(lines) == 6
     assert (out / "path0.csv").read_text().startswith("t,N")
+
+
+def test_fpp_writes_a_cut_run_with_an_empty_hitting_time(tmp_path, monkeypatch):
+    # No config key sets a cutoff, but a run it cuts off is written with an
+    # empty hitting time; the batch forks, path0.csv is run 0's whole path.
+    monkeypatch.setattr(
+        dominators,
+        "ClusterProcessConfig",
+        functools.partial(dominators.ClusterProcessConfig, max_time=16.5),
+    )
+    monkeypatch.setattr(rng, "_FORK_RANGE_WORK", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    cfg = _write(tmp_path / "f.cfg", "[clusters]\ngrowth = line\ntarget = 200\nreplicates = 30\n")
+    out = tmp_path / "o"
+    assert main(["fpp", "--config", cfg, "--seed", "45", "--out", str(out)]) == 0
+    assert len(forks) == 2
+    traces = list(
+        dominators.run_cluster_process(dominators.ClusterProcessConfig("line", 200, seed=45), 30)
+    )
+    assert [k for k, tr in enumerate(traces) if tr.hitting_time is None] == [14, 15, 18, 27]
+    rows = ["replicate,hitting_time,events"] + [
+        f"{k},{'' if tr.hitting_time is None else format(tr.hitting_time, '.17g')},{tr.events}"
+        for k, tr in enumerate(traces)
+    ]
+    assert (out / "hitting.csv").read_text().splitlines() == rows
+    dominators.write_cluster_csv(traces[0], str(tmp_path / "path0.csv"))
+    assert (out / "path0.csv").read_text() == (tmp_path / "path0.csv").read_text()
 
 
 @pytest.mark.parametrize("replicates", [0, -3])

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from agentspread import analytics, graphs, rng
+from agentspread import analytics, graphs, policies, rng
 from agentspread.dominators import (
     _PATH_POINTS,
     ClusterProcessConfig,
@@ -119,6 +119,58 @@ def test_two_phase_rejects_disconnected_piece():
     with pytest.raises(ConnectivityError) as err:
         two_phase_process(g, part, 1.0, "sequential", seed=1)
     assert err.value.unreachable == 2
+
+
+def ring25_partition(change):
+    """The canonical partition of ring 25, with ``change`` applied to its
+    list of pieces; the piece sizes are kept."""
+    part = graphs.partition_ring(graphs.gen_ring(25))
+    pieces = list(part.pieces)
+    change(pieces)
+    return dataclasses.replace(part, pieces=tuple(pieces))
+
+
+def overlap(pieces):  # piece 0's last node replaces piece 1's first
+    pieces[1] = pieces[0][-1:] + pieces[1][1:]
+
+
+def outside(pieces):  # node 25 replaces the last node
+    pieces[-1] = pieces[-1][:-1] + (25,)
+
+
+# case -> (a partition of ring 25 that is not a cover, the error it gets)
+NOT_A_COVER = {
+    "short": (lambda: graphs.partition_ring(graphs.gen_ring(16)), "node 16 is in no piece"),
+    "overlap": (lambda: ring25_partition(overlap), r"node \d+ is in pieces 0 and 1"),
+    "outside": (lambda: ring25_partition(outside), "holds node 25, outside 0..24"),
+}
+
+
+@pytest.mark.parametrize("mode", ["homogeneous", "sequential"])
+@pytest.mark.parametrize("case", NOT_A_COVER)
+def test_two_phase_refuses_a_partition_that_is_not_a_cover(case, mode):
+    part, message = NOT_A_COVER[case]
+    with pytest.raises(InvalidParameterError, match=message):
+        two_phase_process(graphs.gen_ring(25), part(), 1.0, mode, 1, 2)
+
+
+def test_dominance_check_refuses_a_partition_of_a_smaller_graph():
+    # Nodes 16-24 are in no piece of a ring 16 partition: an upper process
+    # on it would never infect them, and its verdict would say nothing.
+    g = graphs.gen_ring(25)
+    part, message = NOT_A_COVER["short"]
+    with pytest.raises(InvalidParameterError, match=message):
+        analytics.dominance_check(g, "homogeneous", 1.0, 200, 1, partition=part())
+
+
+@pytest.mark.parametrize("case", ["overlap", "outside"])
+def test_gsi_refuses_a_partition_that_is_not_a_cover(case):
+    # The piece sizes add up to n = 25: only the cover check tells these
+    # pieces from a partition of ring 25.
+    part, message = NOT_A_COVER[case]
+    assert sum(part().piece_sizes) == 25
+    with pytest.raises(InvalidParameterError, match=message):
+        policies.GsiPolicy(part(), 1.0)
 
 
 @pytest.mark.parametrize("beta", [0.0, -1.0])
@@ -431,7 +483,8 @@ def test_held_traces_cost_at_most_48_bytes_per_path_point():
 
 
 # ---------------------------------------------------------------------------
-# Forked hitting-time batches: the same values on any number of processes
+# Forked batches of the bounding processes: the same values on any number
+# of processes
 # ---------------------------------------------------------------------------
 
 LINE = ClusterProcessConfig(growth="line", target_count=200, seed=41)
@@ -447,12 +500,20 @@ def plan_rows():
     return rep.rows, rep.fit_raw
 
 
+def two_phase(mode):
+    g = graphs.gen_ring(60)
+    return lambda: two_phase_process(g, graphs.partition_ring(g), 1.0, mode, 44, 31)
+
+
 # caller -> (its batch, the children it forks on 3 CPUs); 31 replicates
 # split unevenly into 3 ranges
 FORK_CALLERS = {
     "line": (lambda: sample_hits(LINE, 31), 2),
     "fpp": (lambda: sample_hits(FPP, 31), 2),
     "plan": (plan_rows, 2 * len(SWEEP.sizes)),
+    "two_phase-homogeneous": (two_phase("homogeneous"), 2),
+    "two_phase-sequential": (two_phase("sequential"), 2),
+    "chain": (lambda: conductance_chain(40, 0.5, 44, 31), 2),
 }
 
 
@@ -484,6 +545,17 @@ CUT_RUNS = {
     "line": (dict(growth="line", target_count=200, max_time=16.5, seed=45), 14),
     "fpp": (dict(growth="fpp", dim=2, target_count=100, max_time=3.2, seed=42), 10),
 }
+
+
+@pytest.mark.parametrize("growth", CUT_RUNS)
+def test_sample_hits_reports_a_cut_run_as_none(growth):
+    kwargs, _ = CUT_RUNS[growth]
+    cfg = ClusterProcessConfig(**kwargs)
+    times, events = sample_hits(cfg, 30)
+    traces = list(run_cluster_process(cfg, 30))
+    assert None in times
+    assert times == [tr.hitting_time for tr in traces]
+    assert events == [tr.events for tr in traces]
 
 
 @pytest.mark.parametrize("growth", CUT_RUNS)
@@ -528,6 +600,26 @@ def test_hitting_times_run_in_process_when_no_process_can_be_had(fails, caller, 
     assert open_fds() == fds
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     assert got == batch()
+
+
+def test_forked_two_phase_raises_the_unreachable_node(monkeypatch):
+    # Piece {0, 1, 2} of the broken ring is disconnected from every seed a
+    # homogeneous run draws, so every range fails, and the batch raises
+    # replicate 0's error.
+    g = dataclasses.replace(graphs.gen_custom(9, BROKEN_RING_EDGES), family="ring")
+    part = graphs.partition_ring(g)
+    monkeypatch.setattr(rng, "_FORK_RANGE_WORK", 1)
+    forks = count_forks(monkeypatch, 3)
+    with pytest.raises(ConnectivityError) as forked:
+        two_phase_process(g, part, 1.0, "homogeneous", seed=1, replicates=31)
+    assert len(forks) == 2
+    assert_no_child_left()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    with pytest.raises(ConnectivityError) as in_process:
+        two_phase_process(g, part, 1.0, "homogeneous", seed=1, replicates=31)
+    assert forked.value.unreachable in (0, 2)
+    assert forked.value.unreachable == in_process.value.unreachable
+    assert str(forked.value) == str(in_process.value)
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,18 @@ def test_one_event_loop():
     assert len(popping) == 1, popping
 
 
+def test_one_fork_runner():
+    # rng.run_batch runs every forked batch: no other module forks, opens a
+    # pipe or checks a replicate count of its own.
+    callers = {}
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                callers.setdefault(name, set()).add(path.stem)
+    assert callers["fork"] == callers["pipe"] == callers["replicate_count"] == {"rng"}
+
+
 def test_dominators_imports_only_the_substrate():
     assert _import_graph()["dominators"] == {"errors", "graphs", "rng"}
 
