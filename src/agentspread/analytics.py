@@ -3,9 +3,9 @@
 An experiment plan sweeps one process (engine simulation or a cluster
 process) over a list of sizes, summarizes finish times per size, and fits
 the log-log growth exponent. Upper bounds for randomized spreading carry
-a log n factor while lower bounds do not, so the exponent is fitted both
-on raw means and on means divided by log n, and both slopes are reported;
-the plan's ``log_correction`` selects which one is primary. The ln n
+a log n factor while lower bounds do not, so one table, ``fits``, holds
+the exponent fitted under each ``log_correction`` (raw means, and means
+divided by ln n); the plan's ``log_correction`` selects ``fit``. The ln n
 divisor matches the two-phase upper bound's log factor, not the law of
 the mean under random spreading on a d-dimensional lattice, which by
 space-time coverage is (n ln n)^(1/(d+1)); dividing by ln n therefore
@@ -45,7 +45,7 @@ from .engine import EngineConfig, finish_times, simulate_batch
 from .errors import InvalidParameterError, integral
 from .graphs import Graph, Partition, canonical_partition, make_graph
 from .policies import PolicySpec, build_policy
-from .rng import CH_BOOTSTRAP, CH_DERIVE, stream, substream
+from .rng import CH_BOOTSTRAP, CH_DERIVE, substream
 
 DECILES = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 
@@ -68,7 +68,7 @@ _P_PROCESS = 2
 
 def derive_seed(master: int, tag: int) -> int:
     """64-bit sub-seed that is a pure function of (master, tag)."""
-    return int(stream(master, (tag << 3) | CH_DERIVE).integers(1 << 63))
+    return int(substream(master, tag, CH_DERIVE).integers(1 << 63))
 
 
 # ---------------------------------------------------------------------------
@@ -245,9 +245,7 @@ class SweepRow:
 @dataclass
 class ScalingReport:
     rows: list[SweepRow]
-    fit_raw: ExponentFit | None
-    fit_corrected: ExponentFit | None
-    fit: ExponentFit | None  # the one the plan's log_correction selects
+    fits: dict[str, ExponentFit | None]  # log_correction -> its fit, None below 3 rows
     log_correction: str
     master_seed: int
     incomplete: bool
@@ -255,18 +253,15 @@ class ScalingReport:
     plan_echo: dict
 
     @property
+    def fit(self) -> ExponentFit | None:  # the one the plan's log_correction selects
+        return self.fits[self.log_correction]
+
+    @property
     def exponent(self) -> float:
         f = self.fit
         if f is None:
             raise InvalidParameterError("report has no fit (fewer than 3 rows)")
         return f.slope
-
-    @property
-    def exponent_ci(self) -> tuple[float, float]:
-        f = self.fit
-        if f is None:
-            raise InvalidParameterError("report has no fit (fewer than 3 rows)")
-        return (f.ci_low, f.ci_high)
 
 
 def build_graph(plan: ExperimentPlan, n: int) -> Graph:
@@ -365,9 +360,7 @@ def run_plan(plan: ExperimentPlan) -> ScalingReport:
     echo["policy"].pop("partition", None)
     report = ScalingReport(
         rows=rows,
-        fit_raw=fits["none"],
-        fit_corrected=fits["divide_by_log_n"],
-        fit=fits[plan.log_correction],
+        fits=fits,
         log_correction=plan.log_correction,
         master_seed=plan.seed,
         incomplete=incomplete,
@@ -510,12 +503,16 @@ def dominance_check(
     """Matched batches of a policy and the process that bounds it, for one
     ``sim dominate`` mode: ``homogeneous``, ``sequential`` (two-phase upper
     bounds, on ``partition``, by default the canonical one) or
-    ``line_vs_adversary`` (line clusters below the greedy adversary).
-    Returns the pairing's label ``a <=st b`` and the decile verdict.
+    ``line_vs_adversary`` (line clusters below the greedy adversary, on
+    rings and lines only). Returns the label ``a <=st b`` and the verdict.
     """
     pairing = _DOMINANCE_MODES.get(mode)
     if pairing is None:
         raise InvalidParameterError(f"unknown dominate mode {mode!r}")
+    if not pairing.upper and g.family not in ("ring", "line"):
+        raise InvalidParameterError(
+            f"{mode} bounds spreading on ring and line graphs only, not {g.family}"
+        )
     if pairing.upper and partition is None:
         partition = canonical_partition(g, L)
     handle = build_policy(PolicySpec(kind=pairing.kind, L=L, partition=partition), g)
@@ -555,22 +552,11 @@ def write_report_json(report: ScalingReport, path: str) -> None:
     payload = {
         "master_seed": report.master_seed,
         "log_correction": report.log_correction,
-        "fit_raw": _fit_dict(report.fit_raw),
-        "fit_corrected": _fit_dict(report.fit_corrected),
+        "fits": {c: _fit_dict(f) for c, f in report.fits.items()},
         "incomplete": report.incomplete,
         "runtime_seconds": report.runtime_seconds,
         "plan": report.plan_echo,
-        "rows": [
-            {
-                "n": r.n,
-                "mean": r.mean,
-                "std": r.std,
-                "deciles": list(r.deciles),
-                "replicates": r.replicates,
-                "events": r.events,
-            }
-            for r in report.rows
-        ],
+        "rows": [asdict(r) for r in report.rows],
     }
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)

@@ -31,7 +31,7 @@ Config files are whitespace-insensitive key-value text with sections::
     rewire_rate = 0.5
     agents = 1           # mobile_agents
     rate_per_agent = 1.0
-    seed = 7             # policy-internal randomness
+    seed = 7             # policy-internal randomness, in [0, 2^64)
 
     [engine]
     beta = 1.0           # simulate, sweep, dominate
@@ -53,7 +53,7 @@ Config files are whitespace-insensitive key-value text with sections::
     event_budget =       # optional event ceiling
 
     [dominate]
-    mode = homogeneous   # homogeneous | sequential | line_vs_adversary
+    mode = homogeneous   # homogeneous | sequential | line_vs_adversary (ring, line)
     replicates = 1000
 
     [clusters]
@@ -81,7 +81,8 @@ from ``[sweep] sizes`` and refuses ``[graph] n`` and ``path``; ``sim
 sweep`` and ``sim dominate`` run every replicate to the end (a censored
 mean would bias the fit), so both refuse ``[engine] max_time``, and
 ``sim dominate`` refuses ``initial_infected``, as its processes start
-with no node infected. ``sim fpp`` reads only ``[clusters]`` and refuses
+with no node infected, and every ``[policy]`` key but ``L``, as its mode
+picks the policy. ``sim fpp`` reads only ``[clusters]`` and refuses
 every key of any other section but ``[meta]``.
 
 An absent key takes the default of the library constructor its section
@@ -109,8 +110,9 @@ a malformed graph file, a ring/line/grid file whose edges are not that
 family's, an RGG file whose edges are not the disk graph of its
 coordinates, an RGG radius that is NaN, infinite or negative, a
 disconnected partition piece, a cluster or sweep run count below 1, a sweep
-size that realizes fewer than 2 nodes), 3 runtime guard (nontermination
-or exhausted event budget).
+size that realizes fewer than 2 nodes, a seed outside [0, 2^64), a
+``line_vs_adversary`` dominance check on a graph other than a ring or a
+line), 3 runtime guard (nontermination or exhausted event budget).
 """
 
 from __future__ import annotations
@@ -168,6 +170,15 @@ def _int(value) -> int:
     return integral("value", value)
 
 
+def _seed(value) -> int:
+    """A config value or ``--seed`` string as a seed in [0, 2^64): streams
+    take the seed's low 64 bits, so one outside would alias another."""
+    seed = _int(int(value) if isinstance(value, str) else value)
+    if not 0 <= seed < 1 << 64:
+        raise InvalidParameterError(f"seed must be in [0, 2^64), got {seed}")
+    return seed
+
+
 def _int_list(value) -> tuple[int, ...]:
     return tuple(_int(x) for x in (value if isinstance(value, list) else [value]))
 
@@ -199,7 +210,7 @@ _KEYS = {
     "graph": {"family": str, "n": _int, "d": _int, "r": _radius, "path": str},
     "policy": {
         "kind": str, "L": float, "links": _parse_links, "beta_link": float, "count": _int,
-        "rewire_rate": float, "agents": _int, "rate_per_agent": float, "seed": _int,
+        "rewire_rate": float, "agents": _int, "rate_per_agent": float, "seed": _seed,
     },
     "engine": {"beta": float, "initial_infected": _int, "max_time": float},
     "simulate": {"replicates": _int},
@@ -213,7 +224,7 @@ _KEYS = {
         "growth": str, "target": _int, "seeding_rate": float, "beta": float, "dim": _int,
         "mu_eff": float, "occupancy": _int, "replicates": _int,
     },
-    "meta": {"master_seed": _int, "subcommand": str},
+    "meta": {"master_seed": _seed, "subcommand": str},
 }
 
 
@@ -398,9 +409,9 @@ def _cmd_sweep(args) -> int:
     plan = _plan_from_config(cfg, args, outdir)
     report = analytics.run_plan(plan)  # writes report.csv/json + loglog.dat
     _echo(cfg, args, outdir)
-    if report.fit is not None:
-        lo, hi = report.exponent_ci
-        print(f"exponent={report.exponent:.4f} ci=[{lo:.4f},{hi:.4f}]")
+    f = report.fit
+    if f is not None:
+        print(f"exponent={f.slope:.4f} ci=[{f.ci_low:.4f},{f.ci_high:.4f}]")
     if report.incomplete:
         print("sweep incomplete: event budget exhausted", file=sys.stderr)
         return EXIT_RUNTIME
@@ -410,6 +421,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_dominate(args) -> int:
     cfg = _load(args.config, args.set or [])
     _refuse(cfg, "dominate", "engine", "initial_infected", "max_time")
+    _refuse(cfg, "dominate", "policy", *(key for key in _KEYS["policy"] if key != "L"))
     outdir = _ensure_outdir(args.out)
     run = {"mode": "homogeneous", "replicates": 1000, **_read(cfg, "dominate")}
     label, verdict = analytics.dominance_check(
@@ -501,7 +513,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", help="config file path")
-        p.add_argument("--seed", type=int, default=0, help="master seed (64-bit)")
+        p.add_argument("--seed", type=_seed, default=0, help="master seed, in [0, 2^64)")
         p.add_argument("--out", help="output directory")
         p.add_argument(
             "--set",
@@ -515,7 +527,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, default=2, help="grid dimension")
     p.add_argument("--r", type=float, help="rgg coverage radius (default: critical)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True, help="output graph file")
 
     p = sub.add_parser("simulate", help="run engine replicates from a config")

@@ -35,7 +35,8 @@ does not change between runs is done once per batch: the range check of
 graph's adjacency and the policy's hooks. Each run gets its own samplers
 from ``rng.samplers``, a fresh ``InfectionState`` and a ``policy.reset``.
 
-A forked batch's summaries are bit-identical to an in-process batch's,
+A batch's summaries, one ``RunSummary`` of finish time and infection
+count per replicate in replicate order, are bit-identical forked or not,
 and a failing batch raises the error an in-process batch raises. Forked
 or not, the state a policy handle is left in after a batch is
 unspecified: ``reset`` is what readies it for its next run.
@@ -56,7 +57,7 @@ from .errors import (
     positive,
 )
 from .graphs import Graph
-from .rng import CH_ENGINE, MAX_REPLICATES, run_batch, samplers, substream
+from .rng import CH_ENGINE, MAX_REPLICATES, run_batch, samplers, stream_index, substream
 
 _ENVELOPE_SLACK = 1e-9
 
@@ -125,18 +126,19 @@ class Trace:
 
 @dataclass(frozen=True)
 class RunSummary:
-    replicate: int
+    """A run's finish time (None if cut off) and infection count; its
+    replicate is its position in the batch."""
+
     finish_time: float | None
     events: int
-    seed_stream: int
 
 
 def _run(
     g: Graph, policy, cfg: EngineConfig, streams, first: int, events=None
 ) -> list[RunSummary]:
     """Run replicates first, first + 1, ... on the Generators ``streams``
-    yields, one each, and return their summaries. ``events``, if given,
-    receives every run's infection events."""
+    yields, one each, and return their summaries in that order. ``events``,
+    if given, receives every run's infection events."""
     n = g.n
     adj = g.adjacency
     beta = cfg.beta
@@ -249,8 +251,7 @@ def _run(
                 break
 
         count = state.infected_count
-        finish = state.clock if count == n else None
-        out.append(RunSummary(replicate, finish, count, (replicate << 3) | CH_ENGINE))
+        out.append(RunSummary(state.clock if count == n else None, count))
     return out
 
 
@@ -295,15 +296,9 @@ def write_trace_csv(trace: Trace, path: str) -> None:
 
 
 def write_batch_csv(summaries: list[RunSummary], path: str) -> None:
+    """One row per replicate: its position, finish time, events and stream index."""
     with open(path, "w") as fh:
         fh.write("replicate,finish_time,events,seed_stream\n")
-        for s in summaries:
+        for k, s in enumerate(summaries):
             ft = "" if s.finish_time is None else f"{s.finish_time:.17g}"
-            fh.write(f"{s.replicate},{ft},{s.events},{s.seed_stream}\n")
-
-
-def mean_finish_time(summaries: list[RunSummary]) -> float:
-    ts = finish_times(summaries)
-    if not ts:
-        raise InvalidParameterError("no finished runs in batch")
-    return math.fsum(ts) / len(ts)
+            fh.write(f"{k},{ft},{s.events},{stream_index(k, CH_ENGINE)}\n")

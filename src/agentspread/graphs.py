@@ -476,13 +476,7 @@ def validate_partition(g: Graph, p: Partition) -> None:
     """Raise ValueError unless p is a disjoint connected cover of g with
     exact piece diameters (recomputed by ``diameter``, which raises
     ConnectivityError for a disconnected piece)."""
-    seen: set[int] = set()
-    total = 0
-    for piece in p.pieces:
-        total += len(piece)
-        seen.update(piece)
-    if total != g.n or seen != set(range(g.n)):
-        raise ValueError("pieces are not a disjoint cover of the node set")
+    p.piece_of(g.n)  # InvalidParameterError, a ValueError, unless a cover
     if p.piece_sizes != tuple(len(piece) for piece in p.pieces):
         raise ValueError("piece_sizes disagree with pieces")
     for i, piece in enumerate(p.pieces):

@@ -274,7 +274,7 @@ class DynamicLinks(_LinkRates):
         self._rng = stream(seed, CH_POLICY)  # rewound by every reset
 
     def reset(self, graph, state, replicate):
-        reseed(self._rng, self.seed, (replicate << 3) | CH_POLICY)
+        reseed(self._rng, self.seed, replicate, CH_POLICY)
         n = graph.n
         self._links = [
             (int(self._rng.integers(n)), int(self._rng.integers(n)))
@@ -326,7 +326,7 @@ class MobileAgents(Policy):
         self._rng = stream(seed, CH_POLICY)  # rewound by every reset
 
     def reset(self, graph, state, replicate):
-        reseed(self._rng, self.seed, (replicate << 3) | CH_POLICY)
+        reseed(self._rng, self.seed, replicate, CH_POLICY)
         self._pos = [int(self._rng.integers(graph.n)) for _ in range(self.agents)]
         self._live = self.agents  # agents on healthy nodes
 

@@ -4,9 +4,9 @@ All randomness in the package flows through Philox, a counter-based
 generator whose output is a pure function of its 128-bit key. A stream is
 addressed by ``(seed, index)``; the index packs a replicate number and a
 channel tag so that independent consumers of the same master seed never
-collide:
-
-    index = (replicate << 3) | channel
+collide. ``stream_index`` is the one place that packs it, as
+``(replicate << 3) | channel``; ``substream``, ``reseed`` and the
+engine's ``batch.csv`` all go through it.
 
 Reproducibility is bit-exact across platforms for a fixed numpy version,
 and partial re-runs are possible because any stream can be reconstructed
@@ -63,9 +63,14 @@ def stream(seed: int, index: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def stream_index(replicate: int, channel: int) -> int:
+    """The stream index of ``(replicate, channel)``: the one place it is packed."""
+    return (replicate << 3) | channel
+
+
 def substream(seed: int, replicate: int, channel: int) -> np.random.Generator:
     """Stream for one (replicate, channel) pair under a master seed."""
-    return stream(seed, (replicate << 3) | channel)
+    return stream(seed, stream_index(replicate, channel))
 
 
 # The state ``reseed`` writes: a fresh Philox counter and buffer, with
@@ -86,14 +91,12 @@ _FRESH_STATE = {
 _FRESH_KEY = _FRESH_STATE["state"]["key"]
 
 
-def reseed(gen: np.random.Generator, seed: int, index: int) -> np.random.Generator:
-    """Rewind a Philox-backed Generator to the fresh state of ``(seed, index)``.
-
-    Bit-identical to constructing ``stream(seed, index)`` but several
-    times cheaper, which matters for batches of many short replicates.
-    """
+def reseed(gen, seed: int, replicate: int, channel: int) -> np.random.Generator:
+    """Rewind the Philox-backed Generator ``gen`` to the fresh state of
+    ``substream(seed, replicate, channel)``: bit-identical, but several times
+    cheaper, which matters for batches of many short replicates."""
     _FRESH_KEY[0] = seed & _MASK64
-    _FRESH_KEY[1] = index & _MASK64
+    _FRESH_KEY[1] = stream_index(replicate, channel) & _MASK64
     gen.bit_generator.state = _FRESH_STATE
     return gen
 
@@ -122,7 +125,7 @@ def replicate_streams(
     if not 0 <= first <= replicates:
         raise InvalidParameterError(f"first replicate {first} outside [0, {replicates}]")
     gen = stream(seed, channel)
-    return (reseed(gen, seed, (k << 3) | channel) for k in range(first, replicates))
+    return (reseed(gen, seed, k, channel) for k in range(first, replicates))
 
 
 # First block of every BufferedSampler. Pinned: samplers sharing a

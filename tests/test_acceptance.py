@@ -130,7 +130,7 @@ def test_c04_ring_scaling(ring_random_report):
     line_report = run_plan(
         ExperimentPlan(sizes=RING_SWEEP, process="line_clusters", replicates=200, seed=1002)
     )
-    line_slope = line_report.fit_raw.slope
+    line_slope = line_report.fits["none"].slope
     ok = abs(slope - 0.50) <= 0.10 and abs(line_slope - 0.50) <= 0.05
     report(
         "C4",
@@ -193,8 +193,8 @@ def test_c06_grid_scaling_corrected_slope():
     slope = exponent_fit(
         [(r.n, r.mean / math.log(r.n) ** (1 / (d + 1))) for r in grid_report.rows]
     ).slope
-    raw = grid_report.fit_raw.slope
-    by_ln_n = grid_report.fit_corrected.slope
+    raw = grid_report.fits["none"].slope
+    by_ln_n = grid_report.fits["divide_by_log_n"].slope
     report(
         "C6-grid",
         abs(slope - 0.333) <= 0.08,
@@ -207,7 +207,7 @@ def test_c06_fpp_hitting_slope():
     fpp_report = run_plan(
         ExperimentPlan(sizes=GRID_SWEEP, process="fpp_clusters", dim=2, replicates=200, seed=1005)
     )
-    slope = fpp_report.fit_raw.slope
+    slope = fpp_report.fits["none"].slope
     report("C6-fpp", abs(slope - 0.333) <= 0.07, f"fpp(d=2) hitting slope {slope:.3f} in 0.333+-0.07")
 
 

@@ -153,7 +153,7 @@ def test_run_plan_deterministic(tmp_path):
     r1 = run_plan(plan)
     r2 = run_plan(plan)
     assert r1.rows == r2.rows
-    assert r1.fit_raw == r2.fit_raw
+    assert r1.fits["none"] == r2.fits["none"]
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     write_report_csv(r1, str(a))
     write_report_csv(r2, str(b))
@@ -174,7 +174,7 @@ def test_report_self_contained(tmp_path):
     rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
     pts = [(int(r[0]), float(r[1])) for r in rows]
     refit = exponent_fit(pts)
-    assert refit.slope == pytest.approx(report.fit_raw.slope, abs=1e-12)
+    assert refit.slope == pytest.approx(report.fits["none"].slope, abs=1e-12)
 
 
 def test_run_plan_writes_bundle_when_output_dir_set(tmp_path):
@@ -233,7 +233,7 @@ def test_run_plan_cluster_process():
     )
     report = run_plan(plan)
     assert len(report.rows) == 3
-    assert report.fit_raw is not None
+    assert report.fits["none"] is not None
 
 
 def test_run_plan_budget_marks_incomplete():
@@ -346,7 +346,7 @@ def test_report_files(tmp_path):
     assert header == "n,mean,std,d10,d20,d30,d40,d50,d60,d70,d80,d90"
     payload = json.loads(js.read_text())
     assert payload["master_seed"] == 13
-    assert payload["fit_raw"]["points"] == 3
-    assert payload["fit_corrected"] is not None
+    assert payload["fits"]["none"]["points"] == 3
+    assert payload["fits"]["divide_by_log_n"] is not None
     lines = [l for l in dat.read_text().splitlines() if not l.startswith("#")]
     assert all(len(l.split()) == 2 for l in lines)

@@ -402,6 +402,63 @@ def test_sweep_refuses_graph_size_and_path(tmp_path, capsys, key):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key", ["kind = mobile_agents", "agents = 4", "seed = 7"])
+def test_dominate_refuses_policy_keys_other_than_L(tmp_path, capsys, key):
+    # The mode picks the policy and [policy] gives only its L, so any other
+    # policy key would be silently dropped.
+    cfg = _write(tmp_path / "d.cfg", DOMINATE.replace("L = 1.0", "L = 1.0\n" + key))
+    out = tmp_path / "o"
+    assert main(["dominate", "--config", cfg, "--seed", "1", "--out", str(out)]) == 2
+    assert f"sim dominate does not read [policy] {key.split(' =')[0]}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("family", ["grid", "rgg"])
+def test_dominate_line_vs_adversary_refuses_a_graph_that_is_not_1d(
+    tmp_path, capsys, monkeypatch, family
+):
+    # Line clusters bound spreading from below on rings and lines only: on a
+    # 256-node grid the adversary finished well before them (300 runs at
+    # seed 3, median 6.75 against 15.18), so the pairing would be no bound.
+    monkeypatch.setattr(analytics, "simulate_batch", None)  # refused before any run
+    text = DOMINATE.replace("ring\nn = 48", f"{family}\nn = 256")
+    cfg = _write(tmp_path / "d.cfg", text.replace("homogeneous", "line_vs_adversary"))
+    out = tmp_path / "o"
+    assert main(["dominate", "--config", cfg, "--seed", "3", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"line_vs_adversary bounds spreading on ring and line graphs only, not {family}" in err
+    assert not (out / "verdict.json").exists()
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64), str(2**65 - 1), "1.5"])
+def test_seed_outside_64_bits_exits_2(tmp_path, seed):
+    # A seed is keyed by its low 64 bits: -1, 2^64 - 1 and 2^65 - 1 would
+    # run the same streams.
+    cfg = _write(tmp_path / "c.cfg", RING_SWEEP + SIMULATE_N)
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", cfg, "--seed", seed, "--out", str(out)]) == 2
+    gen = tmp_path / "g.txt"
+    assert main(["gen", "--family", "ring", "--n", "8", "--seed", seed, "--out", str(gen)]) == 2
+    assert not gen.exists()
+    policy_seed = ["--set", f"policy.seed={seed}"]
+    text = RING_SWEEP.replace("L = 1.0", "L = 1.0\nseed = 0") + SIMULATE_N
+    cfg = _write(tmp_path / "p.cfg", text)
+    assert main(["simulate", "--config", cfg, "--out", str(out)] + policy_seed) == 2
+    assert not (out / "batch.csv").exists()
+    for section, key in (("policy", "seed"), ("meta", "master_seed")):
+        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\^64\)|integer"):
+            cli._KEYS[section][key](float(seed) if seed == "1.5" else int(seed))
+
+
+def test_largest_seed_is_accepted(tmp_path):
+    top = str(2**64 - 1)
+    text = RING_SWEEP.replace("L = 1.0", f"L = 1.0\nseed = {top}") + SIMULATE_N
+    cfg = _write(tmp_path / "c.cfg", text)
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", cfg, "--seed", top, "--out", str(out)]) == 0
+    assert f"master_seed = {top}" in (out / "resolved.cfg").read_text()
+
+
 def test_dominate_disconnected_piece_exits_2(tmp_path, capsys):
     # A genuine disk graph at radius 0.3 whose 4 nodes form one chunk: the
     # pairs near (0.1, 0.1) and (0.9, 0.9) are joined inside but not to
@@ -684,17 +741,24 @@ def test_every_config_key_reaches_its_object(tmp_path, monkeypatch):
     assert main(["conductance", "--config", cfg, "--set", "graph.family=file"]) == 0
     del seen["make_graph"]  # read_graph checks a ring file against make_graph's ring
     # sweep refuses [graph] n and path, sweep and dominate the [engine]
-    # keys they cannot honour, and fpp every key outside [clusters]
+    # keys they cannot honour, dominate every [policy] key but L, and fpp
+    # every key outside [clusters]
     blank_for_fpp = [
         arg for sec, key in EVERY_KEY if sec != "clusters" for arg in ("--set", f"{sec}.{key}=")
+    ]
+    blank_for_dominate = ["--set", "engine.max_time=", "--set", "engine.initial_infected="] + [
+        arg for key in cli._KEYS["policy"] if key != "L" for arg in ("--set", f"policy.{key}=")
     ]
     for argv in (
         ["simulate"],
         ["sweep", "--set", "engine.max_time=", "--set", "graph.n=", "--set", "graph.path="],
-        ["dominate", "--set", "engine.max_time=", "--set", "engine.initial_infected="],
+        ["dominate", *blank_for_dominate],
         ["fpp", *blank_for_fpp],
     ):
         assert main(argv + ["--config", cfg, "--seed", "5", "--out", argv[0]]) == 0
+        if argv[0] == "dominate":
+            # its one spec carries [policy] L alone, checked at dominance_check
+            seen["PolicySpec"].pop()
     rows = (tmp_path / "fpp" / "hitting.csv").read_text().splitlines()[1:]
     seen["hitting.csv"] = [{"rows": len(rows)}]
     for callee, param, value in list(EVERY_KEY.values()) + CROSS_SECTION:

@@ -173,6 +173,25 @@ def test_gsi_refuses_a_partition_that_is_not_a_cover(case):
         policies.GsiPolicy(part(), 1.0)
 
 
+@pytest.mark.parametrize("case", NOT_A_COVER)
+def test_validate_partition_checks_the_cover_with_piece_of(case):
+    part, message = NOT_A_COVER[case]
+    with pytest.raises(ValueError, match=message):
+        graphs.validate_partition(graphs.gen_ring(25), part())
+
+
+@pytest.mark.parametrize(
+    "g",
+    [graphs.gen_grid(256, 2), graphs.gen_rgg(64, 0.3, seed=1), graphs.gen_custom(3, [(0, 1)])],
+    ids=["grid", "rgg", "custom"],
+)
+def test_line_vs_adversary_refuses_a_graph_that_is_not_1d(g, monkeypatch):
+    # Line clusters sit below the adversary on rings and lines only.
+    monkeypatch.setattr(analytics, "simulate_batch", None)  # refused before any run
+    with pytest.raises(InvalidParameterError, match=f"ring and line graphs only, not {g.family}"):
+        analytics.dominance_check(g, "line_vs_adversary", 1.0, 300, seed=3)
+
+
 @pytest.mark.parametrize("beta", [0.0, -1.0])
 def test_two_phase_rejects_nonpositive_beta(beta):
     g = graphs.gen_ring(16)
@@ -497,7 +516,7 @@ SWEEP = analytics.ExperimentPlan(
 
 def plan_rows():
     rep = analytics.run_plan(SWEEP)
-    return rep.rows, rep.fit_raw
+    return rep.rows, rep.fits["none"]
 
 
 def two_phase(mode):
@@ -687,4 +706,4 @@ def test_diagonal_polylog_sweep_consistent_with_cube_root_law():
     ref = exponent_fit(
         [(n, n ** (1 / 3) / math.log(n) ** (4 / 3)) for n in sizes]
     ).slope
-    assert rep.fit_raw.ci_low <= ref <= rep.fit_raw.ci_high
+    assert rep.fits["none"].ci_low <= ref <= rep.fits["none"].ci_high

@@ -2,6 +2,7 @@
 
 import math
 import os
+import statistics
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from agentspread import engine, graphs, policies, rng
-from agentspread.engine import EngineConfig, finish_times, mean_finish_time
+from agentspread.engine import EngineConfig, finish_times
 from agentspread.errors import (
     InvalidParameterError,
     NonTerminationError,
@@ -38,7 +39,7 @@ from oracles import (
 
 def batch_mean(g, policy, seed, replicates, beta=1.0):
     cfg = EngineConfig(beta=beta, seed=seed)
-    return mean_finish_time(engine.simulate_batch(g, policy, cfg, replicates))
+    return statistics.fmean(finish_times(engine.simulate_batch(g, policy, cfg, replicates)))
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +228,7 @@ def reference_batch(g, spec, cfg, replicates):
     for k in range(replicates):
         rng = substream(cfg.seed, k, CH_ENGINE)
         state, _, finish = reference_run(g, policy, cfg, k, False, rng)
-        out.append(engine.RunSummary(k, finish, state.infected_count, (k << 3) | CH_ENGINE))
+        out.append(engine.RunSummary(finish, state.infected_count))
     return out
 
 
@@ -337,7 +338,8 @@ def test_forked_batch_raises_the_earliest_ranges_error(refused, raised, monkeypa
     g, cfg = graphs.gen_ring(16), EngineConfig(seed=3)
     if raised is None:
         got = engine.simulate_batch(g, RefusesReplicates(), cfg, 30)
-        assert [s.replicate for s in got] == list(range(30))
+        spec = policies.PolicySpec(kind="random_homogeneous", L=1.0)
+        assert got == reference_batch(g, spec, cfg, 30)
     else:
         with pytest.raises(PolicyContractError, match=f"^replicate {raised} refused$"):
             engine.simulate_batch(g, RefusesReplicates(refused), cfg, 30)
@@ -568,3 +570,7 @@ def test_batch_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "replicate,finish_time,events,seed_stream"
     assert len(lines) == 6
+    # replicate k is row k, and its stream index is (k << 3) | CH_ENGINE
+    rows = [line.split(",") for line in lines[1:]]
+    assert [(r[0], r[3]) for r in rows] == [(str(k), str(8 * k)) for k in range(5)]
+    assert [r[1] for r in rows] == [f"{t:.17g}" for t in finish_times(s)]

@@ -64,6 +64,20 @@ def test_one_fork_runner():
     assert callers["fork"] == callers["pipe"] == callers["replicate_count"] == {"rng"}
 
 
+def test_one_stream_address():
+    # rng.stream_index packs (replicate << 3) | channel: no other module
+    # writes the rule out again.
+    packers = {
+        path.stem
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.LShift)
+        and getattr(node.right, "value", None) == 3
+    }
+    assert packers == {"rng"}
+
+
 def test_dominators_imports_only_the_substrate():
     assert _import_graph()["dominators"] == {"errors", "graphs", "rng"}
 

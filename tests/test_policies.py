@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import random
+import statistics
 import types
 
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from agentspread import dominators, engine, graphs, policies
 from agentspread.analytics import ExperimentPlan
-from agentspread.engine import EngineConfig, InfectionState, mean_finish_time
+from agentspread.engine import EngineConfig, InfectionState, finish_times
 from agentspread.errors import InvalidParameterError
 
 from oracles import ReferenceGreedyAdversary, ctmc_expected_finish
@@ -153,8 +154,8 @@ def test_static_links_mean_matches_extra_edge_ctmc():
     base = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]
     g = graphs.gen_line(6)
     p = policies.StaticLinks([(0, 5)], beta_link=1.0)
-    got = mean_finish_time(
-        engine.simulate_batch(g, p, EngineConfig(seed=23), 30000)
+    got = statistics.fmean(
+        finish_times(engine.simulate_batch(g, p, EngineConfig(seed=23), 30000))
     )
     g_aug = graphs.gen_custom(6, base + [(0, 5)])
     want = ctmc_expected_finish([list(a) for a in g_aug.adjacency])
@@ -198,7 +199,9 @@ def test_mobile_two_node_closed_form():
     # (E=1/2); grand mean 0.75.
     g = graphs.gen_custom(2, [(0, 1)])
     p = policies.MobileAgents(1, 1.0, seed=6)
-    m = mean_finish_time(engine.simulate_batch(g, p, EngineConfig(seed=15), 30000))
+    m = statistics.fmean(
+        finish_times(engine.simulate_batch(g, p, EngineConfig(seed=15), 30000))
+    )
     assert m == pytest.approx(0.75, rel=0.03)
 
 
@@ -226,7 +229,9 @@ def test_dynamic_links_grid_scaling_cube_root():
         g = graphs.gen_grid(n, 2)
         p = policies.DynamicLinks(count=4, beta_link=1.0, rewire_rate=0.5, seed=31)
         means.append(
-            mean_finish_time(engine.simulate_batch(g, p, EngineConfig(seed=600 + i), 60))
+            statistics.fmean(
+                finish_times(engine.simulate_batch(g, p, EngineConfig(seed=600 + i), 60))
+            )
         )
     fit = exponent_fit(list(zip(ns, means)))
     assert fit.slope > 0.25
@@ -235,14 +240,18 @@ def test_dynamic_links_grid_scaling_cube_root():
 
 def test_mobile_agent_within_2x_of_random():
     g = graphs.gen_ring(1024)
-    m_mob = mean_finish_time(
-        engine.simulate_batch(
-            g, policies.MobileAgents(1, 1.0, seed=32), EngineConfig(seed=601), 100
+    m_mob = statistics.fmean(
+        finish_times(
+            engine.simulate_batch(
+                g, policies.MobileAgents(1, 1.0, seed=32), EngineConfig(seed=601), 100
+            )
         )
     )
-    m_rand = mean_finish_time(
-        engine.simulate_batch(
-            g, policies.RandomHomogeneous(1.0), EngineConfig(seed=602), 100
+    m_rand = statistics.fmean(
+        finish_times(
+            engine.simulate_batch(
+                g, policies.RandomHomogeneous(1.0), EngineConfig(seed=602), 100
+            )
         )
     )
     assert 0.5 <= m_mob / m_rand <= 2.0
