@@ -344,10 +344,11 @@ def _engine_config(cfg: dict, seed: int) -> engine.EngineConfig:
     return engine.EngineConfig(seed=seed, **_read(cfg, "engine"))
 
 
-def _ensure_outdir(out: str | None) -> str:
+def _out_path(out: str | None) -> str:
+    """``--out``, which the subcommand needs. It is made only once every
+    check has passed, so a refused run leaves no directory behind."""
     if out is None:
         raise ConfigError("this subcommand needs --out DIR")
-    os.makedirs(out, exist_ok=True)
     return out
 
 
@@ -371,15 +372,17 @@ def _cmd_gen(args) -> int:
 
 def _cmd_simulate(args) -> int:
     cfg = _load(args.config, args.set or [])
-    outdir = _ensure_outdir(args.out)
+    outdir = _out_path(args.out)
     g = _build_graph(cfg, args.seed)
     spec = _policy_spec(cfg, args.seed)
     handle = policies.build_policy(spec, g)
     ecfg = _engine_config(cfg, args.seed)
     replicates = _read(cfg, "simulate").get("replicates", 1)
-    summaries = engine.simulate_batch(g, handle, ecfg, replicates)
+    events: list[tuple[float, int, str]] = []  # replicate 0's, the run engine.simulate gives
+    summaries = engine.simulate_batch(g, handle, ecfg, replicates, events)
+    os.makedirs(outdir, exist_ok=True)
     engine.write_batch_csv(summaries, os.path.join(outdir, "batch.csv"))
-    trace = engine.simulate(g, handle, ecfg)
+    trace = engine.Trace(n=g.n, events=events, finish_time=summaries[0].finish_time)
     engine.write_trace_csv(trace, os.path.join(outdir, "trace.csv"))
     _echo(cfg, args, outdir)
     finished = engine.finish_times(summaries)
@@ -405,9 +408,9 @@ def _cmd_sweep(args) -> int:
     cfg = _load(args.config, args.set or [])
     _refuse(cfg, "sweep", "graph", "n", "path")
     _refuse(cfg, "sweep", "engine", "max_time")
-    outdir = _ensure_outdir(args.out)
+    outdir = _out_path(args.out)
     plan = _plan_from_config(cfg, args, outdir)
-    report = analytics.run_plan(plan)  # writes report.csv/json + loglog.dat
+    report = analytics.run_plan(plan)  # makes outdir, writes report.csv/json + loglog.dat
     _echo(cfg, args, outdir)
     f = report.fit
     if f is not None:
@@ -422,7 +425,7 @@ def _cmd_dominate(args) -> int:
     cfg = _load(args.config, args.set or [])
     _refuse(cfg, "dominate", "engine", "initial_infected", "max_time")
     _refuse(cfg, "dominate", "policy", *(key for key in _KEYS["policy"] if key != "L"))
-    outdir = _ensure_outdir(args.out)
+    outdir = _out_path(args.out)
     run = {"mode": "homogeneous", "replicates": 1000, **_read(cfg, "dominate")}
     label, verdict = analytics.dominance_check(
         _build_graph(cfg, args.seed),
@@ -438,6 +441,7 @@ def _cmd_dominate(args) -> int:
         "replicates": run["replicates"],
         "master_seed": args.seed,
     }
+    os.makedirs(outdir, exist_ok=True)
     with open(os.path.join(outdir, "verdict.json"), "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -467,8 +471,8 @@ def _cmd_conductance(args) -> int:
         "set_size": res.set_size,
     }
     if args.out is not None:
-        outdir = _ensure_outdir(args.out)
-        with open(os.path.join(outdir, "conductance.json"), "w") as fh:
+        os.makedirs(args.out, exist_ok=True)
+        with open(os.path.join(args.out, "conductance.json"), "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
     print(f"conductance[{res.mode}] = {res.value:.6g}")
@@ -482,11 +486,12 @@ def _cmd_fpp(args) -> int:
     kw = _read(cfg, "clusters", required=["growth", "target"], rename={"target": "target_count"})
     replicates = kw.pop("replicates", 100)
     ccfg = dominators.ClusterProcessConfig(seed=args.seed, **kw)
+    outdir = _out_path(args.out)
     try:
         times, events = dominators.sample_hits(ccfg, replicates)
     except InvalidParameterError as e:
         raise ConfigError(f"[clusters] {e}") from e
-    outdir = _ensure_outdir(args.out)
+    os.makedirs(outdir, exist_ok=True)
     with open(os.path.join(outdir, "hitting.csv"), "w") as fh:
         fh.write("replicate,hitting_time,events\n")
         for k, (ht, ev) in enumerate(zip(times, events)):

@@ -20,29 +20,36 @@ Each process takes a replicate count R and runs replicates 0..R-1 on the
 sampler pair of ``rng.samplers``. ``run_cluster_process`` yields whole
 traces one at a time and in-process: a batch of long runs would not fit
 in memory. A trace keeps its count path as two columns, the times of the
-count's changes and a ``range`` of counts, since every change adds the
-same number of points. Every other batch (``two_phase_process``,
+count's changes in an ``array('d')`` (8 bytes a point) and a ``range`` of
+counts, since every change adds the same number of points. Every other batch (``two_phase_process``,
 ``conductance_chain``, and ``sample_hits``, which keeps only each run's
 hitting time and event count) runs contiguous ranges of its replicates
 on every CPU through ``rng.run_batch``, with the same values on any
 number of CPUs.
 
-A lattice cluster keeps its sites in a hash set and its boundary edges
-in a swap-remove list, so there is no truncation boundary and a growth
-step costs O(degree). Cluster sites are packed into integers (21 bits
-per axis, offset binary), which keeps neighbour arithmetic cheap.
+A lattice cluster is a plain triple that the arrival loop grows inline:
+its sites in a hash set, its boundary edges in a swap-remove list and
+each edge's position in that list, so there is no truncation boundary
+and a growth step costs O(degree). A site is packed into one integer,
+offset binary, with as many bits per axis as the target needs: a cluster
+never holds more than ceil(target / points) sites, so no coordinate
+field can carry into the next, and at target 4096 a planar site fits in
+one 30-bit digit of a Python int. Which edge fires depends only on the
+list's order, never on the site values, so the width cannot change a
+run.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 from .errors import InvalidParameterError, integral, positive
 from .graphs import Graph, Partition, bfs_tree
-from .rng import CH_PROCESS, BufferedSampler, replicate_streams, run_batch, samplers, substream
+from .rng import CH_PROCESS, replicate_streams, run_batch, samplers, substream
 
 # Most points a trace keeps of its count path: a longer path is cut down to
 # this many, evenly spread, and its counts become a list.
@@ -218,12 +225,13 @@ class ClusterProcessConfig:
 class ClusterTrace:
     """Outcome of one cluster-process run. Its count path is two columns:
     the total count became ``path_counts[i]`` at time ``path_times[i]``.
-    Every point of a path adds the same number of points to the count, so
-    ``path_counts`` is a ``range``, or the list of the counts kept when the
-    path was cut down to ``_PATH_POINTS`` points."""
+    ``path_times`` is an ``array('d')``. Every point of a path adds the
+    same number of points to the count, so ``path_counts`` is a ``range``,
+    or the list of the counts kept when the path was cut down to
+    ``_PATH_POINTS`` points."""
 
     cluster_birth_times: list[float]
-    path_times: list[float]
+    path_times: array
     path_counts: range | list[int]
     hitting_time: float | None
     events: int = 0
@@ -234,9 +242,7 @@ class ClusterTrace:
         return self.path_counts[i - 1] if i else 0
 
 
-def _count_path(
-    times: list[float], first: int, step: int
-) -> tuple[list[float], range | list[int]]:
+def _count_path(times: array, first: int, step: int) -> tuple[array, range | list[int]]:
     """The two columns of a count path whose count is ``first`` at
     ``times[0]`` and rises by ``step`` at each later time; a path of more
     than ``_PATH_POINTS`` points keeps that many, evenly spread, its first
@@ -247,62 +253,34 @@ def _count_path(
     stride = (m - 1) / (_PATH_POINTS - 1)
     kept = [int(round(i * stride)) for i in range(_PATH_POINTS - 1)]
     kept.append(m - 1)
-    return [times[i] for i in kept], [first + i * step for i in kept]
+    return array("d", map(times.__getitem__, kept)), [first + i * step for i in kept]
 
 
-# Site packing: 21 bits per axis, offset-binary so coordinates may be negative.
-_BITS = 21
-_HALF = 1 << 20
+def _axis_bits(sites: int) -> int:
+    """Bits per axis of a packed site for clusters of at most ``sites``
+    sites: the origin sits at 2^b with b the bit length of sites + 1, so a
+    site and its neighbours stay within sites of it on every axis and no
+    axis's field ever carries into the next."""
+    return (sites + 1).bit_length() + 1
 
 
-def _deltas(dim: int) -> list[int]:
-    """Offsets of a packed site's 2*dim axis neighbours."""
-    return [s << (_BITS * a) for a in range(dim) for s in (1, -1)]
+def _lattice(steps: list[tuple[int, ...]], sites: int) -> tuple[list[int], int]:
+    """Packed neighbour offsets, one per coordinate step in ``steps``, and
+    the packed origin of a lattice holding clusters of at most ``sites``
+    sites, each axis in a field of ``_axis_bits(sites)`` bits."""
+    bits = _axis_bits(sites)
+    deltas = [sum(x << (bits * a) for a, x in enumerate(step)) for step in steps]
+    origin = sum(1 << (bits * a + bits - 1) for a in range(len(steps[0])))
+    return deltas, origin
 
 
-# Offsets of a packed planar site's 8 axis and diagonal neighbours.
-_DIAGONAL = [dx + (dy << _BITS) for dx in (-1, 0, 1) for dy in (-1, 0, 1) if dx or dy]
+def _axis_steps(dim: int) -> list[tuple[int, ...]]:
+    """The 2*dim unit steps of Z^dim, each axis's + step before its - step."""
+    return [tuple(s * (a == b) for b in range(dim)) for a in range(dim) for s in (1, -1)]
 
 
-def _origin(dim: int) -> int:
-    return sum(_HALF << (_BITS * a) for a in range(dim))
-
-
-class _LatticeCluster:
-    """One growing cluster: infected-site set plus a swap-remove list of
-    boundary edges for uniform edge sampling."""
-
-    __slots__ = ("infected", "edges", "pos", "deltas")
-
-    def __init__(self, deltas: list[int], origin: int):
-        self.deltas = deltas
-        self.infected = {origin}
-        self.edges: list[tuple[int, int]] = [(origin, origin + d) for d in deltas]
-        self.pos = {e: i for i, e in enumerate(self.edges)}
-
-    def _remove(self, e: tuple[int, int]) -> None:
-        i = self.pos.pop(e)
-        last = self.edges.pop()
-        if i < len(self.edges):
-            self.edges[i] = last
-            self.pos[last] = i
-
-    def grow(self, uni: BufferedSampler) -> int:
-        """Fire one uniformly chosen boundary edge; return the new number
-        of boundary edges."""
-        edges = self.edges
-        _, dst = edges[int(uni.draw() * len(edges))]
-        infected = self.infected
-        infected.add(dst)
-        for d in self.deltas:
-            w = dst + d
-            if w in infected:
-                self._remove((w, dst))
-            else:
-                e = (dst, w)
-                self.pos[e] = len(edges)
-                edges.append(e)
-        return len(edges)
+# The 8 axis and diagonal steps of the plane.
+_DIAGONAL_STEPS = [(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1) if dx or dy]
 
 
 class _Growth(NamedTuple):
@@ -313,11 +291,16 @@ class _Growth(NamedTuple):
 
 # growth -> its parameters, read off a ClusterProcessConfig. A line cluster
 # is a frontier pair: two boundary edges whose firings add a point each and
-# leave the pair as it was; its seed is not counted.
+# leave the pair as it was; its seed is not counted. A lattice cluster
+# never holds more sites than the target needs, ceil(target / points).
 _GROWTH = {
     "line": lambda cfg: _Growth(None, cfg.beta, 1),
-    "fpp": lambda cfg: _Growth((_deltas(cfg.dim), _origin(cfg.dim)), cfg.beta, 1),
-    "diagonal": lambda cfg: _Growth((_DIAGONAL, _origin(2)), cfg.mu_eff, cfg.occupancy),
+    "fpp": lambda cfg: _Growth(_lattice(_axis_steps(cfg.dim), cfg.target_count), cfg.beta, 1),
+    "diagonal": lambda cfg: _Growth(
+        _lattice(_DIAGONAL_STEPS, -(-cfg.target_count // cfg.occupancy)),
+        cfg.mu_eff,
+        cfg.occupancy,
+    ),
 }
 
 
@@ -340,9 +323,15 @@ def _cluster_run(cfg: ClusterProcessConfig, rng) -> ClusterTrace:
     if lattice is None:
         frontier, seed_points, clusters = 2, 0, None
     else:
+        # A lattice cluster is its infected sites, its boundary edges (site,
+        # neighbour) in a swap-remove list, and each edge's list position.
         deltas, origin = lattice
-        frontier, seed_points, clusters = len(deltas), points, [_LatticeCluster(deltas, origin)]
+        seed_edges = [(origin, origin + d) for d in deltas]
+        seed_pos = {e: i for i, e in enumerate(seed_edges)}
+        frontier, seed_points = len(deltas), points
+        clusters = [({origin}, seed_edges.copy(), seed_pos.copy())]
     exp, uni = samplers(rng)
+    draw, uniform = exp.draw, uni.draw
     lam = cfg.seeding_rate
     max_time = math.inf if cfg.max_time is None else cfg.max_time
 
@@ -354,24 +343,24 @@ def _cluster_run(cfg: ClusterProcessConfig, rng) -> ClusterTrace:
     # lattice birth adds its seed site, worth ``seed_points == points``, and
     # a line birth adds nothing and makes no point. So the path is its
     # times alone, and the run needs ``left`` more points to hit the target.
-    times = [0.0]
+    times = array("d", [0.0])
     left = max(0, (cfg.target_count - seed_points + points - 1) // points)
     events = 0
     while left:
         rate = lam + edge_rate * total
-        t += exp.draw() / rate
+        t += draw() / rate
         if t > max_time:
             t = max_time
             break
         events += 1
-        x = uni.draw() * rate
+        x = uniform() * rate
         if x < lam:
             births.append(t)
             bounds.append(frontier)
             total += frontier
             if clusters is None:
                 continue
-            clusters.append(_LatticeCluster(deltas, origin))
+            clusters.append(({origin}, seed_edges.copy(), seed_pos.copy()))
         elif clusters is not None:
             # the cluster owning the fired edge, by boundary edge counts
             x = (x - lam) / edge_rate
@@ -380,9 +369,24 @@ def _cluster_run(cfg: ClusterProcessConfig, rng) -> ClusterTrace:
                 acc += b
                 if acc > x:
                     break
-            grown = clusters[i].grow(uni)
-            total += grown - bounds[i]
-            bounds[i] = grown
+            # fire one of its boundary edges, uniformly chosen
+            infected, edges, pos = clusters[i]
+            _, dst = edges[int(uniform() * len(edges))]
+            infected.add(dst)
+            for d in deltas:
+                w = dst + d
+                if w in infected:
+                    j = pos.pop((w, dst))
+                    last = edges.pop()
+                    if j < len(edges):
+                        edges[j] = last
+                        pos[last] = j
+                else:
+                    e = (dst, w)
+                    pos[e] = len(edges)
+                    edges.append(e)
+            total += len(edges) - b
+            bounds[i] = len(edges)
         times.append(t)
         left -= 1
     path_times, path_counts = _count_path(times, seed_points, points)

@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from heapq import heappop, heappush
 
 from .errors import (
@@ -138,7 +137,7 @@ def _run(
 ) -> list[RunSummary]:
     """Run replicates first, first + 1, ... on the Generators ``streams``
     yields, one each, and return their summaries in that order. ``events``,
-    if given, receives every run's infection events."""
+    if given, receives the infection events of replicate ``first``."""
     n = g.n
     adj = g.adjacency
     beta = cfg.beta
@@ -149,7 +148,6 @@ def _run(
     # A firing time t is kept iff t < horizon, that is t <= max_time.
     horizon = math.nextafter(max_time, math.inf)
     budget = int(n * n * (1.0 + 1.0 / beta)) + 64
-    keep_events = events is not None
 
     reset = policy.reset
     l_max = policy.l_max
@@ -163,6 +161,7 @@ def _run(
 
     out = []
     for replicate, rng in enumerate(streams, first):
+        keep_events = events is not None and replicate == first
         exp, uni = samplers(rng)
         draw = exp.draw
         state = InfectionState(n)
@@ -272,15 +271,22 @@ def simulate(g: Graph, policy, cfg: EngineConfig, replicate: int = 0) -> Trace:
 
 
 def simulate_batch(
-    g: Graph, policy, cfg: EngineConfig, replicates: int
+    g: Graph, policy, cfg: EngineConfig, replicates: int, events: list | None = None
 ) -> list[RunSummary]:
     """Run independent replicates and return per-replicate summaries.
 
     Replicate k owns stream (cfg.seed, k) and a fresh policy state, so
     output is deterministic and ordered by replicate index, whether the
-    batch runs in-process or forks (see the module docstring).
+    batch runs in-process or forks (see the module docstring). ``events``,
+    if given, receives replicate 0's infection events, those of
+    ``simulate``'s trace: replicate 0 always runs in this process, in the
+    first range.
     """
-    return run_batch(partial(_run, g, policy, cfg), cfg.seed, CH_ENGINE, replicates, g.n)
+
+    def run(streams, first: int) -> list[RunSummary]:
+        return _run(g, policy, cfg, streams, first, events if first == 0 else None)
+
+    return run_batch(run, cfg.seed, CH_ENGINE, replicates, g.n)
 
 
 def finish_times(summaries: list[RunSummary]) -> list[float]:

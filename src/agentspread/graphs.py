@@ -188,25 +188,26 @@ def gen_grid(n: int, d: int) -> Graph:
     """d-dimensional grid on {1..side}^d with the L1-distance-1 edges.
 
     The side is floor(n^(1/d)), so when n is not a perfect d-th power the
-    realized node count is side**d < n.
+    realized node count is side**d < n. Each node's neighbours are listed
+    in ascending id order without an edge list: idx - stride for each axis
+    whose coordinate is above 1, largest stride first, then idx + stride
+    for each axis whose coordinate is below the side, smallest first.
     """
     if n < 1 or d < 1:
         raise InvalidParameterError("grid needs n >= 1 and d >= 1")
     side = _floor_root(n, d)
-    m = side**d
     coords = _grid_coords(side, d)
-    edges = []
-    for idx, c in enumerate(coords):
-        for axis in range(d):
-            if c[axis] < side:
-                edges.append((idx, idx + side ** (d - 1 - axis)))
-    return Graph(
-        n=m,
-        adjacency=_build_adjacency(m, edges),
-        family="grid",
-        dim=d,
-        coords=coords,
+    down = [(axis, side ** (d - 1 - axis)) for axis in range(d)]
+    up = down[::-1]
+    ids = list(range(side**d))  # one int object per node, shared by its neighbours' tuples
+    adjacency = tuple(
+        tuple(
+            [ids[idx - s] for a, s in down if c[a] > 1]
+            + [ids[idx + s] for a, s in up if c[a] < side]
+        )
+        for idx, c in enumerate(coords)
     )
+    return Graph(n=side**d, adjacency=adjacency, family="grid", dim=d, coords=coords)
 
 
 def _disk_adjacency(pts: np.ndarray, r: float) -> tuple[tuple[int, ...], ...]:

@@ -179,7 +179,7 @@ def test_unknown_config_key_exits_2(tmp_path, capsys, extra, named):
     out = tmp_path / "o"
     assert main(["sweep", "--config", cfg, "--seed", "1", "--out", str(out)]) == 2
     assert named in capsys.readouterr().err
-    assert not (out / "report.csv").exists()
+    assert not out.exists()
 
 
 INT_KEYS = RING_SWEEP + "occupancy = 1\n\n[simulate]\nreplicates = 1\n"
@@ -314,6 +314,32 @@ replicates = 193
     assert files[0].count(b"\n") == 194
 
 
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_simulate_trace_is_replicate_0_run_once(tmp_path, monkeypatch, cpus):
+    # trace.csv comes from the batch's own replicate 0, forked or not: the
+    # command runs each replicate once, and the trace is engine.simulate's.
+    cfg = _write(
+        tmp_path / "s.cfg",
+        "[graph]\nfamily = ring\nn = 256\n\n[policy]\nkind = gsi\nL = 1.0\n\n"
+        "[simulate]\nreplicates = 5\n",
+    )
+    monkeypatch.setattr(rng, "_FORK_RANGE_WORK", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    runs = []
+    samplers = engine.samplers
+    monkeypatch.setattr(engine, "samplers", lambda stream: runs.append(1) or samplers(stream))
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", cfg, "--seed", "7", "--out", str(out)]) == 0
+    assert len(runs) == (5 if cpus == 1 else 1)  # forked, the parent's range is replicate 0
+    g = graphs.gen_ring(256)
+    handle = policies.build_policy(policies.PolicySpec(kind="gsi", L=1.0, seed=7), g)
+    trace = engine.simulate(g, handle, engine.EngineConfig(seed=7))
+    engine.write_trace_csv(trace, str(tmp_path / "want.csv"))
+    assert (out / "trace.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    batch = (out / "batch.csv").read_text().splitlines()
+    assert batch[1].split(",")[1] == f"{trace.finish_time:.17g}"
+
+
 def test_dominate_verdict(tmp_path):
     cfg = _write(
         tmp_path / "d.cfg",
@@ -427,7 +453,7 @@ def test_dominate_line_vs_adversary_refuses_a_graph_that_is_not_1d(
     assert main(["dominate", "--config", cfg, "--seed", "3", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert f"line_vs_adversary bounds spreading on ring and line graphs only, not {family}" in err
-    assert not (out / "verdict.json").exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2**64), str(2**65 - 1), "1.5"])
@@ -444,7 +470,7 @@ def test_seed_outside_64_bits_exits_2(tmp_path, seed):
     text = RING_SWEEP.replace("L = 1.0", "L = 1.0\nseed = 0") + SIMULATE_N
     cfg = _write(tmp_path / "p.cfg", text)
     assert main(["simulate", "--config", cfg, "--out", str(out)] + policy_seed) == 2
-    assert not (out / "batch.csv").exists()
+    assert not out.exists()
     for section, key in (("policy", "seed"), ("meta", "master_seed")):
         with pytest.raises(ValueError, match=r"seed must be in \[0, 2\^64\)|integer"):
             cli._KEYS[section][key](float(seed) if seed == "1.5" else int(seed))
@@ -586,7 +612,7 @@ def test_fpp_nonpositive_replicates_exit_2(tmp_path, capsys, replicates):
     out = tmp_path / "o"
     assert main(["fpp", "--config", cfg, "--out", str(out)]) == 2
     assert "[clusters] replicates" in capsys.readouterr().err
-    assert not (out / "hitting.csv").exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("section,key", [("engine", "max_time = 5"), ("graph", "n = 64")])

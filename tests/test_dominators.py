@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from agentspread import analytics, graphs, policies, rng
+from agentspread import analytics, dominators, graphs, policies, rng
 from agentspread.dominators import (
     _PATH_POINTS,
     ClusterProcessConfig,
@@ -296,7 +296,7 @@ def test_count_at_is_the_step_function_of_the_path():
     cfg = ClusterProcessConfig(growth="line", target_count=60, seed=13)
     for tr in run_cluster_process(cfg, 5):
         path = list(zip(tr.path_times, tr.path_counts))
-        times = tr.path_times
+        times = list(tr.path_times)
         probes = times + [(a + b) / 2 for a, b in zip(times, times[1:])] + [-1.0, times[-1] + 1]
         for t in probes:
             want = ([c for s, c in path if s <= t] or [0])[-1]
@@ -479,12 +479,13 @@ def test_path_counts_are_a_range_up_to_the_cap(target, counts):
 
 
 # Bytes a held fpp trace may cost per point of its count path, fixed before
-# the first run: a float and its list slot take 32 B, where the (time,
-# count) tuples the path was before took about 120 B.
-BYTES_PER_PATH_POINT = 48
+# the first run: a slot of the times' array('d') takes 8 B, where a float
+# and its list slot took 32 B and the (time, count) tuples the path was
+# before took about 120 B.
+BYTES_PER_PATH_POINT = 12
 
 
-def test_held_traces_cost_at_most_48_bytes_per_path_point():
+def test_held_traces_cost_at_most_12_bytes_per_path_point():
     cfg = ClusterProcessConfig(growth="fpp", dim=2, target_count=4096, seed=37)
     gc.collect()
     tracemalloc.start()
@@ -499,6 +500,64 @@ def test_held_traces_cost_at_most_48_bytes_per_path_point():
     print(f"20 fpp traces (d=2, target 4096): {held / points:.1f} B per path point")
     assert points == 20 * 4096
     assert held <= BYTES_PER_PATH_POINT * points
+
+
+# Lattice configs whose sites the old fixed 21-bit width packed without
+# aliasing; max_time cuts off runs 3 and 4 of the d = 3 one
+PACKED = {
+    "fpp-d1": dict(growth="fpp", dim=1, target_count=3000, seed=51),
+    "fpp-d2": dict(growth="fpp", dim=2, target_count=3000, beta=0.4, seed=52),
+    "fpp-d3": dict(growth="fpp", dim=3, target_count=3000, max_time=3.0, seed=53),
+    "diagonal": dict(growth="diagonal", target_count=900, occupancy=3, mu_eff=0.3, seed=54),
+}
+
+
+def trace_values(traces):
+    return [
+        (list(tr.path_times), list(tr.path_counts), tr.hitting_time, tr.events,
+         tr.cluster_birth_times)
+        for tr in traces
+    ]
+
+
+@pytest.mark.parametrize("name", PACKED)
+def test_packing_width_does_not_change_a_run(name, monkeypatch):
+    # Which edge fires depends on the edge list's order, never on the site
+    # values, so the target-sized width gives the traces of the old 21 bits.
+    cfg = ClusterProcessConfig(**PACKED[name])
+    default = trace_values(run_cluster_process(cfg, 6))
+    assert dominators._axis_bits(cfg.target_count) < 21
+    monkeypatch.setattr(dominators, "_axis_bits", lambda sites: 21)
+    assert trace_values(run_cluster_process(cfg, 6)) == default
+
+
+def unpack(site, bits, dim):
+    return [(site >> (bits * a)) & ((1 << bits) - 1) for a in range(dim)]
+
+
+@pytest.mark.parametrize("target", [1, 2, 3, 4, 7, 8, 4096, 9000, 2**20, 2**21 + 3])
+@pytest.mark.parametrize("steps", ["axes-1", "axes-2", "axes-3", "diagonal"])
+def test_straight_runs_keep_distinct_codes(steps, target):
+    # A run of `target` sites from the origin along any step, in either
+    # direction, and the run's next site keep every axis in its own field:
+    # the codes decode to the coordinates, so no two sites share a code.
+    # The old fixed 21 bits carried across axes from 2^20 sites on.
+    steps = dominators._DIAGONAL_STEPS if steps == "diagonal" else (
+        dominators._axis_steps(int(steps[-1]))
+    )
+    deltas, origin = dominators._lattice(steps, target)
+    bits, dim = dominators._axis_bits(target), len(steps[0])
+    half = unpack(origin, bits, dim)
+    assert half == [1 << (bits - 1)] * dim
+    codes = set()
+    for step, delta in zip(steps, deltas):
+        for k in (1, target - 1, target) if target > 64 else range(1, target + 1):
+            site = origin + k * delta
+            assert unpack(site, bits, dim) == [h + k * x for h, x in zip(half, step)]
+            assert site < 1 << (bits * dim)
+            codes.add(site)
+    # distinct across steps: the decoded coordinates differ
+    assert len(codes) == len(steps) * (3 if target > 64 else target)
 
 
 # ---------------------------------------------------------------------------

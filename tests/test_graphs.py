@@ -75,6 +75,24 @@ def test_grid_lenient_floors_side():
     assert g.n == 9
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 16, 17, 81, 100, 1000, 4096])
+def test_grid_adjacency_equals_the_edge_list_build(d, n):
+    # gen_grid lists each node's neighbours directly; they are the sorted
+    # neighbour sets of its edge list, one edge to the next node on each
+    # axis whose coordinate is below the side.
+    g = graphs.gen_grid(n, d)
+    side = graphs._floor_root(n, d)
+    edges = [
+        (idx, idx + side ** (d - 1 - axis))
+        for idx, c in enumerate(g.coords)
+        for axis in range(d)
+        if c[axis] < side
+    ]
+    assert g.n == side**d
+    assert g.adjacency == graphs._build_adjacency(g.n, edges)
+
+
 def test_grid_coords_round_trip():
     g = graphs.gen_grid(27, 3)
     side = 3
