@@ -20,12 +20,12 @@ Each process takes a replicate count R and runs replicates 0..R-1 on the
 sampler pair of ``rng.samplers``. ``run_cluster_process`` yields whole
 traces one at a time and in-process: a batch of long runs would not fit
 in memory. A trace keeps its count path as two columns, the times of the
-count's changes in an ``array('d')`` (8 bytes a point) and a ``range`` of
-counts, since every change adds the same number of points. Every other batch (``two_phase_process``,
-``conductance_chain``, and ``sample_hits``, which keeps only each run's
-hitting time and event count) runs contiguous ranges of its replicates
-on every CPU through ``rng.run_batch``, with the same values on any
-number of CPUs.
+count's changes in an ``array('d')`` (8 bytes a point) and a ``range``
+of counts, since every change adds the same number of points. Every
+other batch (``two_phase_process``, ``conductance_chain``, and
+``sample_hits``, which keeps only each run's hitting time and event
+count) runs contiguous ranges of its replicates on every CPU through
+``rng.run_batch``, with the same values on any number of CPUs.
 
 A lattice cluster is a plain triple that the arrival loop grows inline:
 its sites in a hash set, its boundary edges in a swap-remove list and
@@ -258,9 +258,10 @@ def _count_path(times: array, first: int, step: int) -> tuple[array, range | lis
 
 def _axis_bits(sites: int) -> int:
     """Bits per axis of a packed site for clusters of at most ``sites``
-    sites: the origin sits at 2^b with b the bit length of sites + 1, so a
-    site and its neighbours stay within sites of it on every axis and no
-    axis's field ever carries into the next."""
+    sites. Such a cluster keeps its sites and their neighbours within
+    ``sites`` of the origin on every axis, and the origin's field is 2^b,
+    b the bit length of sites + 1, so 2^b > sites + 1: every field stays
+    inside (0, 2^(b+1)) and never carries into the next axis's."""
     return (sites + 1).bit_length() + 1
 
 
