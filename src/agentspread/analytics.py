@@ -299,8 +299,8 @@ def _sample_times(plan: ExperimentPlan, n: int) -> tuple[int, list[float], int]:
             initial_infected=plan.initial_infected,
             seed=derive_seed(plan.seed, (n << 2) | _P_ENGINE),
         )
-        summaries = simulate_batch(g, handle, ecfg, plan.replicates)
-        return g.n, finish_times(summaries), sum(s.events for s in summaries)
+        batch = simulate_batch(g, handle, ecfg, plan.replicates)
+        return g.n, finish_times(batch), sum(batch.events)
     times, events = sample_hits(_resolve_cluster_cfg(plan, n), plan.replicates)
     return n, times, sum(events)
 
@@ -435,10 +435,11 @@ def dominance_report(sample_a, sample_b, *, seed: int = 0) -> DominanceVerdict:
     qb = np.quantile(b, DECILES, method="linear")
     # Each row of one integers() call draws a resample of a, then one of b,
     # the very values of a loop of per-sample calls; chunks of rows cap the
-    # memory.
+    # memory. A bounded draw takes one 32-bit word per element whether its
+    # bound is a scalar or an array, so equal sizes pass the faster scalar.
     rng = substream(seed, 0, CH_BOOTSTRAP)
     na, nb = a.size, b.size
-    high = np.repeat([na, nb], [na, nb])
+    high = na if na == nb else np.repeat([na, nb], [na, nb])
     rows = max(1, _BOOT_CHUNK_BYTES // (8 * (na + nb)))
     boot = np.empty((_N_BOOT, len(DECILES)))
     for lo in range(0, _N_BOOT, rows):

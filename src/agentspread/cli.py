@@ -379,13 +379,13 @@ def _cmd_simulate(args) -> int:
     ecfg = _engine_config(cfg, args.seed)
     replicates = _read(cfg, "simulate").get("replicates", 1)
     events: list[tuple[float, int, str]] = []  # replicate 0's, the run engine.simulate gives
-    summaries = engine.simulate_batch(g, handle, ecfg, replicates, events)
+    batch = engine.simulate_batch(g, handle, ecfg, replicates, events)
     os.makedirs(outdir, exist_ok=True)
-    engine.write_batch_csv(summaries, os.path.join(outdir, "batch.csv"))
-    trace = engine.Trace(n=g.n, events=events, finish_time=summaries[0].finish_time)
+    engine.write_batch_csv(batch, os.path.join(outdir, "batch.csv"))
+    trace = engine.Trace(n=g.n, events=events, finish_time=batch[0].finish_time)
     engine.write_trace_csv(trace, os.path.join(outdir, "trace.csv"))
     _echo(cfg, args, outdir)
-    finished = engine.finish_times(summaries)
+    finished = engine.finish_times(batch)
     if finished:
         print(f"replicates={replicates} mean_T={sum(finished) / len(finished):.6g}")
     else:
@@ -487,8 +487,9 @@ def _cmd_fpp(args) -> int:
     replicates = kw.pop("replicates", 100)
     ccfg = dominators.ClusterProcessConfig(seed=args.seed, **kw)
     outdir = _out_path(args.out)
+    traces: list[dominators.ClusterTrace] = []  # replicate 0's, for path0.csv
     try:
-        times, events = dominators.sample_hits(ccfg, replicates)
+        times, events = dominators.sample_hits(ccfg, replicates, traces)
     except InvalidParameterError as e:
         raise ConfigError(f"[clusters] {e}") from e
     os.makedirs(outdir, exist_ok=True)
@@ -496,8 +497,7 @@ def _cmd_fpp(args) -> int:
         fh.write("replicate,hitting_time,events\n")
         for k, (ht, ev) in enumerate(zip(times, events)):
             fh.write(f"{k},{'' if ht is None else f'{ht:.17g}'},{ev}\n")
-    (trace,) = dominators.run_cluster_process(ccfg, 1)
-    dominators.write_cluster_csv(trace, os.path.join(outdir, "path0.csv"))
+    dominators.write_cluster_csv(traces[0], os.path.join(outdir, "path0.csv"))
     _echo(cfg, args, outdir)
     print(f"{ccfg.growth} clusters: {replicates} runs -> {outdir}/hitting.csv")
     return EXIT_OK

@@ -411,14 +411,22 @@ def fpp_clusters(cfg: ClusterProcessConfig, replicate: int = 0) -> ClusterTrace:
 
 
 def sample_hits(
-    cfg: ClusterProcessConfig, replicates: int
+    cfg: ClusterProcessConfig, replicates: int, traces: list | None = None
 ) -> tuple[list[float | None], list[int]]:
     """Hitting times and event counts of runs 0..R-1 of
     ``run_cluster_process`` (time None for a run ``max_time`` cut off),
-    run as contiguous ranges on every CPU by ``rng.run_batch``."""
+    run as contiguous ranges on every CPU by ``rng.run_batch``. ``traces``,
+    if given, receives run 0's ``ClusterTrace``: run 0 always runs in this
+    process, in the first range."""
 
     def run(streams, first: int) -> list[tuple[float | None, int]]:
-        return [(tr.hitting_time, tr.events) for tr in (_cluster_run(cfg, rng) for rng in streams)]
+        hits = []
+        for rng in streams:
+            tr = _cluster_run(cfg, rng)
+            if traces is not None and first + len(hits) == 0:  # run 0
+                traces.append(tr)
+            hits.append((tr.hitting_time, tr.events))
+        return hits
 
     hits = run_batch(run, cfg.seed, CH_PROCESS, replicates, cfg.target_count)
     return [t for t, _ in hits], [e for _, e in hits]

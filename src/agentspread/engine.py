@@ -35,16 +35,22 @@ does not change between runs is done once per batch: the range check of
 graph's adjacency and the policy's hooks. Each run gets its own samplers
 from ``rng.samplers``, a fresh ``InfectionState`` and a ``policy.reset``.
 
-A batch's summaries, one ``RunSummary`` of finish time and infection
-count per replicate in replicate order, are bit-identical forked or not,
-and a failing batch raises the error an in-process batch raises. Forked
-or not, the state a policy handle is left in after a batch is
-unspecified: ``reset`` is what readies it for its next run.
+A batch is a ``RunBatch``: two columns in replicate order, each run's
+finish time in an ``array('d')``, NaN for a run the time cutoff stopped,
+and its infection count in an ``array('q')``. No object is built per
+run; indexing the batch builds one ``RunSummary``. A forked range sends
+back its two columns, so the pipe carries two buffers, not one object
+per replicate. The columns are bit-identical forked or not, and a
+failing batch raises the error an in-process batch raises. Forked or
+not, the state a policy handle is left in after a batch is unspecified:
+``reset`` is what readies it for its next run.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
@@ -132,11 +138,45 @@ class RunSummary:
     events: int
 
 
+def _summary(t: float, count: int) -> RunSummary:
+    return RunSummary(None if t != t else t, count)
+
+
+class RunBatch(Sequence):
+    """The runs of a batch as two columns in replicate order: ``times``,
+    an ``array('d')`` of finish times with NaN for a run that was cut off
+    (no finish time is otherwise NaN), and ``events``, an ``array('q')``
+    of infection counts. Item k is replicate k's ``RunSummary``, built on
+    access; a slice is a list of them. ``extend`` appends another batch's
+    columns. Compare batches as ``list(batch)``."""
+
+    __slots__ = ("times", "events")
+
+    def __init__(self):
+        self.times = array("d")
+        self.events = array("q")
+
+    def __len__(self) -> int:
+        return len(self.events)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return list(map(_summary, self.times[k], self.events[k]))
+        return _summary(self.times[k], self.events[k])
+
+    def __iter__(self):
+        return map(_summary, self.times, self.events)
+
+    def extend(self, other: RunBatch) -> None:
+        self.times.extend(other.times)
+        self.events.extend(other.events)
+
+
 def _run(
     g: Graph, policy, cfg: EngineConfig, streams, first: int, events=None
-) -> list[RunSummary]:
+) -> RunBatch:
     """Run replicates first, first + 1, ... on the Generators ``streams``
-    yields, one each, and return their summaries in that order. ``events``,
+    yields, one each, and return their columns in that order. ``events``,
     if given, receives the infection events of replicate ``first``."""
     n = g.n
     adj = g.adjacency
@@ -159,7 +199,9 @@ def _run(
     sample_target = policy.sample_target
     on_infect = policy.on_infect
 
-    out = []
+    out = RunBatch()
+    add_time = out.times.append
+    add_count = out.events.append
     for replicate, rng in enumerate(streams, first):
         keep_events = events is not None and replicate == first
         exp, uni = samplers(rng)
@@ -250,7 +292,8 @@ def _run(
                 break
 
         count = state.infected_count
-        out.append(RunSummary(state.clock if count == n else None, count))
+        add_time(state.clock if count == n else math.nan)
+        add_count(count)
     return out
 
 
@@ -272,8 +315,8 @@ def simulate(g: Graph, policy, cfg: EngineConfig, replicate: int = 0) -> Trace:
 
 def simulate_batch(
     g: Graph, policy, cfg: EngineConfig, replicates: int, events: list | None = None
-) -> list[RunSummary]:
-    """Run independent replicates and return per-replicate summaries.
+) -> RunBatch:
+    """Run independent replicates and return their ``RunBatch``.
 
     Replicate k owns stream (cfg.seed, k) and a fresh policy state, so
     output is deterministic and ordered by replicate index, whether the
@@ -283,15 +326,15 @@ def simulate_batch(
     first range.
     """
 
-    def run(streams, first: int) -> list[RunSummary]:
+    def run(streams, first: int) -> RunBatch:
         return _run(g, policy, cfg, streams, first, events if first == 0 else None)
 
     return run_batch(run, cfg.seed, CH_ENGINE, replicates, g.n)
 
 
-def finish_times(summaries: list[RunSummary]) -> list[float]:
+def finish_times(batch: RunBatch) -> list[float]:
     """Finite finish times of a batch (cutoff runs are dropped)."""
-    return [s.finish_time for s in summaries if s.finish_time is not None]
+    return [t for t in batch.times if t == t]
 
 
 def write_trace_csv(trace: Trace, path: str) -> None:
@@ -301,10 +344,10 @@ def write_trace_csv(trace: Trace, path: str) -> None:
             fh.write(f"{t:.17g},{v},{cause}\n")
 
 
-def write_batch_csv(summaries: list[RunSummary], path: str) -> None:
+def write_batch_csv(batch: RunBatch, path: str) -> None:
     """One row per replicate: its position, finish time, events and stream index."""
     with open(path, "w") as fh:
         fh.write("replicate,finish_time,events,seed_stream\n")
-        for k, s in enumerate(summaries):
-            ft = "" if s.finish_time is None else f"{s.finish_time:.17g}"
-            fh.write(f"{k},{ft},{s.events},{stream_index(k, CH_ENGINE)}\n")
+        for k, (t, count) in enumerate(zip(batch.times, batch.events)):
+            ft = "" if t != t else f"{t:.17g}"
+            fh.write(f"{k},{ft},{count},{stream_index(k, CH_ENGINE)}\n")

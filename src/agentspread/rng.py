@@ -214,11 +214,13 @@ _FORK_RANGE_WORK = 1 << 14
 _SIGKILL = 9  # POSIX, where os.fork exists
 
 
-def run_batch(run, seed: int, channel: int, replicates, cost: int) -> list:
-    """``run(replicate_streams(seed, channel, hi, lo), lo)``, a list of one
-    result per replicate, over contiguous ranges lo..hi-1 of replicates
-    0..R-1 (``replicate_count`` checks R), concatenated in replicate order;
-    ``cost`` is one replicate's work in the units of ``_FORK_RANGE_WORK``.
+def run_batch(run, seed: int, channel: int, replicates, cost: int):
+    """``run(replicate_streams(seed, channel, hi, lo), lo)``, the results of
+    replicates lo..hi-1 in anything with ``extend``, such as a list or an
+    engine ``RunBatch``, over contiguous ranges of replicates 0..R-1
+    (``replicate_count`` checks R), concatenated in replicate order by the
+    first range's ``extend``; ``cost`` is one replicate's work in the units
+    of ``_FORK_RANGE_WORK``.
 
     The batch runs on W processes: the CPUs the process may use
     (``os.sched_getaffinity``, else ``os.cpu_count``), lowered until each
@@ -235,7 +237,7 @@ def run_batch(run, seed: int, channel: int, replicates, cost: int) -> list:
     """
     replicates = replicate_count(replicates)
 
-    def task(lo: int, hi: int) -> list:
+    def task(lo: int, hi: int):
         return run(replicate_streams(seed, channel, hi, lo), lo)
 
     return _batch(task, replicates, _workers(replicates, replicates * cost))
@@ -263,10 +265,12 @@ def _workers(replicates: int, work: int) -> int:
     return min(cpus, most)
 
 
-def _batch(task, replicates: int, workers: int) -> list:
-    """The lists ``task(lo, hi)`` returns for ``workers`` contiguous ranges
-    of 0..R-1, concatenated: the first run here, each other in a forked
-    child; with one worker, or no pipe or process, all here as one range."""
+def _batch(task, replicates: int, workers: int):
+    """The results ``task(lo, hi)`` returns for ``workers`` contiguous
+    ranges of 0..R-1, each with ``extend`` (a list, a ``RunBatch``),
+    concatenated into the first: the first range runs here, each other in
+    a forked child, which sends its result back pickled; with one worker,
+    or no pipe or process, all run here as one range."""
     bounds = [replicates * i // workers for i in range(workers + 1)]
     children = []  # (pid, pipe's read end, first replicate) of unreaped children
     try:

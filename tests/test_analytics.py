@@ -310,6 +310,32 @@ def test_dominance_report_pinned():
     assert verdict.verdict == "violation-at-deciles[70,80,90]"
 
 
+class ArrayBound:
+    """A Generator whose ``integers`` draws a row's resamples of sizes
+    ``na`` and ``nb`` with the array bound ``dominance_report`` once
+    passed for every pair of sizes."""
+
+    def __init__(self, gen, na, nb):
+        self.gen = gen
+        self.high = np.repeat([na, nb], [na, nb])
+
+    def integers(self, low, high, size):
+        return self.gen.integers(low, self.high, size=size)
+
+
+@pytest.mark.parametrize("na,nb", [(100, 100), (137, 137), (1000, 1000), (100, 137), (997, 1000)])
+def test_dominance_verdict_is_the_array_bound_verdict(na, nb, monkeypatch):
+    # Equal sizes draw with a scalar bound: one 32-bit word per element
+    # either way, so the same resamples and verdict as the array bound.
+    rng = np.random.default_rng(na + 3 * nb)
+    a = rng.exponential(1.0, na)
+    b = 0.8 * rng.exponential(1.0, nb) + 0.3
+    got = dominance_report(a, b, seed=5)
+    substream = analytics.substream
+    monkeypatch.setattr(analytics, "substream", lambda *key: ArrayBound(substream(*key), na, nb))
+    assert got == dominance_report(a, b, seed=5)
+
+
 @pytest.mark.parametrize("n", [2, 3, 10, 100, 137, 411, 997, 1000])
 def test_sorted_deciles_are_numpys_linear_quantiles(n):
     # the reference: np.quantile's own partition and interpolation

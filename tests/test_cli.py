@@ -603,6 +603,32 @@ def test_fpp_writes_a_cut_run_with_an_empty_hitting_time(tmp_path, monkeypatch):
     assert (out / "path0.csv").read_text() == (tmp_path / "path0.csv").read_text()
 
 
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_fpp_path0_is_replicate_0_run_once(tmp_path, monkeypatch, cpus):
+    # path0.csv comes from the batch's own run 0, forked or not: the
+    # command runs each replicate once, and the path is run_cluster_process's.
+    cfg = _write(tmp_path / "f.cfg", "[clusters]\ngrowth = fpp\ntarget = 300\nreplicates = 5\n")
+    monkeypatch.setattr(rng, "_FORK_RANGE_WORK", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    runs = []
+    samplers = dominators.samplers
+    monkeypatch.setattr(dominators, "samplers", lambda stream: runs.append(1) or samplers(stream))
+    out = tmp_path / "o"
+    assert main(["fpp", "--config", cfg, "--seed", "8", "--out", str(out)]) == 0
+    assert len(runs) == (5 if cpus == 1 else 1)  # forked, the parent's range is run 0
+    monkeypatch.setattr(dominators, "samplers", samplers)
+    (trace,) = dominators.run_cluster_process(
+        dominators.ClusterProcessConfig("fpp", 300, seed=8), 1
+    )
+    dominators.write_cluster_csv(trace, str(tmp_path / "want.csv"))
+    assert (out / "path0.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    hits = (out / "hitting.csv").read_text().splitlines()
+    assert hits[1] == f"0,{trace.hitting_time:.17g},{trace.events}"
+    traces = []  # sample_hits keeps run 0's trace alone
+    dominators.sample_hits(dominators.ClusterProcessConfig("fpp", 300, seed=8), 5, traces)
+    assert len(traces) == 1 and traces[0].path_times == trace.path_times
+
+
 @pytest.mark.parametrize("replicates", [0, -3])
 def test_fpp_nonpositive_replicates_exit_2(tmp_path, capsys, replicates):
     cfg = _write(

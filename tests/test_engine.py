@@ -1,8 +1,11 @@
 """Engine exactness, determinism, guards, and the coupling property."""
 
+import dataclasses
 import math
 import os
+import pickle
 import statistics
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -137,7 +140,7 @@ def test_batch_deterministic():
     cfg = EngineConfig(seed=9)
     a = engine.simulate_batch(g, policies.RandomHomogeneous(1.0), cfg, 50)
     b = engine.simulate_batch(g, policies.RandomHomogeneous(1.0), cfg, 50)
-    assert a == b
+    assert list(a) == list(b)
 
 
 def test_single_run_is_batch_stream_zero():
@@ -249,7 +252,7 @@ def test_batch_summaries_equal_reference_loop(kind, max_time):
     )
     cfg = EngineConfig(beta=0.7, initial_infected=5, max_time=max_time, seed=23)
     got = engine.simulate_batch(g, policies.build_policy(spec, g), cfg, 25)
-    assert got == reference_batch(g, spec, cfg, 25)
+    assert list(got) == reference_batch(g, spec, cfg, 25)
 
 
 STAR = graphs.gen_custom(200, [(0, leaf) for leaf in range(1, 200)])
@@ -269,13 +272,83 @@ def test_star_equals_reference_loop(L, seed_node):
         STAR, policies.build_policy(spec), cfg, 3
     )
     got = engine.simulate_batch(STAR, policies.build_policy(spec), cfg, 12)
-    assert got == reference_batch(STAR, spec, cfg, 12)
+    assert list(got) == reference_batch(STAR, spec, cfg, 12)
 
 
 def test_run_summary_is_immutable():
     (s,) = engine.simulate_batch(graphs.gen_ring(8), policies.NullPolicy(), EngineConfig(seed=2), 1)
     with pytest.raises(AttributeError):
         s.finish_time = 0.0
+
+
+# ---------------------------------------------------------------------------
+# RunBatch: two columns read as a sequence of RunSummary records
+# ---------------------------------------------------------------------------
+
+
+def cut_batch():
+    """Ring 16 under random_homogeneous, cut at max_time 4.5: some runs
+    finish and some do not; with the reference loop's summaries."""
+    spec = policies.PolicySpec(kind="random_homogeneous", L=1.5)
+    g = graphs.gen_ring(16)
+    cfg = EngineConfig(beta=0.7, initial_infected=5, max_time=4.5, seed=23)
+    return engine.simulate_batch(g, policies.build_policy(spec), cfg, 40), reference_batch(
+        g, spec, cfg, 40
+    )
+
+
+def test_run_batch_items_iteration_and_slices_equal_reference_loop():
+    batch, want = cut_batch()
+    assert len(batch) == len(want) == 40
+    assert [batch[k] for k in range(40)] == want
+    assert [batch[k] for k in range(-40, 0)] == want
+    assert list(batch) == want
+    for cut in (slice(None), slice(1, None), slice(3, 31, 4), slice(None, None, -1), slice(50, 60)):
+        got = batch[cut]
+        assert type(got) is list and got == want[cut]
+    with pytest.raises(IndexError):
+        batch[40]
+
+
+def test_run_batch_reads_a_cut_run_as_none():
+    batch, want = cut_batch()
+    cut = [k for k, s in enumerate(want) if s.finish_time is None]
+    assert 0 < len(cut) < 40  # both kinds of run are in the batch
+    assert [k for k, t in enumerate(batch.times) if math.isnan(t)] == cut
+    assert all(batch[k].finish_time is None and batch[k].events < 16 for k in cut)
+    assert finish_times(batch) == [s.finish_time for s in want if s.finish_time is not None]
+
+
+def test_run_batch_survives_a_pickle_round_trip():
+    batch, want = cut_batch()
+    back = pickle.loads(pickle.dumps(batch, pickle.HIGHEST_PROTOCOL))
+    assert type(back) is engine.RunBatch
+    assert back.times.tobytes() == batch.times.tobytes()  # NaN included
+    assert list(back) == list(batch) == want
+
+
+def test_run_batch_item_takes_dataclasses_replace():
+    batch, _ = cut_batch()
+    cut = dataclasses.replace(batch[0], finish_time=None)
+    assert cut == engine.RunSummary(None, batch[0].events)
+    assert [cut] + batch[1:] == [cut] + list(batch)[1:]
+
+
+def test_held_batch_costs_at_most_24_bytes_per_replicate():
+    # Two 8-byte columns; no object is held per run. A first batch loads
+    # what a batch imports, which is not the batch's to hold.
+    g, reps = graphs.gen_line(2), 10_000
+    engine.simulate_batch(g, policies.NullPolicy(), EngineConfig(seed=5), 1)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot()
+        batch = engine.simulate_batch(g, policies.NullPolicy(), EngineConfig(seed=5), reps)
+        after = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    held = sum(d.size_diff for d in after.compare_to(before, "filename"))
+    assert len(batch) == reps
+    assert held / reps <= 24
 
 
 # ---------------------------------------------------------------------------
@@ -304,8 +377,8 @@ def test_forked_batch_equals_in_process_batch_and_reference_loop(kind, monkeypat
     in_process = engine.simulate_batch(FORK_RING, policies.build_policy(spec, FORK_RING), cfg,
                                        FORK_REPLICATES)
     assert len(forks) == 2
-    assert forked == in_process
-    assert forked == reference_batch(FORK_RING, spec, cfg, FORK_REPLICATES)
+    assert list(forked) == list(in_process)
+    assert list(forked) == reference_batch(FORK_RING, spec, cfg, FORK_REPLICATES)
 
 
 class RefusesReplicates(policies.RandomHomogeneous):
@@ -339,7 +412,7 @@ def test_forked_batch_raises_the_earliest_ranges_error(refused, raised, monkeypa
     if raised is None:
         got = engine.simulate_batch(g, RefusesReplicates(), cfg, 30)
         spec = policies.PolicySpec(kind="random_homogeneous", L=1.0)
-        assert got == reference_batch(g, spec, cfg, 30)
+        assert list(got) == reference_batch(g, spec, cfg, 30)
     else:
         with pytest.raises(PolicyContractError, match=f"^replicate {raised} refused$"):
             engine.simulate_batch(g, RefusesReplicates(refused), cfg, 30)
@@ -426,7 +499,7 @@ def test_batch_runs_in_process_when_no_process_can_be_had(fails, monkeypatch):
     assert open_fds() == fds
     assert policy.resets == 30
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    assert got == engine.simulate_batch(g, CountsResets(), cfg, 30)
+    assert list(got) == list(engine.simulate_batch(g, CountsResets(), cfg, 30))
 
 
 # ---------------------------------------------------------------------------
