@@ -14,10 +14,18 @@ leaves a slope below 1/(d+1) at any finite n.
 A fit's 95% CI uses Student's t 0.975 quantile at df = points - 2. Up to
 df = 64 it is scipy's ``stdtrit`` value, written out as a table; beyond
 that it is solved from the closed-form t distribution for integer df
-(Abramowitz and Stegun 26.7.3/26.7.4). The package thus needs numpy alone.
+(Abramowitz and Stegun 26.7.3/26.7.4).
+
+Every order statistic, a sweep row's deciles and a dominance verdict's
+deciles and bootstrap bound alike, is read by one rule, ``_sorted_quantiles``:
+numpy's ``linear`` quantile (Hyndman and Fan's type 7) off sorted rows,
+value for value what numpy's ``quantile`` gives on finite data, without
+its lazy import of ``numpy.ma``. The package thus needs numpy alone and
+never loads ``numpy.ma``.
 
 A dominance check runs a policy against the process that bounds it, as
-paired by the one table of ``sim dominate`` modes.
+paired by the one table of ``sim dominate`` modes, and reads the
+percentile bootstrap (Efron 1979) of the decile differences.
 
 All sub-seeds derive from the plan's master seed through the counter-based
 stream splitter, so identical plans produce bit-identical reports (wall
@@ -56,9 +64,11 @@ _LOG_DIVISOR = {"none": lambda n: 1.0, "divide_by_log_n": math.log}
 _N_BOOT = 2000
 # Bytes of resample indices dominance_report draws at once. Its temporaries
 # come to about three times this, and peak RSS keeps them: at 4 MiB,
-# ring-dominance peaked 16 MiB (28%) above the per-resample loop. Chunks
-# this small run as fast.
-_BOOT_CHUNK_BYTES = 1 << 19
+# ring-dominance peaked 16 MiB (28%) above the per-resample loop. At 2^17,
+# one report on 1000 + 1000 points peaks 0.52 MiB under tracemalloc (1.62
+# at 2^19) in about the same 50 ms; the draws are row-major in one stream,
+# so the chunk size changes no value.
+_BOOT_CHUNK_BYTES = 1 << 17
 
 # Purpose tags mixed into per-size derived seeds.
 _P_ENGINE = 0
@@ -305,12 +315,24 @@ def _sample_times(plan: ExperimentPlan, n: int) -> tuple[int, list[float], int]:
     return n, times, sum(events)
 
 
+def _finite_array(what: str, values) -> np.ndarray:
+    """``values`` as a float array, or InvalidParameterError naming ``what``
+    and the first index holding a NaN or +-inf: ``_sorted_quantiles``
+    would read a NaN, which sorts last, as a value."""
+    arr = np.asarray(values, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(arr))
+    if bad.size:
+        i = bad[0]
+        raise InvalidParameterError(f"{what}: index {i} holds {arr[i]}, not a finite number")
+    return arr
+
+
 def summarize(n: int, times, events: int) -> SweepRow:
-    arr = np.asarray(times, dtype=float)
+    arr = _finite_array(f"finish times at n={n}", times)
     if arr.size == 0:
         raise InvalidParameterError(f"no finished runs at n={n}")
     std = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
-    decs = tuple(float(q) for q in np.quantile(arr, DECILES, method="linear"))
+    decs = tuple(map(float, _sorted_quantiles(np.sort(arr), DECILES)))
     return SweepRow(
         n=n,
         mean=float(arr.mean()),
@@ -401,19 +423,21 @@ class DominanceVerdict:
         return "violation-at-deciles[" + ",".join(map(str, self.violations)) + "]"
 
 
-def _sorted_deciles(rows: np.ndarray) -> np.ndarray:
-    """The ``DECILES`` of each row of ``rows``, which are sorted, one row of
-    deciles each: numpy's ``linear`` quantile rule read straight off the two
-    order statistics a <= b around (n - 1) q, with gamma its fractional
-    part. The value is a + (b - a) gamma, or b - (b - a) (1 - gamma) where
-    gamma >= 0.5, the arithmetic ``np.quantile`` does, so every value is
-    the same. Needs n >= 2."""
-    pos = (rows.shape[1] - 1) * np.asarray(DECILES)
+def _sorted_quantiles(rows: np.ndarray, levels) -> np.ndarray:
+    """The quantiles at ``levels`` of each row of ``rows`` (its last axis),
+    which is sorted: numpy's ``linear`` rule (Hyndman and Fan's type 7),
+    read straight off the two order statistics a <= b around (n - 1) q,
+    the upper one clipped at n - 1, with gamma the fractional part. The
+    value is a + (b - a) gamma, or b - (b - a) (1 - gamma) where
+    gamma >= 0.5, numpy's ``quantile`` arithmetic, so every value of finite
+    rows is the same. The package's one order-statistic reader."""
+    n = rows.shape[-1]
+    pos = (n - 1) * np.asarray(levels)
     below = np.floor(pos)
     gamma = pos - below
     at = below.astype(np.intp)
-    a = rows[:, at]
-    b = rows[:, at + 1]
+    a = rows[..., at]
+    b = rows[..., np.minimum(at + 1, n - 1)]
     diff = b - a
     return np.where(gamma >= 0.5, b - diff * (1 - gamma), a + diff * gamma)
 
@@ -423,16 +447,17 @@ def dominance_report(sample_a, sample_b, *, seed: int = 0) -> DominanceVerdict:
 
     Decile q is a violation when even the 95th percentile of the
     ``_N_BOOT``-resample bootstrap distribution of decile_b - decile_a is
-    negative (ties and noise-level crossings are allowed).
+    negative (ties and noise-level crossings are allowed). Refuses a NaN
+    or infinite point in either sample.
     """
-    a = np.asarray(list(sample_a), dtype=float)
-    b = np.asarray(list(sample_b), dtype=float)
+    a = _finite_array("dominance sample a", list(sample_a))
+    b = _finite_array("dominance sample b", list(sample_b))
     if a.size < 100 or b.size < 100:
         raise InvalidParameterError(
             f"dominance report needs >= 100 points per sample, got {a.size} and {b.size}"
         )
-    qa = np.quantile(a, DECILES, method="linear")
-    qb = np.quantile(b, DECILES, method="linear")
+    qa = _sorted_quantiles(np.sort(a), DECILES)
+    qb = _sorted_quantiles(np.sort(b), DECILES)
     # Each row of one integers() call draws a resample of a, then one of b,
     # the very values of a loop of per-sample calls; chunks of rows cap the
     # memory. A bounded draw takes one 32-bit word per element whether its
@@ -446,8 +471,9 @@ def dominance_report(sample_a, sample_b, *, seed: int = 0) -> DominanceVerdict:
         idx = rng.integers(0, high, size=(min(rows, _N_BOOT - lo), na + nb))
         ra = np.sort(a[idx[:, :na]], axis=1)
         rb = np.sort(b[idx[:, na:]], axis=1)
-        boot[lo : lo + len(idx)] = _sorted_deciles(rb) - _sorted_deciles(ra)
-    upper = np.quantile(boot, 0.95, axis=0)
+        boot[lo : lo + len(idx)] = _sorted_quantiles(rb, DECILES) - _sorted_quantiles(ra, DECILES)
+    boot.sort(axis=0)
+    upper = _sorted_quantiles(boot.T, (0.95,))[:, 0]
     violations = tuple(
         int(round(DECILES[i] * 100)) for i in range(len(DECILES)) if upper[i] < 0
     )

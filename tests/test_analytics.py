@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -336,14 +337,73 @@ def test_dominance_verdict_is_the_array_bound_verdict(na, nb, monkeypatch):
     assert got == dominance_report(a, b, seed=5)
 
 
-@pytest.mark.parametrize("n", [2, 3, 10, 100, 137, 411, 997, 1000])
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 100, 137, 411, 997, 1000])
 def test_sorted_deciles_are_numpys_linear_quantiles(n):
-    # the reference: np.quantile's own partition and interpolation
+    # the reference: np.quantile's own partition and interpolation, at the
+    # deciles and at the bootstrap's 0.95, on continuous draws and on
+    # integer-valued ones, whose neighbouring order statistics tie
     rng = np.random.default_rng(n)
-    rows = np.sort(rng.exponential(1.0, (50, n)), axis=1)
-    rows[0] = 1.0  # ties: every order statistic equal
-    want = np.quantile(rows, analytics.DECILES, axis=1, method="linear").T
-    assert np.array_equal(analytics._sorted_deciles(rows), want)
+    draws = (rng.exponential(1.0, (50, n)), rng.integers(0, 4, (50, n)).astype(float))
+    for levels in (analytics.DECILES, (0.95,)):
+        for draw in draws:
+            rows = np.sort(draw, axis=1)
+            rows[0] = 1.0  # ties: every order statistic equal
+            want = np.quantile(rows, levels, axis=1, method="linear").T
+            assert np.array_equal(analytics._sorted_quantiles(rows, levels), want)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 137, 1000])
+def test_summarize_reads_numpys_linear_deciles(n):
+    # a one-replicate row included: its deciles are its one time
+    rng = np.random.default_rng(n + 1)
+    for times in (rng.exponential(2.0, n), rng.integers(0, 5, n).astype(float)):
+        row = analytics.summarize(n, times.tolist(), 7)
+        want = np.quantile(times, analytics.DECILES, method="linear")
+        assert np.array_equal(row.deciles, want)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_summarize_refuses_non_finite_times(bad):
+    # a NaN would sort last and read as a value among the deciles
+    with pytest.raises(InvalidParameterError, match=f"n=3: index 1 holds {bad}"):
+        analytics.summarize(3, [1.0, bad, 2.0], 0)
+
+
+def test_dominance_refuses_an_all_nan_b():
+    # b = Exp(mean 1) falls below a = Exp(mean 10) at every decile; an
+    # all-NaN b once read consistent-with-dominance
+    rng = np.random.default_rng(21)
+    a = rng.exponential(10.0, 200)
+    assert dominance_report(a, rng.exponential(1.0, 200), seed=1).violations
+    with pytest.raises(InvalidParameterError, match="sample b: index 0 holds nan"):
+        dominance_report(a, np.full(200, np.nan), seed=1)
+
+
+def test_dominance_refuses_an_inf_in_a():
+    rng = np.random.default_rng(23)
+    a = rng.exponential(1.0, 200)
+    a[17] = np.inf
+    with pytest.raises(InvalidParameterError, match="sample a: index 17 holds inf"):
+        dominance_report(a, rng.exponential(1.0, 200), seed=1)
+
+
+def test_dominance_report_peaks_under_1_mib_of_python_heap():
+    # The bootstrap draws its resamples in chunks of _BOOT_CHUNK_BYTES
+    # indices; at 2^19 one report on 1000 + 1000 points peaked 1.62 MiB,
+    # at 2^17 0.52 MiB.
+    rng = np.random.default_rng(22)
+    a = rng.exponential(1.0, 1000)
+    b = rng.exponential(1.0, 1000) + 0.2
+    dominance_report(a, b, seed=1)  # warm-up: first-call caches stay out of the peak
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        dominance_report(a, b, seed=1)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1 << 20, peak
 
 
 def test_dominance_rejects_small_samples():

@@ -112,6 +112,27 @@ def test_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_sweep_and_dominance_load_no_numpy_ma():
+    # np.quantile imports numpy.ma (1.2 MiB of RSS) on its first call;
+    # analytics reads its order statistics without it.
+    code = (
+        "import sys, numpy as np\n"
+        "from agentspread.analytics import ExperimentPlan, dominance_report, run_plan\n"
+        "run_plan(ExperimentPlan(sizes=(8, 16, 32), replicates=20, seed=3))\n"
+        "rng = np.random.default_rng(4)\n"
+        "dominance_report(rng.exponential(1.0, 200), rng.exponential(2.0, 200), seed=5)\n"
+        "print('numpy.ma' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+    )
+    assert out.stdout.strip() == "False"
+
+
 def test_package_source_imports_no_scipy():
     # A lazy import inside a function would keep the dependency and move
     # its load into the timed work.
