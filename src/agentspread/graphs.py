@@ -549,7 +549,10 @@ def conductance_exact(g: Graph) -> ConductanceResult:
 
 
 def conductance_analytic(g: Graph) -> ConductanceResult:
-    """Closed-form conductance of structured families (contiguous half cut)."""
+    """Closed-form conductance of structured families: a contiguous half
+    of a ring or line, and on a d-dimensional grid of side s the slab of
+    its floor(s/2) lowest layers along one axis, s^(d-1) cut edges over
+    floor(s/2) * s^(d-1) nodes (the half cut when s is even)."""
     n = g.n
     if g.family == "ring":
         return ConductanceResult(value=2 / (n // 2), witness_set=None, mode="analytic")
@@ -559,9 +562,7 @@ def conductance_analytic(g: Graph) -> ConductanceResult:
         d = g.dim
         assert d is not None
         side = _floor_root(n, d)
-        return ConductanceResult(
-            value=side ** (d - 1) / (n // 2), witness_set=None, mode="analytic"
-        )
+        return ConductanceResult(value=1 / (side // 2), witness_set=None, mode="analytic")
     raise InvalidFamilyError(f"no analytic conductance for family {g.family}")
 
 
@@ -588,12 +589,14 @@ def write_graph(g: Graph, path: str) -> None:
 
 
 def read_graph(path: str) -> Graph:
-    """Read a graph in the format of ``write_graph``. A malformed file
-    raises InvalidParameterError naming the path and the line, and so does
-    a header whose node count is below 1, a ``ring``, ``line`` or ``grid``
-    file whose edges differ from that family's graph on n nodes, or an
-    ``rgg`` file whose edges differ from the disk graph of its coordinates
-    and radius."""
+    """Read a graph in the format of ``write_graph``. A malformed line
+    raises InvalidParameterError naming the path and the line: an edge
+    line that is not two integers, a coord line that is not ``coord u x
+    y``, a coord line outside an ``rgg`` file, for a node outside 0..n-1
+    or for a node that already has one. So does a header whose node count
+    is below 1, a ``ring``, ``line`` or ``grid`` file whose edges differ
+    from that family's graph on n nodes, or an ``rgg`` file whose edges
+    differ from the disk graph of its coordinates and radius."""
     edges = []
     coords: dict[int, tuple[float, float]] = {}
     with open(path) as fh:
@@ -607,10 +610,15 @@ def read_graph(path: str) -> Graph:
                 parts = line.split()
                 if not parts:
                     continue
-                if parts[0] == "coord":
-                    coords[int(parts[1])] = (float(parts[2]), float(parts[3]))
-                else:
-                    edges.append((int(parts[0]), int(parts[1])))
+                if parts[0] != "coord":
+                    u, v = map(int, parts)
+                    edges.append((u, v))
+                    continue
+                _, u, x, y = parts
+                u = int(u)
+                if family != "rgg" or not 0 <= u < n or u in coords:
+                    raise ValueError
+                coords[u] = (float(x), float(y))
         except (ValueError, IndexError):
             raise InvalidParameterError(
                 f"{path}, line {lineno}: malformed graph line {line.strip()!r}"
@@ -618,7 +626,7 @@ def read_graph(path: str) -> Graph:
     if n < 1:
         raise InvalidParameterError(f"{path}: node count must be >= 1, got {n}")
     coord_tuple = None
-    if coords or family == "rgg":
+    if family == "rgg":
         try:
             coord_tuple = tuple(coords[v] for v in range(n))
         except KeyError as e:

@@ -508,8 +508,22 @@ def test_dominate_disconnected_piece_exits_2(tmp_path, capsys):
         "3 ring\n0 1\n2\n",
         "2 rgg 0.5\n0 1\ncoord 0 0.1 0.2\n",
         "-2 custom\n",
+        "3 ring\n0 1 7\n1 2\n0 2\n",
+        "4 grid 2\n0 1\n0 2\n1 3\n2 3\n"
+        + "".join(f"coord {v} 0.{v} 0.5\n" for v in range(4)),
+        "2 rgg 0.5\n0 1\ncoord 0 0.1 0.2\ncoord 1 0.3 0.2\ncoord 2 0.9 0.9\n",
+        "2 rgg 0.5\n0 1\ncoord 0 0.1 0.2\ncoord 1 0.3 0.2\ncoord 0 0.2 0.2\n",
     ],
-    ids=["header-n", "one-token-edge", "missing-coord", "negative-nodes"],
+    ids=[
+        "header-n",
+        "one-token-edge",
+        "missing-coord",
+        "negative-nodes",
+        "three-token-edge",
+        "coord-in-grid",
+        "coord-past-n",
+        "coord-twice",
+    ],
 )
 def test_simulate_malformed_graph_file_exit_2(tmp_path, capsys, text):
     path = _write(tmp_path / "g.txt", text)

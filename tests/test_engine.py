@@ -6,6 +6,7 @@ import os
 import pickle
 import statistics
 import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
@@ -349,6 +350,52 @@ def test_held_batch_costs_at_most_24_bytes_per_replicate():
     held = sum(d.size_diff for d in after.compare_to(before, "filename"))
     assert len(batch) == reps
     assert held / reps <= 24
+
+
+# ---------------------------------------------------------------------------
+# Infection state: swap-remove id columns
+# ---------------------------------------------------------------------------
+
+
+def test_infection_state_costs_at_most_24_bytes_per_node():
+    # The infected byte and two 4-byte id columns; two lists of fresh int
+    # objects cost 80 bytes per node.
+    n = 16384
+    engine.InfectionState(n)
+    tracemalloc.start()
+    try:
+        state = engine.InfectionState(n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert state.healthy_count == n
+    assert peak / n <= 24
+
+
+@st.composite
+def infection_orders(draw):
+    """A node count up to 600 (ids past the small-int cache), a prefix of
+    a permutation of its nodes, and whether the state copies a template."""
+    n = draw(st.integers(1, 600))
+    order = draw(st.permutations(range(n)))
+    return n, order[: draw(st.integers(0, n))], draw(st.booleans())
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(infection_orders())
+def test_infect_keeps_healthy_a_swap_remove_set(run):
+    n, order, templated = run
+    ids = array("i", range(n))
+    state = engine.InfectionState(n, ids) if templated else engine.InfectionState(n)
+    healthy = list(range(n))
+    for k, v in enumerate(order, 1):
+        state.infect(v, 0.5 * k)
+        healthy.remove(v)
+        assert sorted(state.healthy) == healthy
+        assert all(state._pos[u] == i for i, u in enumerate(state.healthy))
+        assert state.infected_count == k and state.healthy_count == n - k
+        assert state.clock == 0.5 * k and state.infected[v] == 1
+    assert ids == array("i", range(n))
 
 
 # ---------------------------------------------------------------------------

@@ -108,6 +108,7 @@ def test_grid_coords_round_trip():
         lambda: graphs.gen_grid(16, 2),
         lambda: graphs.gen_rgg(60, 0.35, seed=5),
     ],
+    ids=["ring", "line", "grid", "rgg"],
 )
 def test_adjacency_symmetric_no_loops(make):
     g = make()
@@ -520,6 +521,23 @@ def test_conductance_even_ring_closed_form(n):
     res = graphs.conductance_exact(graphs.gen_ring(n))
     assert res.value == 2 / (n // 2)
     assert graphs.conductance_analytic(graphs.gen_ring(n)).value == res.value
+
+
+@pytest.mark.parametrize(
+    "family, n, d",
+    [("ring", n, 1) for n in range(3, 17)]
+    + [("line", n, 1) for n in range(2, 17)]
+    + [
+        ("grid", side**d, d)
+        for d, sides in ((1, range(2, 17)), (2, range(2, 5)), (3, [2]), (4, [2]))
+        for side in sides
+    ],
+)
+def test_conductance_analytic_is_exact(family, n, d):
+    # Odd sides included: the 3x3 grid's best cut is one layer, 3 edges
+    # over 3 nodes; no 4-node set is cut by only 3 edges.
+    g = graphs.make_graph(family, n, d)
+    assert graphs.conductance_analytic(g).value == graphs.conductance_exact(g).value
 
 
 def test_conductance_matches_brute_force():

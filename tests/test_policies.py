@@ -515,6 +515,14 @@ def _multi_source_distances(g, sources):
         lambda part: policies.MobileAgents(2, 0.5, seed=2),
         lambda part: policies.GreedyFrontierAdversary(1.0),
     ],
+    ids=[
+        "random_homogeneous",
+        "gsi",
+        "static_links",
+        "dynamic_links",
+        "mobile_agents",
+        "greedy_frontier_adversary",
+    ],
 )
 def test_rate_sum_within_envelope_along_run(make):
     g = graphs.gen_ring(16)
