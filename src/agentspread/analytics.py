@@ -43,17 +43,12 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .dominators import (
-    ClusterProcessConfig,
-    sample_hitting_times,
-    sample_hits,
-    two_phase_process,
-)
+from .dominators import ClusterProcessConfig, sample_hits, two_phase_process
 from .engine import EngineConfig, finish_times, simulate_batch
 from .errors import InvalidParameterError, integral
 from .graphs import Graph, Partition, canonical_partition, make_graph
 from .policies import PolicySpec, build_policy
-from .rng import CH_BOOTSTRAP, CH_DERIVE, substream
+from .rng import CH_BOOTSTRAP, CH_DERIVE, RunBatch, substream
 
 DECILES = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 
@@ -298,9 +293,9 @@ def _resolve_cluster_cfg(plan: ExperimentPlan, n: int) -> ClusterProcessConfig:
     )
 
 
-def _sample_times(plan: ExperimentPlan, n: int) -> tuple[int, list[float], int]:
-    """Realized size, finish-time sample and the event count spent
-    producing it (a grid realizes side**d <= n nodes)."""
+def _sample_times(plan: ExperimentPlan, n: int) -> tuple[int, RunBatch]:
+    """Realized size and the batch of runs at size n (a grid realizes
+    side**d <= n nodes)."""
     if plan.process == "simulate":
         g = build_graph(plan, n)
         handle = build_policy(plan.policy, g)
@@ -309,10 +304,8 @@ def _sample_times(plan: ExperimentPlan, n: int) -> tuple[int, list[float], int]:
             initial_infected=plan.initial_infected,
             seed=derive_seed(plan.seed, (n << 2) | _P_ENGINE),
         )
-        batch = simulate_batch(g, handle, ecfg, plan.replicates)
-        return g.n, finish_times(batch), sum(batch.events)
-    times, events = sample_hits(_resolve_cluster_cfg(plan, n), plan.replicates)
-    return n, times, sum(events)
+        return g.n, simulate_batch(g, handle, ecfg, plan.replicates)
+    return n, sample_hits(_resolve_cluster_cfg(plan, n), plan.replicates)
 
 
 def _finite_array(what: str, values) -> np.ndarray:
@@ -355,7 +348,7 @@ def run_plan(plan: ExperimentPlan) -> ScalingReport:
     incomplete = False
     for n in plan.sizes:
         try:
-            size, times, events = _sample_times(plan, n)
+            size, batch = _sample_times(plan, n)
         except KeyboardInterrupt:
             # flush what finished so far as a partial report
             incomplete = True
@@ -369,7 +362,8 @@ def run_plan(plan: ExperimentPlan) -> ScalingReport:
                 f"size {n} realizes {size} nodes, no more than the size before it "
                 f"({rows[-1].n}); realized sizes must be strictly increasing"
             )
-        rows.append(summarize(size, times, events))
+        events = sum(batch.events)
+        rows.append(summarize(size, batch.times, events))
         total_events += events
         if plan.event_budget is not None and total_events > plan.event_budget:
             incomplete = len(rows) < len(plan.sizes)
@@ -486,19 +480,14 @@ def dominance_report(sample_a, sample_b, *, seed: int = 0) -> DominanceVerdict:
     )
 
 
-def _two_phase(g, partition, L, mode, seed, replicates, beta) -> list[float]:
-    runs = two_phase_process(g, partition, L, mode, seed, replicates, beta)
-    return [tp.finish_time for tp in runs]
-
-
-def _line_hits(g, partition, L, mode, seed, replicates, beta) -> list[float]:
+def _line_hits(g, partition, L, mode, seed, replicates, beta) -> RunBatch:
     cfg = ClusterProcessConfig("line", g.n, seeding_rate=L, beta=beta, seed=seed)
-    return sample_hitting_times(cfg, replicates)
+    return sample_hits(cfg, replicates)
 
 
 class _Pairing(NamedTuple):
     kind: str  # the policy, built by build_policy
-    bound: Callable[..., list[float]]  # finish times of the bounding process
+    bound: Callable[..., RunBatch]  # the bounding process's batch
     upper: bool  # an upper bound runs on a partition and is sample b, a lower one sample a
     label: str  # "a <=st b"
 
@@ -506,9 +495,12 @@ class _Pairing(NamedTuple):
 # ``sim dominate`` mode -> its pairing
 _DOMINANCE_MODES = {
     "homogeneous": _Pairing(
-        "random_homogeneous", _two_phase, True, "random_homogeneous <=st two_phase[homogeneous]"
+        "random_homogeneous",
+        two_phase_process,
+        True,
+        "random_homogeneous <=st two_phase[homogeneous]",
     ),
-    "sequential": _Pairing("gsi", _two_phase, True, "gsi <=st two_phase[sequential]"),
+    "sequential": _Pairing("gsi", two_phase_process, True, "gsi <=st two_phase[sequential]"),
     "line_vs_adversary": _Pairing(
         "greedy_frontier_adversary",
         _line_hits,
@@ -531,7 +523,8 @@ def dominance_check(
     ``sim dominate`` mode: ``homogeneous``, ``sequential`` (two-phase upper
     bounds, on ``partition``, by default the canonical one) or
     ``line_vs_adversary`` (line clusters below the greedy adversary, on
-    rings and lines only). Returns the label ``a <=st b`` and the verdict.
+    rings and lines only, and on no partition). Returns the label
+    ``a <=st b`` and the verdict.
     """
     pairing = _DOMINANCE_MODES.get(mode)
     if pairing is None:
@@ -540,13 +533,15 @@ def dominance_check(
         raise InvalidParameterError(
             f"{mode} bounds spreading on ring and line graphs only, not {g.family}"
         )
+    if not pairing.upper and partition is not None:
+        raise InvalidParameterError(f"{mode} runs on no partition, but one was given")
     if pairing.upper and partition is None:
         partition = canonical_partition(g, L)
     handle = build_policy(PolicySpec(kind=pairing.kind, L=L, partition=partition), g)
-    real = finish_times(simulate_batch(g, handle, EngineConfig(beta=beta, seed=seed), replicates))
+    real = simulate_batch(g, handle, EngineConfig(beta=beta, seed=seed), replicates)
     bound = pairing.bound(g, partition, L, mode, seed, replicates, beta)
     a, b = (real, bound) if pairing.upper else (bound, real)
-    return pairing.label, dominance_report(a, b, seed=seed)
+    return pairing.label, dominance_report(finish_times(a), finish_times(b), seed=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -489,14 +489,14 @@ def _cmd_fpp(args) -> int:
     outdir = _out_path(args.out)
     traces: list[dominators.ClusterTrace] = []  # replicate 0's, for path0.csv
     try:
-        times, events = dominators.sample_hits(ccfg, replicates, traces)
+        hits = dominators.sample_hits(ccfg, replicates, traces)
     except InvalidParameterError as e:
         raise ConfigError(f"[clusters] {e}") from e
     os.makedirs(outdir, exist_ok=True)
     with open(os.path.join(outdir, "hitting.csv"), "w") as fh:
         fh.write("replicate,hitting_time,events\n")
-        for k, (ht, ev) in enumerate(zip(times, events)):
-            fh.write(f"{k},{'' if ht is None else f'{ht:.17g}'},{ev}\n")
+        for k, (ht, ev) in enumerate(zip(hits.times, hits.events)):
+            fh.write(f"{k},{'' if ht != ht else f'{ht:.17g}'},{ev}\n")
     dominators.write_cluster_csv(traces[0], os.path.join(outdir, "path0.csv"))
     _echo(cfg, args, outdir)
     print(f"{ccfg.growth} clusters: {replicates} runs -> {outdir}/hitting.csv")

@@ -22,10 +22,11 @@ traces one at a time and in-process: a batch of long runs would not fit
 in memory. A trace keeps its count path as two columns, the times of the
 count's changes in an ``array('d')`` (8 bytes a point) and a ``range``
 of counts, since every change adds the same number of points. Every
-other batch (``two_phase_process``, ``conductance_chain``, and
-``sample_hits``, which keeps only each run's hitting time and event
-count) runs contiguous ranges of its replicates on every CPU through
-``rng.run_batch``, with the same values on any number of CPUs.
+other batch runs its replicates through ``rng.run_batch``, with the same
+values on any number of CPUs, and keeps columns in ``rng``'s format:
+``sample_hits`` a ``RunBatch`` of hitting times (NaN for a cut run) and
+event counts, ``two_phase_process`` a ``TwoPhaseBatch`` that adds each
+run's phases and piece seeds, ``conductance_chain`` an ``array('d')``.
 
 A lattice cluster is a plain triple that the arrival loop grows inline:
 its sites in a hash set, its boundary edges in a swap-remove list and
@@ -43,13 +44,12 @@ from __future__ import annotations
 
 import math
 from array import array
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 from .errors import InvalidParameterError, integral, positive
 from .graphs import Graph, Partition, bfs_tree
-from .rng import CH_PROCESS, replicate_streams, run_batch, samplers, substream
+from .rng import CH_PROCESS, RunBatch, replicate_streams, run_batch, samplers, substream
 
 # Most points a trace keeps of its count path: a longer path is cut down to
 # this many, evenly spread, and its counts become a list.
@@ -61,17 +61,15 @@ _PATH_POINTS = 4096
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TwoPhaseTrace:
-    """Finish time of one two-phase run, split into its phases."""
+class TwoPhaseBatch(RunBatch):
+    """Two-phase runs: a ``RunBatch`` whose ``times`` are ``phase1 +
+    phase2`` and whose ``events`` are n (every node is infected once), with
+    the phases as two more ``array('d')`` columns and ``seeds``, an
+    ``array('i')`` of the g piece seeds of each run in turn: run k's are
+    ``seeds[k*g:(k+1)*g]``."""
 
-    phase1: float
-    phase2: float
-    piece_seeds: tuple[int, ...]
-
-    @property
-    def finish_time(self) -> float:
-        return self.phase1 + self.phase2
+    __slots__ = ("phase1", "phase2", "seeds")
+    _COLUMNS = {**RunBatch._COLUMNS, "phase1": "d", "phase2": "d", "seeds": "i"}
 
 
 def two_phase_process(
@@ -82,7 +80,7 @@ def two_phase_process(
     seed: int,
     replicates: int = 1,
     beta: float = 1.0,
-) -> list[TwoPhaseTrace]:
+) -> TwoPhaseBatch:
     """Sample the two-phase dominating process ``replicates`` times.
 
     Phase 1 infects one designated first node per piece: in
@@ -109,8 +107,8 @@ def two_phase_process(
     if mode == "sequential":  # every piece is rooted at piece[0] in every run
         fixed_trees = [bfs_tree(g, piece, piece[0]).parent for piece in pieces]
 
-    def run(streams, first: int) -> list[TwoPhaseTrace]:
-        out = []
+    def run(streams, first: int) -> TwoPhaseBatch:
+        out = TwoPhaseBatch()
         for rng in streams:
             exp, uni = samplers(rng)
             seeds = []
@@ -132,7 +130,11 @@ def two_phase_process(
                 for v, u in parent.items():  # discovery order
                     arrival[v] = arrival[u] + exp.draw() / beta
                 t2 = max(t2, max(arrival.values()))
-            out.append(TwoPhaseTrace(phase1=t1, phase2=t2, piece_seeds=tuple(seeds)))
+            out.phase1.append(t1)
+            out.phase2.append(t2)
+            out.seeds.extend(seeds)
+            out.times.append(t1 + t2)
+            out.events.append(n)
         return out
 
     return run_batch(run, seed, CH_PROCESS, replicates, n)
@@ -153,26 +155,22 @@ def _chain_rates(piece_size: int, psi: float) -> list[float]:
     return [(j if 2 * j <= size else size - j) * psi for j in range(1, size)]
 
 
-def conductance_chain(piece_size: int, psi: float, seed: int, replicates: int = 1) -> list[float]:
+def conductance_chain(piece_size: int, psi: float, seed: int, replicates: int = 1) -> array:
     """Absorption times of the conductance-driven birth chain from 1 to
     size, one per replicate: one Exp(1) per step, drawn in step order."""
     rates = _chain_rates(piece_size, psi)
 
-    def run(streams, first: int) -> list[float]:
-        return [
-            sum(e / rate for e, rate in zip(rng.standard_exponential(len(rates)).tolist(), rates))
-            for rng in streams
-        ]
+    def run(streams, first: int) -> array:
+        out = array("d")
+        for rng in streams:
+            steps = rng.standard_exponential(len(rates)).tolist()
+            out.append(sum(e / rate for e, rate in zip(steps, rates)))
+        return out
 
     # Cost 16 + steps / 8, measured on 2 CPUs: forking paid off at 2048
     # replicates of 3 steps (13.5 ms in-process, 12.5 forked), 1024 of 64
     # (13.7, 12.1) and 256 of 1024 (31.9, 22.4), not at 128 of 1024 (15.4, 21.6).
     return run_batch(run, seed, CH_PROCESS, replicates, 16 + len(rates) // 8)
-
-
-def chain_sojourn_mean(piece_size: int, psi: float) -> float:
-    """Exact expected absorption time: the sum of sojourn means."""
-    return sum(1.0 / rate for rate in _chain_rates(piece_size, psi))
 
 
 # ---------------------------------------------------------------------------
@@ -235,11 +233,6 @@ class ClusterTrace:
     path_counts: range | list[int]
     hitting_time: float | None
     events: int = 0
-
-    def count_at(self, t: float) -> int:
-        """Step-function lookup of the total count at time t."""
-        i = bisect_right(self.path_times, t)
-        return self.path_counts[i - 1] if i else 0
 
 
 def _count_path(times: array, first: int, step: int) -> tuple[array, range | list[int]]:
@@ -412,35 +405,34 @@ def fpp_clusters(cfg: ClusterProcessConfig, replicate: int = 0) -> ClusterTrace:
 
 def sample_hits(
     cfg: ClusterProcessConfig, replicates: int, traces: list | None = None
-) -> tuple[list[float | None], list[int]]:
-    """Hitting times and event counts of runs 0..R-1 of
-    ``run_cluster_process`` (time None for a run ``max_time`` cut off),
-    run as contiguous ranges on every CPU by ``rng.run_batch``. ``traces``,
-    if given, receives run 0's ``ClusterTrace``: run 0 always runs in this
+) -> RunBatch:
+    """The ``RunBatch`` of runs 0..R-1 of ``run_cluster_process``: hitting
+    times (NaN for a run ``max_time`` cut off) and event counts, run as
+    contiguous ranges on every CPU by ``rng.run_batch``. ``traces``, if
+    given, receives run 0's ``ClusterTrace``: run 0 always runs in this
     process, in the first range."""
 
-    def run(streams, first: int) -> list[tuple[float | None, int]]:
-        hits = []
-        for rng in streams:
+    def run(streams, first: int) -> RunBatch:
+        out = RunBatch()
+        for k, rng in enumerate(streams, first):
             tr = _cluster_run(cfg, rng)
-            if traces is not None and first + len(hits) == 0:  # run 0
+            if traces is not None and k == 0:
                 traces.append(tr)
-            hits.append((tr.hitting_time, tr.events))
-        return hits
+            out.times.append(math.nan if tr.hitting_time is None else tr.hitting_time)
+            out.events.append(tr.events)
+        return out
 
-    hits = run_batch(run, cfg.seed, CH_PROCESS, replicates, cfg.target_count)
-    return [t for t, _ in hits], [e for _, e in hits]
+    return run_batch(run, cfg.seed, CH_PROCESS, replicates, cfg.target_count)
 
 
 def sample_hitting_times(cfg: ClusterProcessConfig, replicates: int) -> list[float]:
     """The hitting times of ``sample_hits``; a run that ``max_time`` cut
     off is refused, the earliest one named."""
-    times = sample_hits(cfg, replicates)[0]
-    if None in times:
-        raise InvalidParameterError(
-            f"cluster run {times.index(None)} hit max_time before the target count"
-        )
-    return times
+    times = sample_hits(cfg, replicates).times
+    for k, t in enumerate(times):
+        if t != t:
+            raise InvalidParameterError(f"cluster run {k} hit max_time before the target count")
+    return times.tolist()
 
 
 def write_cluster_csv(trace: ClusterTrace, path: str) -> None:

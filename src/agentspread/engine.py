@@ -38,22 +38,18 @@ the state's two id columns are copied from one ``array('i')`` of the
 ids 0..n-1 that the batch builds once, so no run builds an int object
 per node.
 
-A batch is a ``RunBatch``: two columns in replicate order, each run's
-finish time in an ``array('d')``, NaN for a run the time cutoff stopped,
-and its infection count in an ``array('q')``. No object is built per
-run; indexing the batch builds one ``RunSummary``. A forked range sends
-back its two columns, so the pipe carries two buffers, not one object
-per replicate. The columns are bit-identical forked or not, and a
-failing batch raises the error an in-process batch raises. Forked or
-not, the state a policy handle is left in after a batch is unspecified:
-``reset`` is what readies it for its next run.
+A batch is an ``rng.RunBatch`` (see ``rng`` for the format): each run's
+finish time, NaN for a run the time cutoff stopped, and its infection
+count, bit-identical forked or not; a failing batch raises the error an
+in-process batch raises. Forked or not, the state a policy handle is
+left in after a batch is unspecified: ``reset`` readies it for its next
+run.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from collections.abc import Sequence
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
@@ -65,7 +61,15 @@ from .errors import (
     positive,
 )
 from .graphs import Graph
-from .rng import CH_ENGINE, MAX_REPLICATES, run_batch, samplers, stream_index, substream
+from .rng import (
+    CH_ENGINE,
+    MAX_REPLICATES,
+    RunBatch,
+    run_batch,
+    samplers,
+    stream_index,
+    substream,
+)
 
 _ENVELOPE_SLACK = 1e-9
 
@@ -137,49 +141,6 @@ class Trace:
     n: int
     events: list[tuple[float, int, str]]
     finish_time: float | None
-
-
-@dataclass(frozen=True)
-class RunSummary:
-    """A run's finish time (None if cut off) and infection count; its
-    replicate is its position in the batch."""
-
-    finish_time: float | None
-    events: int
-
-
-def _summary(t: float, count: int) -> RunSummary:
-    return RunSummary(None if t != t else t, count)
-
-
-class RunBatch(Sequence):
-    """The runs of a batch as two columns in replicate order: ``times``,
-    an ``array('d')`` of finish times with NaN for a run that was cut off
-    (no finish time is otherwise NaN), and ``events``, an ``array('q')``
-    of infection counts. Item k is replicate k's ``RunSummary``, built on
-    access; a slice is a list of them. ``extend`` appends another batch's
-    columns. Compare batches as ``list(batch)``."""
-
-    __slots__ = ("times", "events")
-
-    def __init__(self):
-        self.times = array("d")
-        self.events = array("q")
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return list(map(_summary, self.times[k], self.events[k]))
-        return _summary(self.times[k], self.events[k])
-
-    def __iter__(self):
-        return map(_summary, self.times, self.events)
-
-    def extend(self, other: RunBatch) -> None:
-        self.times.extend(other.times)
-        self.events.extend(other.events)
 
 
 def _run(

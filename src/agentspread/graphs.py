@@ -473,21 +473,6 @@ def partition_rgg(g: Graph, l_min: float = 1.0) -> Partition:
     )
 
 
-def validate_partition(g: Graph, p: Partition) -> None:
-    """Raise ValueError unless p is a disjoint connected cover of g with
-    exact piece diameters (recomputed by ``diameter``, which raises
-    ConnectivityError for a disconnected piece)."""
-    p.piece_of(g.n)  # InvalidParameterError, a ValueError, unless a cover
-    if p.piece_sizes != tuple(len(piece) for piece in p.pieces):
-        raise ValueError("piece_sizes disagree with pieces")
-    for i, piece in enumerate(p.pieces):
-        d = diameter(g, piece)  # raises ConnectivityError if disconnected
-        if d != p.piece_diameters[i]:
-            raise ValueError(
-                f"piece {i} diameter {p.piece_diameters[i]} != recomputed {d}"
-            )
-
-
 # ---------------------------------------------------------------------------
 # Conductance
 # ---------------------------------------------------------------------------
@@ -552,8 +537,11 @@ def conductance_analytic(g: Graph) -> ConductanceResult:
     """Closed-form conductance of structured families: a contiguous half
     of a ring or line, and on a d-dimensional grid of side s the slab of
     its floor(s/2) lowest layers along one axis, s^(d-1) cut edges over
-    floor(s/2) * s^(d-1) nodes (the half cut when s is even)."""
+    floor(s/2) * s^(d-1) nodes (the half cut when s is even). Like
+    ``conductance_exact``, it refuses a graph of fewer than 2 nodes."""
     n = g.n
+    if n < 2:
+        raise InvalidParameterError("conductance needs n >= 2")
     if g.family == "ring":
         return ConductanceResult(value=2 / (n // 2), witness_set=None, mode="analytic")
     if g.family == "line":

@@ -28,6 +28,11 @@ range where that pays. Each range gets its streams from
 ``replicate_streams``, so a batch gives the same values forked or not.
 The runner needs only ``os``, ``sys`` and ``pickle``, which numpy has
 already loaded.
+
+Every producer's batch format is decided here, too: a ``RunBatch`` of
+columns, no object per run, so a forked range pipes back buffers. Its
+times are an ``array('d')``, NaN the one mark of a run a time cutoff
+stopped; a producer of one number per run returns a bare ``array('d')``.
 """
 
 from __future__ import annotations
@@ -35,6 +40,9 @@ from __future__ import annotations
 import os
 import pickle
 import sys
+from array import array
+from collections.abc import Sequence
+from dataclasses import dataclass
 from itertools import chain
 from typing import Iterator
 
@@ -196,8 +204,52 @@ def samplers(rng: np.random.Generator) -> tuple[BufferedSampler, BufferedSampler
 
 
 # ---------------------------------------------------------------------------
-# Forked batches
+# Batches and their runner
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class RunSummary:
+    """A run's finish time (None if cut off) and event count; its
+    replicate is its position in the batch."""
+
+    finish_time: float | None
+    events: int
+
+
+def _summary(t: float, count: int) -> RunSummary:
+    return RunSummary(None if t != t else t, count)
+
+
+class RunBatch(Sequence):
+    """The runs of a batch as columns in replicate order: ``times``, an
+    ``array('d')`` of finish (or hitting) times with NaN for a run that was
+    cut off (no time is otherwise NaN), and ``events``, an ``array('q')``
+    of event counts. Item k is replicate k's ``RunSummary``, built on
+    access; a slice is a list of them. ``extend`` appends another batch's
+    columns, each that ``_COLUMNS`` names, where a subclass adds its own."""
+
+    __slots__ = ("times", "events")
+    _COLUMNS = {"times": "d", "events": "q"}  # column -> its array typecode
+
+    def __init__(self):
+        for name, typecode in self._COLUMNS.items():
+            setattr(self, name, array(typecode))
+
+    def __len__(self) -> int:
+        return len(self.events)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return list(map(_summary, self.times[k], self.events[k]))
+        return _summary(self.times[k], self.events[k])
+
+    def __iter__(self):
+        return map(_summary, self.times, self.events)
+
+    def extend(self, other: RunBatch) -> None:
+        for name in self._COLUMNS:
+            getattr(self, name).extend(getattr(other, name))
 
 # Fewest units of work a forked batch gives each of its processes: a fork
 # and its collection cost a few ms, which a shorter range does not win
@@ -216,8 +268,8 @@ _SIGKILL = 9  # POSIX, where os.fork exists
 
 def run_batch(run, seed: int, channel: int, replicates, cost: int):
     """``run(replicate_streams(seed, channel, hi, lo), lo)``, the results of
-    replicates lo..hi-1 in anything with ``extend``, such as a list or an
-    engine ``RunBatch``, over contiguous ranges of replicates 0..R-1
+    replicates lo..hi-1 in a ``RunBatch`` (or a subclass) or an
+    ``array('d')``, over contiguous ranges of replicates 0..R-1
     (``replicate_count`` checks R), concatenated in replicate order by the
     first range's ``extend``; ``cost`` is one replicate's work in the units
     of ``_FORK_RANGE_WORK``.
@@ -267,7 +319,7 @@ def _workers(replicates: int, work: int) -> int:
 
 def _batch(task, replicates: int, workers: int):
     """The results ``task(lo, hi)`` returns for ``workers`` contiguous
-    ranges of 0..R-1, each with ``extend`` (a list, a ``RunBatch``),
+    ranges of 0..R-1, each with ``extend`` (a ``RunBatch``, an ``array``),
     concatenated into the first: the first range runs here, each other in
     a forked child, which sends its result back pickled; with one worker,
     or no pipe or process, all run here as one range."""

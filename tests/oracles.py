@@ -4,15 +4,18 @@ Everything here is deliberately naive and separate from the library's
 code paths: a phase-type expectation for the exact finish-time mean, a
 first-passage sampler built on Dijkstra over pre-drawn clocks, brute
 force subset enumeration for conductance, exhaustive small-graph
-enumeration up to isomorphism, a reference copy of the event loop
-that queues every edge clock, and a reference copy of the greedy
-adversary that relaxes its distances after every infection.
+enumeration up to isomorphism, the conductance chain's exact mean from
+its own rates, a step lookup of a cluster trace's count path, a
+recomputation of a partition's cover and diameters, a reference copy of
+the event loop that queues every edge clock, and a reference copy of
+the greedy adversary that relaxes its distances after every infection.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_right
 from collections import deque
 from heapq import heappop, heappush
 from itertools import combinations, permutations
@@ -21,6 +24,7 @@ import numpy as np
 
 from agentspread.engine import InfectionState
 from agentspread.errors import InvalidParameterError, NonTerminationError, PolicyContractError
+from agentspread.graphs import diameter
 from agentspread.policies import _TargetedBudget
 from agentspread.rng import CH_ENGINE, substream
 
@@ -171,6 +175,36 @@ def adjacency_of(edges, n):
         adj[u].append(v)
         adj[v].append(u)
     return [sorted(a) for a in adj]
+
+
+def chain_sojourn_mean(piece_size, psi):
+    """Exact expected absorption time of the conductance birth chain from
+    1 to ``piece_size``: the sum of its sojourn means, the step j -> j+1
+    at rate j*psi while j <= size/2, then (size-j)*psi."""
+    return sum(
+        1.0 / ((j if 2 * j <= piece_size else piece_size - j) * psi)
+        for j in range(1, piece_size)
+    )
+
+
+def count_at(trace, t):
+    """The total count of a ``ClusterTrace`` at time t: the step function
+    of its count path, 0 before the path's first point."""
+    i = bisect_right(trace.path_times, t)
+    return trace.path_counts[i - 1] if i else 0
+
+
+def validate_partition(g, p):
+    """Raise ValueError unless p is a disjoint connected cover of g with
+    exact piece diameters (recomputed by ``diameter``, which raises
+    ConnectivityError for a disconnected piece)."""
+    p.piece_of(g.n)  # InvalidParameterError, a ValueError, unless a cover
+    if p.piece_sizes != tuple(len(piece) for piece in p.pieces):
+        raise ValueError("piece_sizes disagree with pieces")
+    for i, piece in enumerate(p.pieces):
+        d = diameter(g, piece)  # raises ConnectivityError if disconnected
+        if d != p.piece_diameters[i]:
+            raise ValueError(f"piece {i} diameter {p.piece_diameters[i]} != recomputed {d}")
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ import agentspread as a
 from agentspread.analytics import ExperimentPlan, dominance_report, exponent_fit, run_plan
 from agentspread.dominators import (
     ClusterProcessConfig,
-    chain_sojourn_mean,
     conductance_chain,
     run_cluster_process,
     sample_hitting_times,
@@ -24,7 +23,14 @@ from agentspread.engine import EngineConfig, finish_times, simulate, simulate_ba
 from agentspread.errors import ConnectivityError
 from agentspread.policies import PolicySpec
 
-from oracles import adjacency_of, connected_graphs_up_to_iso, ctmc_expected_finish
+from oracles import (
+    adjacency_of,
+    chain_sojourn_mean,
+    connected_graphs_up_to_iso,
+    count_at,
+    ctmc_expected_finish,
+    validate_partition,
+)
 
 RING_SWEEP = (64, 256, 1024, 4096, 16384)
 GRID_SWEEP = (256, 1024, 4096, 16384)
@@ -99,7 +105,7 @@ def test_c03_line_cluster_growth_law():
     reps = 100_000
     cfg = ClusterProcessConfig(growth="line", target_count=10**9, max_time=3.0, seed=13_000)
     ts = (1.0, 2.0, 3.0)
-    counts = np.array([[tr.count_at(t) for t in ts] for tr in run_cluster_process(cfg, reps)])
+    counts = np.array([[count_at(tr, t) for t in ts] for tr in run_cluster_process(cfg, reps)])
     worst = 0.0
     for t, got in zip(ts, counts.mean(axis=0)):
         want = t * t + 2 * t
@@ -291,7 +297,7 @@ def test_c09_two_phase_coupon_phase1():
     g = a.gen_ring(16)
     part = a.partition_ring(g)  # 4 pieces of n/4
     runs = two_phase_process(g, part, 1.0, "homogeneous", seed=15_000, replicates=100_000)
-    got = np.mean([r.phase1 for r in runs])
+    got = np.mean(runs.phase1)
     want = 25 / 3
     err = abs(got - want) / want
     report("C9", err <= 0.02, f"homogeneous phase-1 mean {got:.4f} vs 25/3, error {err:.2%} <= 2%")
@@ -316,7 +322,7 @@ def test_c10_rgg_pipeline():
             continue
         connected += 1
         if validated < 3:  # partition validity sampled on the first few seeds
-            a.graphs.validate_partition(g, a.partition_rgg(g))
+            validate_partition(g, a.partition_rgg(g))
             validated += 1
         if seed < 50:
             tr = simulate(g, a.RandomHomogeneous(1.0), EngineConfig(seed=seed))

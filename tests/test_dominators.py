@@ -6,6 +6,7 @@ import hashlib
 import math
 import os
 import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from agentspread import analytics, dominators, graphs, policies, rng
 from agentspread.dominators import (
     _PATH_POINTS,
     ClusterProcessConfig,
-    chain_sojourn_mean,
     conductance_chain,
     run_cluster_process,
     sample_hitting_times,
@@ -34,6 +34,7 @@ from forking import (
     open_fds,
     refuse,
 )
+from oracles import chain_sojourn_mean, count_at, validate_partition
 
 
 # ---------------------------------------------------------------------------
@@ -46,7 +47,7 @@ def test_two_phase_homogeneous_phase1_mean():
     g = graphs.gen_ring(16)
     part = graphs.partition_ring(g)
     runs = two_phase_process(g, part, 1.0, "homogeneous", seed=3, replicates=20000)
-    m = np.mean([r.phase1 for r in runs])
+    m = np.mean(runs.phase1)
     assert m == pytest.approx(4 * (1 + 1 / 2 + 1 / 3 + 1 / 4), rel=0.03)
 
 
@@ -54,7 +55,7 @@ def test_two_phase_sequential_phase1_mean():
     g = graphs.gen_ring(16)
     part = graphs.partition_ring(g)
     runs = two_phase_process(g, part, 1.0, "sequential", seed=4, replicates=20000)
-    assert np.mean([r.phase1 for r in runs]) == pytest.approx(4.0, rel=0.03)
+    assert np.mean(runs.phase1) == pytest.approx(4.0, rel=0.03)
 
 
 def test_two_phase_single_piece_path_phase2():
@@ -65,8 +66,8 @@ def test_two_phase_single_piece_path_phase2():
         pieces=(tuple(range(9)),), piece_sizes=(9,), piece_diameters=(8,)
     )
     runs = two_phase_process(g, part, 1.0, "sequential", seed=5, replicates=20000)
-    assert all(r.piece_seeds == (0,) for r in runs[:10])
-    assert np.mean([r.phase2 for r in runs]) == pytest.approx(8.0, rel=0.03)
+    assert runs.seeds == array("i", [0]) * 20000
+    assert np.mean(runs.phase2) == pytest.approx(8.0, rel=0.03)
 
 
 def test_two_phase_rejects_unknown_mode():
@@ -76,7 +77,7 @@ def test_two_phase_rejects_unknown_mode():
         two_phase_process(g, part, 1.0, "parallel", seed=1)
 
 
-# (graph, mode) -> (phase1, phase2, piece_seeds) at L = 1.3, beta = 0.7,
+# (graph, mode) -> (phase1, phase2, piece seeds) at L = 1.3, beta = 0.7,
 # seed 8, replicate 2 (the last of a batch of 3) on the canonical
 # partition, recorded from the two-phase process's own BFS that
 # graphs.bfs_tree replaced.
@@ -103,8 +104,23 @@ TWO_PHASE_GRAPHS = {
 def test_two_phase_stream_pinned(family, mode, want):
     g = TWO_PHASE_GRAPHS[family]()
     part = graphs.canonical_partition(g)
-    tr = two_phase_process(g, part, 1.3, mode, seed=8, replicates=3, beta=0.7)[2]
-    assert (tr.phase1, tr.phase2, tr.piece_seeds) == want
+    runs = two_phase_process(g, part, 1.3, mode, seed=8, replicates=3, beta=0.7)
+    k = len(part.pieces)
+    assert (runs.phase1[2], runs.phase2[2], tuple(runs.seeds[2 * k : 3 * k])) == want
+
+
+@pytest.mark.parametrize("mode", ["homogeneous", "sequential"])
+def test_two_phase_batch_columns(mode):
+    # A finish time is the sum of the run's phases, and every node of the
+    # graph is infected once; items read the two as RunSummary records.
+    g = graphs.gen_ring(49)
+    part = graphs.canonical_partition(g)
+    runs = two_phase_process(g, part, 1.3, mode, seed=8, replicates=5, beta=0.7)
+    assert type(runs) is dominators.TwoPhaseBatch and len(runs) == 5
+    assert list(runs.times) == [a + b for a, b in zip(runs.phase1, runs.phase2)]
+    assert list(runs.events) == [49] * 5
+    assert len(runs.seeds) == 5 * len(part.pieces)
+    assert [s.finish_time for s in runs] == list(runs.times)
 
 
 # A 9-node ring read from a file whose first segment {0, 1, 2} is
@@ -177,7 +193,7 @@ def test_gsi_refuses_a_partition_that_is_not_a_cover(case):
 def test_validate_partition_checks_the_cover_with_piece_of(case):
     part, message = NOT_A_COVER[case]
     with pytest.raises(ValueError, match=message):
-        graphs.validate_partition(graphs.gen_ring(25), part())
+        validate_partition(graphs.gen_ring(25), part())
 
 
 @pytest.mark.parametrize(
@@ -190,6 +206,14 @@ def test_line_vs_adversary_refuses_a_graph_that_is_not_1d(g, monkeypatch):
     monkeypatch.setattr(analytics, "simulate_batch", None)  # refused before any run
     with pytest.raises(InvalidParameterError, match=f"ring and line graphs only, not {g.family}"):
         analytics.dominance_check(g, "line_vs_adversary", 1.0, 300, seed=3)
+
+
+def test_line_vs_adversary_refuses_a_partition(monkeypatch):
+    # Line clusters run on no partition: one given would be read by nothing.
+    g, part = graphs.gen_ring(16), graphs.partition_ring(graphs.gen_ring(9))
+    monkeypatch.setattr(analytics, "simulate_batch", None)  # refused before any run
+    with pytest.raises(InvalidParameterError, match="line_vs_adversary runs on no partition"):
+        analytics.dominance_check(g, "line_vs_adversary", 1.0, 300, seed=3, partition=part)
 
 
 @pytest.mark.parametrize("beta", [0.0, -1.0])
@@ -242,11 +266,8 @@ def test_chain_reads_whole_float_piece_size():
     assert conductance_chain(4.0, 1.0, seed=8, replicates=3) == conductance_chain(
         4, 1.0, seed=8, replicates=3
     )
-    assert chain_sojourn_mean(4.0, 1.0) == chain_sojourn_mean(4, 1.0)
     with pytest.raises(InvalidParameterError, match="piece_size must be an integer"):
         conductance_chain(4.5, 1.0, seed=8)
-    with pytest.raises(InvalidParameterError, match="piece_size must be an integer"):
-        chain_sojourn_mean(4.5, 1.0)
 
 
 def test_chain_mean_linear_in_log_size():
@@ -266,7 +287,7 @@ def test_line_cluster_mean_curve():
     cfg = ClusterProcessConfig(
         growth="line", target_count=10**9, max_time=2.0, seed=9
     )
-    counts = [tr.count_at(2.0) for tr in run_cluster_process(cfg, 20000)]
+    counts = [count_at(tr, 2.0) for tr in run_cluster_process(cfg, 20000)]
     assert np.mean(counts) == pytest.approx(8.0, rel=0.03)
 
 
@@ -275,7 +296,7 @@ def test_line_cluster_mean_curve_other_betas(beta, t):
     cfg = ClusterProcessConfig(
         growth="line", target_count=10**9, beta=beta, max_time=t, seed=10
     )
-    counts = [tr.count_at(t) for tr in run_cluster_process(cfg, 20000)]
+    counts = [count_at(tr, t) for tr in run_cluster_process(cfg, 20000)]
     assert np.mean(counts) == pytest.approx(beta * t * t + 2 * beta * t, rel=0.03)
 
 
@@ -285,7 +306,7 @@ def test_line_cluster_no_seeding_limit_is_poisson():
     cfg = ClusterProcessConfig(
         growth="line", target_count=10**9, seeding_rate=1e-12, max_time=2.0, seed=11
     )
-    counts = np.array([tr.count_at(2.0) for tr in run_cluster_process(cfg, 20000)])
+    counts = np.array([count_at(tr, 2.0) for tr in run_cluster_process(cfg, 20000)])
     assert counts.mean() == pytest.approx(4.0, rel=0.05)
     assert counts.var() == pytest.approx(4.0, rel=0.08)
 
@@ -300,7 +321,7 @@ def test_count_at_is_the_step_function_of_the_path():
         probes = times + [(a + b) / 2 for a, b in zip(times, times[1:])] + [-1.0, times[-1] + 1]
         for t in probes:
             want = ([c for s, c in path if s <= t] or [0])[-1]
-            assert tr.count_at(t) == want
+            assert count_at(tr, t) == want
 
 
 def test_line_cluster_trace_invariants():
@@ -583,39 +604,6 @@ def two_phase(mode):
     return lambda: two_phase_process(g, graphs.partition_ring(g), 1.0, mode, 44, 31)
 
 
-# caller -> (its batch, the children it forks on 3 CPUs); 31 replicates
-# split unevenly into 3 ranges
-FORK_CALLERS = {
-    "line": (lambda: sample_hits(LINE, 31), 2),
-    "fpp": (lambda: sample_hits(FPP, 31), 2),
-    "plan": (plan_rows, 2 * len(SWEEP.sizes)),
-    "two_phase-homogeneous": (two_phase("homogeneous"), 2),
-    "two_phase-sequential": (two_phase("sequential"), 2),
-    "chain": (lambda: conductance_chain(40, 0.5, 44, 31), 2),
-}
-
-
-@pytest.mark.parametrize("caller", FORK_CALLERS)
-def test_forked_hitting_times_equal_in_process(caller, monkeypatch):
-    batch, children = FORK_CALLERS[caller]
-    monkeypatch.setattr(rng, "_FORK_RANGE_WORK", 1)
-    forks = count_forks(monkeypatch, 3)
-    forked = batch()
-    assert len(forks) == children
-    assert_no_child_left()
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    assert batch() == forked
-    assert len(forks) == children
-
-
-@pytest.mark.parametrize("cfg", [LINE, FPP], ids=["line", "fpp"])
-def test_hitting_times_are_the_traces_hitting_times(cfg):
-    times, events = sample_hits(cfg, 31)
-    traces = list(run_cluster_process(cfg, 31))
-    assert times == [tr.hitting_time for tr in traces] == sample_hitting_times(cfg, 31)
-    assert events == [tr.events for tr in traces]
-
-
 # growth -> a config whose max_time cuts runs 14, 15, 18 and 27 (line) or
 # 10, 12 and 23 (fpp) of 30: the first in the second of 3 ranges (10-19),
 # another in the third
@@ -624,16 +612,67 @@ CUT_RUNS = {
     "fpp": (dict(growth="fpp", dim=2, target_count=100, max_time=3.2, seed=42), 10),
 }
 
+# caller -> (its batch, the children it forks on 3 CPUs, the batch's
+# type); 31 replicates split unevenly into 3 ranges
+FORK_CALLERS = {
+    "line": (lambda: sample_hits(LINE, 31), 2, rng.RunBatch),
+    "line-cut": (
+        lambda: sample_hits(ClusterProcessConfig(**CUT_RUNS["line"][0]), 31), 2, rng.RunBatch
+    ),
+    "fpp": (lambda: sample_hits(FPP, 31), 2, rng.RunBatch),
+    "plan": (plan_rows, 2 * len(SWEEP.sizes), tuple),
+    "two_phase-homogeneous": (two_phase("homogeneous"), 2, dominators.TwoPhaseBatch),
+    "two_phase-sequential": (two_phase("sequential"), 2, dominators.TwoPhaseBatch),
+    "chain": (lambda: conductance_chain(40, 0.5, 44, 31), 2, array),
+}
+
+
+def columns(result):
+    """A batch's type and the bytes of each of its columns, so that a NaN
+    equals itself; any other result as it is."""
+    if isinstance(result, array):
+        return array, result.typecode, result.tobytes()
+    if isinstance(result, rng.RunBatch):
+        names = [name for cls in type(result).__mro__ for name in getattr(cls, "__slots__", ())]
+        return type(result), {name: getattr(result, name).tobytes() for name in names}
+    return result
+
+
+@pytest.mark.parametrize("caller", FORK_CALLERS)
+def test_forked_hitting_times_equal_in_process(caller, monkeypatch):
+    batch, children, kind = FORK_CALLERS[caller]
+    monkeypatch.setattr(rng, "_FORK_RANGE_WORK", 1)
+    forks = count_forks(monkeypatch, 3)
+    forked = batch()
+    assert type(forked) is kind
+    assert len(forks) == children
+    assert_no_child_left()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert columns(batch()) == columns(forked)
+    assert len(forks) == children
+
+
+@pytest.mark.parametrize("cfg", [LINE, FPP], ids=["line", "fpp"])
+def test_hitting_times_are_the_traces_hitting_times(cfg):
+    hits = sample_hits(cfg, 31)
+    traces = list(run_cluster_process(cfg, 31))
+    assert hits.times.tolist() == [tr.hitting_time for tr in traces]
+    assert hits.times.tolist() == sample_hitting_times(cfg, 31)
+    assert hits.events.tolist() == [tr.events for tr in traces]
+
 
 @pytest.mark.parametrize("growth", CUT_RUNS)
 def test_sample_hits_reports_a_cut_run_as_none(growth):
-    kwargs, _ = CUT_RUNS[growth]
+    # NaN in the times column, None in the items read off it
+    kwargs, first_cut = CUT_RUNS[growth]
     cfg = ClusterProcessConfig(**kwargs)
-    times, events = sample_hits(cfg, 30)
+    hits = sample_hits(cfg, 30)
     traces = list(run_cluster_process(cfg, 30))
-    assert None in times
-    assert times == [tr.hitting_time for tr in traces]
-    assert events == [tr.events for tr in traces]
+    cut = [k for k, t in enumerate(hits.times) if math.isnan(t)]
+    assert cut[0] == first_cut
+    assert cut == [k for k, tr in enumerate(traces) if tr.hitting_time is None]
+    assert [s.finish_time for s in hits] == [tr.hitting_time for tr in traces]
+    assert hits.events.tolist() == [tr.events for tr in traces]
 
 
 @pytest.mark.parametrize("growth", CUT_RUNS)
@@ -653,20 +692,20 @@ def test_forked_hitting_times_raise_the_earliest_ranges_error(growth, monkeypatc
 @pytest.mark.parametrize("caller", FORK_CALLERS)
 @pytest.mark.parametrize("around", OBSERVERS)
 def test_hitting_times_stay_in_process_when_observed_or_threaded(around, caller, monkeypatch):
-    batch, _ = FORK_CALLERS[caller]
+    batch, *_ = FORK_CALLERS[caller]
     monkeypatch.setattr(rng, "_FORK_RANGE_WORK", 1)
     forks = count_forks(monkeypatch, 3)
     got = []
     around(lambda: got.append(batch()))
     assert not forks
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    assert got == [batch()]
+    assert list(map(columns, got)) == [columns(batch())]
 
 
 @pytest.mark.parametrize("caller", FORK_CALLERS)
 @pytest.mark.parametrize("fails", LIMITS)
 def test_hitting_times_run_in_process_when_no_process_can_be_had(fails, caller, monkeypatch):
-    batch, children = FORK_CALLERS[caller]
+    batch, children, _ = FORK_CALLERS[caller]
     monkeypatch.setattr(rng, "_FORK_RANGE_WORK", 1)
     forks = count_forks(monkeypatch, 3)
     refuse(monkeypatch, fails)
@@ -677,7 +716,7 @@ def test_hitting_times_run_in_process_when_no_process_can_be_had(fails, caller, 
     assert_no_child_left()
     assert open_fds() == fds
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    assert got == batch()
+    assert columns(got) == columns(batch())
 
 
 def test_forked_two_phase_raises_the_unreachable_node(monkeypatch):
@@ -701,6 +740,65 @@ def test_forked_two_phase_raises_the_unreachable_node(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# Held batches: columns, no object per run
+# ---------------------------------------------------------------------------
+
+RING256 = graphs.gen_ring(256)
+RING256_PIECES = 16
+
+# producer -> (its batch of R replicates, R, the bytes a held batch may
+# keep per replicate), fixed before the first run. A run keeps 8 B per
+# number and 4 B per seed, g = 16 seeds on ring 256; the bounds leave
+# room for the arrays' over-allocation. With one object per run (a frozen
+# record, a (time, events) tuple, a float), these read 320, 73 and 33 B.
+HELD_PER_REPLICATE = {
+    "two_phase": (
+        lambda r: two_phase_process(
+            RING256, graphs.partition_ring(RING256), 1.0, "homogeneous", 46, r
+        ),
+        100,
+        48 + 4 * RING256_PIECES,
+    ),
+    "sample_hits": (
+        lambda r: sample_hits(ClusterProcessConfig(growth="line", target_count=256, seed=47), r),
+        200,
+        24,
+    ),
+    "chain": (lambda r: conductance_chain(16, 1.0, 48, r), 2000, 12),
+}
+
+
+@pytest.mark.parametrize("producer", HELD_PER_REPLICATE)
+def test_held_batch_cost_per_replicate(producer, monkeypatch):
+    # The held bytes of a 3R batch less those of an R batch, over 2R: a
+    # batch's fixed cost (its object and array headers) cancels.
+    # In-process, so tracemalloc sees every run. A first batch loads what
+    # a batch imports (numpy.random, hundreds of KB), which is not the
+    # batch's to hold.
+    batch, replicates, bound = HELD_PER_REPLICATE[producer]
+    assert len(graphs.partition_ring(RING256).pieces) == RING256_PIECES
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    batch(1)
+
+    def held(r):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            runs = batch(r)
+            gc.collect()
+            size = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(runs) == r
+        return size
+
+    per_replicate = (held(3 * replicates) - held(replicates)) / (2 * replicates)
+    print(f"{producer}: {per_replicate:.1f} B per held replicate")
+    assert per_replicate <= bound
+
+
+# ---------------------------------------------------------------------------
 # Lattice cluster processes
 # ---------------------------------------------------------------------------
 
@@ -712,7 +810,7 @@ def test_fpp_d1_single_cluster_is_poisson_pair():
     cfg = ClusterProcessConfig(
         growth="fpp", dim=1, target_count=10**9, seeding_rate=1e-12, max_time=t, seed=15
     )
-    sizes = np.array([tr.count_at(t) - 1 for tr in run_cluster_process(cfg, 4000)])
+    sizes = np.array([count_at(tr, t) - 1 for tr in run_cluster_process(cfg, 4000)])
     ref = np.random.Generator(np.random.Philox(key=np.array([1, 2], dtype=np.uint64)))
     poisson = ref.poisson(2 * t, size=4000)
     _, p = stats.ks_2samp(sizes, poisson)

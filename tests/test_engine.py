@@ -21,7 +21,7 @@ from agentspread.errors import (
     NonTerminationError,
     PolicyContractError,
 )
-from agentspread.rng import CH_ENGINE, substream
+from agentspread.rng import CH_ENGINE, RunSummary, substream
 
 from forking import (
     LIMITS,
@@ -232,7 +232,7 @@ def reference_batch(g, spec, cfg, replicates):
     for k in range(replicates):
         rng = substream(cfg.seed, k, CH_ENGINE)
         state, _, finish = reference_run(g, policy, cfg, k, False, rng)
-        out.append(engine.RunSummary(finish, state.infected_count))
+        out.append(RunSummary(finish, state.infected_count))
     return out
 
 
@@ -323,7 +323,7 @@ def test_run_batch_reads_a_cut_run_as_none():
 def test_run_batch_survives_a_pickle_round_trip():
     batch, want = cut_batch()
     back = pickle.loads(pickle.dumps(batch, pickle.HIGHEST_PROTOCOL))
-    assert type(back) is engine.RunBatch
+    assert type(back) is rng.RunBatch
     assert back.times.tobytes() == batch.times.tobytes()  # NaN included
     assert list(back) == list(batch) == want
 
@@ -331,7 +331,7 @@ def test_run_batch_survives_a_pickle_round_trip():
 def test_run_batch_item_takes_dataclasses_replace():
     batch, _ = cut_batch()
     cut = dataclasses.replace(batch[0], finish_time=None)
-    assert cut == engine.RunSummary(None, batch[0].events)
+    assert cut == RunSummary(None, batch[0].events)
     assert [cut] + batch[1:] == [cut] + list(batch)[1:]
 
 

@@ -16,7 +16,7 @@ from agentspread.errors import (
 
 from agentspread.rng import CH_GRAPH, substream
 
-from oracles import conductance_brute
+from oracles import conductance_brute, validate_partition
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +198,7 @@ def test_partition_ring_16():
     assert p.g == 4
     assert p.piece_sizes == (4, 4, 4, 4)
     assert p.piece_diameters == (3, 3, 3, 3)
-    graphs.validate_partition(g, p)
+    validate_partition(g, p)
 
 
 def test_partition_ring_4():
@@ -217,7 +217,7 @@ def test_partition_ring_ragged_tail():
     p = graphs.partition_ring(g)
     assert sum(p.piece_sizes) == 19
     assert max(p.piece_sizes) < 2 * 4
-    graphs.validate_partition(g, p)
+    validate_partition(g, p)
 
 
 def test_partition_ring_wrong_family():
@@ -250,7 +250,7 @@ def test_partition_grid_1d():
 def test_partition_grid_validates():
     g = graphs.gen_grid(81, 2)
     p = graphs.partition_grid(g, l_min=1.0)
-    graphs.validate_partition(g, p)
+    validate_partition(g, p)
 
 
 @pytest.mark.parametrize("l_min", [1, 3, 8])
@@ -291,7 +291,7 @@ def test_partition_rgg_exact_power_chunk_count():
     g = graphs.gen_rgg(729, 0.28, seed=11)
     p = graphs.partition_rgg(g)
     assert p.g == 9 == math.ceil(729 ** (1 / 3))
-    graphs.validate_partition(g, p)
+    validate_partition(g, p)
 
 
 # Recorded before the bit-parallel diameter: sizes, diameters and a digest
@@ -350,7 +350,7 @@ def test_partition_rgg_empty_tiles_still_partition():
         g = graphs.make_graph("rgg", 128, seed=seed)
         tiles = math.ceil(math.sqrt(5) / g.radius)
         empty += len({(int(x * tiles), int(y * tiles)) for x, y in g.coords}) < tiles * tiles
-        graphs.validate_partition(g, graphs.partition_rgg(g))
+        validate_partition(g, graphs.partition_rgg(g))
     assert empty == 8  # seeds 0, 3-7, 10 and 11
 
 
@@ -558,6 +558,17 @@ def test_conductance_witness_attains_value():
     inside = set(res.witness_set)
     cut = sum(1 for u, v in g.edges() if (u in inside) != (v in inside))
     assert cut / len(inside) == pytest.approx(res.value)
+
+
+@pytest.mark.parametrize("conductance", [graphs.conductance_exact, graphs.conductance_analytic])
+@pytest.mark.parametrize("n, d", [(1, 1), (3, 2), (7, 3)], ids=["d1", "d2", "d3"])
+def test_conductance_refuses_a_one_node_grid(n, d, conductance):
+    # A grid of side 1 has no cut; the analytic slab would divide by
+    # floor(1/2) = 0.
+    g = graphs.gen_grid(n, d)
+    assert g.n == 1
+    with pytest.raises(InvalidParameterError, match="conductance needs n >= 2"):
+        conductance(g)
 
 
 def test_conductance_size_limit():

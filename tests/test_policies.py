@@ -674,8 +674,7 @@ INTEGER_PARAMETERS = {
         )
     ),
     # the chain reads its size once, for its step rates (one per step from
-    # 1 to piece_size), which both conductance_chain and chain_sojourn_mean
-    # build
+    # 1 to piece_size), which conductance_chain builds
     "piece_size": lambda v: types.SimpleNamespace(
         piece_size=1 + len(dominators._chain_rates(v, 1.0))
     ),
